@@ -28,7 +28,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .background import (
@@ -52,7 +53,6 @@ from .integrate import (
     STEP_SIZE_COLLAPSE,
     EventSpec,
     IntegratorSettings,
-    Termination,
     integrate,
 )
 from .products import FlowConfig
@@ -68,61 +68,29 @@ EXIT_INTEGRATOR = 3
 EXIT_PRECONDITION = 4
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record attached to every output."""
-
-    command: str
-    config: dict
-    tool_version: str
-    wall_time_ms: int
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "tool_version": self.tool_version,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
-
-def _format_float(x: float) -> str:
-    # Strict JSON has no NaN/Infinity tokens.
-    if not math.isfinite(x):
-        return "null"
-    return format(x, ".17g")
+class UsageError(Exception):
+    """Invalid flags, ``--config`` contents or environment; exit code 2."""
 
 
 def _dumps17(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and stable key order."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+        # Strict JSON has no NaN/Infinity tokens.
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, dict) and obj:
         items = ",\n".join(
             f"{inner}{json.dumps(str(k))}: {_dumps17(v, indent + 1)}"
             for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, (list, tuple)) and obj:
         items = ",\n".join(f"{inner}{_dumps17(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    # None, booleans, integers, strings and empty containers; anything else
+    # raises TypeError.
+    return json.dumps(obj)
 
 
 def _fail(code: int, message: str) -> int:
@@ -130,7 +98,7 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-# option name -> (python type, builtin default); None default means required.
+# option name -> (python type, default); None default means required.
 _FLOW_OPTS = {
     "n": (int, None),
     "s": (float, None),
@@ -138,199 +106,159 @@ _FLOW_OPTS = {
     "vol_m": (float, 1.0),
     "vol_n": (float, 1.0),
 }
+# The settings and event options are the library's dataclass fields, with the
+# library's defaults; the horizon comes from each command's own argument.
 _SETTINGS_OPTS = {
-    "rel_tol": (float, 1e-10),
-    "abs_tol": (float, 1e-12),
-    "max_step": (float, 0.03),
-    "min_step": (float, 1e-13),
-    "output_dt": (float, 0.1),
+    field.name: (float, field.default)
+    for field in fields(IntegratorSettings)
+    if field.name != "t_max"
 }
-_EVENT_OPTS = {
-    "y_floor": (float, -20.0),
-    "velocity_floor": (float, -100.0),
+_EVENT_OPTS = {field.name: (float, field.default) for field in fields(EventSpec)}
+# One trajectory: every option.
+_RUN_OPTS = {**_FLOW_OPTS, **_SETTINGS_OPTS, **_EVENT_OPTS}
+# A coupling range (bisect, sweep): no --s, and no base volumes, which enter
+# only the reduced Hamiltonian that neither command reads.
+_FAMILY_OPTS = {
+    name: spec for name, spec in _RUN_OPTS.items()
+    if name not in ("s", "vol_m", "vol_n")
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, names) -> None:
-    merged = {**_FLOW_OPTS, **_SETTINGS_OPTS, **_EVENT_OPTS}
-    for name in names:
-        typ, _ = merged[name]
-        flag = "--" + name.replace("_", "-")
-        if name == "curvature":
-            parser.add_argument(flag, choices=["positive", "negative"])
-        else:
-            parser.add_argument(flag, type=typ)
-    parser.add_argument("--config", help="JSON file mirroring the flags")
+def _config_value(name: str, typ, raw):
+    # int() would truncate 4.7 to 4 and read true as 1.
+    if typ is int and (
+        isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())
+    ):
+        raise UsageError(f"bad value for {name!r} in --config")
+    try:
+        return typ(raw)
+    except (TypeError, ValueError):
+        raise UsageError(f"bad value for {name!r} in --config") from None
 
 
-def _merge_config(args: argparse.Namespace, names) -> dict | None:
-    """Resolve each option as: explicit flag > --config entry > default.
-
-    Returns None (after printing a message) on an unusable config file.
-    """
-    merged = {**_FLOW_OPTS, **_SETTINGS_OPTS, **_EVENT_OPTS}
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+    """Resolve each option as: explicit flag > --config entry > default."""
     file_values = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read --config: {exc}", file=sys.stderr)
-            return None
+            raise UsageError(f"cannot read --config: {exc}") from None
         if not isinstance(raw, dict):
-            print("error: --config must hold a JSON object", file=sys.stderr)
-            return None
+            raise UsageError("--config must hold a JSON object")
         file_values = {str(k).replace("-", "_"): v for k, v in raw.items()}
 
     resolved = {}
-    for name in names:
-        typ, default = merged[name]
-        value = getattr(args, name, None)
+    for name, (typ, default) in options.items():
+        value = getattr(args, name)
         if value is None and name in file_values:
-            try:
-                value = typ(file_values[name])
-            except (TypeError, ValueError):
-                print(
-                    f"error: bad value for {name!r} in --config", file=sys.stderr
-                )
-                return None
-        if value is None:
-            value = default
-        resolved[name] = value
-    unknown = set(file_values) - set(names)
+            value = _config_value(name, typ, file_values[name])
+        resolved[name] = default if value is None else value
+    unknown = set(file_values) - set(options)
     if unknown:
-        print(
-            f"error: unknown keys in --config: {sorted(unknown)}",
-            file=sys.stderr,
-        )
-        return None
+        raise UsageError(f"unknown keys in --config: {sorted(unknown)}")
     return resolved
 
 
-def _build_flow(vals: dict) -> FlowConfig | None:
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its body, merged options and own arguments.
+
+    ``options`` are the flags that ``--config`` may also supply; ``params``
+    maps the command's own arguments to their types.  ``horizon`` names the
+    argument that sets ``IntegratorSettings.t_max``.  ``preconditions`` are
+    the library exceptions reported with exit code 4.
+    """
+
+    help: str
+    body: Callable
+    options: dict
+    params: dict
+    horizon: str = "horizon"
+    preconditions: tuple = ()
+
+
+@dataclass(frozen=True)
+class _Run:
+    """The merged options as library objects; ``flow`` is None without --s."""
+
+    n: int
+    sign: CurvatureSign
+    flow: FlowConfig | None
+    settings: IntegratorSettings
+    events: EventSpec
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _require(values: dict, names) -> None:
+    flags = [_flag(name) for name in names]
+    if any(values[name] is None for name in names):
+        raise UsageError(f"{', '.join(flags[:-1])} and {flags[-1]} are required")
+
+
+def _resolve(args: argparse.Namespace, command: _Command) -> _Run | None:
+    """Merge the command's options and build the library objects they name."""
+    if not command.options:
+        return None
+    vals = _merge_config(args, command.options)
+    t_max = getattr(args, command.horizon)
+    if t_max is None or not t_max > 0.0:
+        raise UsageError(f"{_flag(command.horizon)} must be a positive number")
+    _require(vals, [name for name in ("n", "s", "curvature") if name in vals])
     n = vals["n"]
-    if n is None or vals["s"] is None or vals["curvature"] is None:
-        print("error: --n, --s and --curvature are required", file=sys.stderr)
-        return None
     if n < 2 or n % 2 != 0:
-        print(f"error: --n must be an even integer >= 2, got {n}", file=sys.stderr)
-        return None
+        raise UsageError(f"--n must be an even integer >= 2, got {n}")
     try:
-        return FlowConfig(
-            m=n // 2,
-            sign=CurvatureSign(vals["curvature"]),
-            s=vals["s"],
-            vol_m=vals["vol_m"],
-            vol_n=vals["vol_n"],
+        sign = CurvatureSign(vals["curvature"])
+        flow = None
+        if "s" in vals:
+            shape = {name: vals[name] for name in ("s", "vol_m", "vol_n")}
+            flow = FlowConfig(m=n // 2, sign=sign, **shape)
+        settings = IntegratorSettings(
+            t_max=t_max, **{name: vals[name] for name in _SETTINGS_OPTS}
         )
+        events = EventSpec(**{name: vals[name] for name in _EVENT_OPTS})
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(str(exc)) from None
+    return _Run(n, sign, flow, settings, events)
 
 
-def _build_settings(vals: dict, t_max: float) -> IntegratorSettings | None:
-    try:
-        return IntegratorSettings(
-            rel_tol=vals["rel_tol"],
-            abs_tol=vals["abs_tol"],
-            max_step=vals["max_step"],
-            min_step=vals["min_step"],
-            t_max=t_max,
-            output_dt=vals["output_dt"],
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _build_events(vals: dict) -> EventSpec | None:
-    try:
-        return EventSpec(
-            y_floor=vals["y_floor"], velocity_floor=vals["velocity_floor"]
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _config_echo(
-    config: FlowConfig | None,
-    settings: IntegratorSettings | None,
-    events: EventSpec | None,
-    parameters: dict,
-) -> dict:
+def _config_echo(run: _Run | None, parameters: dict) -> dict:
     echo: dict = {}
-    if config is not None:
-        echo["flow"] = {
-            "n": config.n,
-            "m": config.m,
-            "curvature": config.sign.value,
-            "s": config.s,
-            "vol_m": config.vol_m,
-            "vol_n": config.vol_n,
-        }
-    if settings is not None:
-        echo["settings"] = {
-            "rel_tol": settings.rel_tol,
-            "abs_tol": settings.abs_tol,
-            "max_step": settings.max_step,
-            "min_step": settings.min_step,
-            "t_max": settings.t_max,
-            "output_dt": settings.output_dt,
-        }
-    if events is not None:
-        echo["events"] = {
-            "y_floor": events.y_floor,
-            "velocity_floor": events.velocity_floor,
-        }
+    if run is not None:
+        if run.flow is not None:
+            echo["flow"] = {
+                "n": run.flow.n,
+                "m": run.flow.m,
+                "curvature": run.flow.sign.value,
+                "s": run.flow.s,
+                "vol_m": run.flow.vol_m,
+                "vol_n": run.flow.vol_n,
+            }
+        echo["settings"] = asdict(run.settings)
+        echo["events"] = asdict(run.events)
     echo["parameters"] = parameters
     return echo
 
 
-def _termination_dict(term: Termination) -> dict:
-    return {
-        "kind": term.kind,
-        "t_event": term.t_event,
-        "trigger": term.trigger,
-        "t_last": term.t_last,
+def _classification(cls) -> tuple[dict, dict]:
+    """Result and diagnostics blocks of one classification.
+
+    The diagnostics are the residuals and the termination; the result is
+    the other fields, in field order.
+    """
+    result = asdict(cls)
+    diagnostics = {
+        key: result.pop(key)
+        for key in (
+            "max_constraint_residual", "max_first_integral_residual", "termination"
+        )
     }
-
-
-def _classification_dict(cls) -> dict:
-    return {
-        "verdict": cls.verdict,
-        "t_blowup": cls.t_blowup,
-        "horizon": cls.horizon,
-        "low_confidence": cls.low_confidence,
-    }
-
-
-def _classification_diag(cls) -> dict:
-    return {
-        "max_constraint_residual": cls.max_constraint_residual,
-        "max_first_integral_residual": cls.max_first_integral_residual,
-        "termination": _termination_dict(cls.termination),
-    }
-
-
-def _limit_dict(limit) -> dict | None:
-    if limit is None:
-        return None
-    return {
-        "value": limit.value,
-        "tail_variation": limit.tail_variation,
-        "decay_rate": limit.decay_rate,
-        "cross_check_delta": limit.cross_check_delta,
-    }
-
-
-def _emit_json(result, diagnostics, manifest: RunManifest) -> None:
-    doc = {
-        "result": result,
-        "diagnostics": diagnostics,
-        "manifest": manifest.as_dict(),
-    }
-    sys.stdout.write(_dumps17(doc) + "\n")
+    return result, diagnostics
 
 
 def _csv_cell(value) -> str:
@@ -339,207 +267,73 @@ def _csv_cell(value) -> str:
     return repr(value)
 
 
-def _cmd_simulate(args) -> int:
-    start = time.perf_counter()
-    names = list(_FLOW_OPTS) + list(_SETTINGS_OPTS) + list(_EVENT_OPTS)
-    vals = _merge_config(args, names)
-    if vals is None:
-        return EXIT_USAGE
-    if args.t_max is None or not args.t_max > 0.0:
-        return _fail(EXIT_USAGE, "--t-max must be a positive number")
-    config = _build_flow(vals)
-    if config is None:
-        return EXIT_USAGE
-    settings = _build_settings(vals, args.t_max)
-    events = _build_events(vals)
-    if settings is None or events is None:
-        return EXIT_USAGE
+# Command bodies return (parameters, result, diagnostics).  They reach the
+# library through module globals, looked up at call time, so a wrapper
+# installed on this module sees every call.
 
-    traj = integrate(config, settings, events)
 
+def _cmd_simulate(args, run):
+    traj = integrate(run.flow, run.settings, run.events)
     lines = [CSV_HEADER]
     for state, obs in traj.samples:
-        lines.append(
-            ",".join(
-                (
-                    _csv_cell(state.t),
-                    _csv_cell(state.x),
-                    _csv_cell(state.y),
-                    _csv_cell(state.xp),
-                    _csv_cell(state.yp),
-                    _csv_cell(obs.tau),
-                    _csv_cell(obs.sigma_sq),
-                    _csv_cell(obs.scalar_curv),
-                    _csv_cell(obs.ham_residual),
-                    _csv_cell(obs.first_integral_residual),
-                    _csv_cell(obs.h_red),
-                )
-            )
+        cells = (
+            state.t, state.x, state.y, state.xp, state.yp,
+            obs.tau, obs.sigma_sq, obs.scalar_curv, obs.ham_residual,
+            obs.first_integral_residual, obs.h_red,
         )
-    csv_text = "\n".join(lines) + "\n"
-
-    manifest = RunManifest(
-        command="simulate",
-        config=_config_echo(config, settings, events, {"t_max": args.t_max}),
-        tool_version=__version__,
-        wall_time_ms=int(round((time.perf_counter() - start) * 1000.0)),
-    )
-    manifest_doc = manifest.as_dict()
-    manifest_doc["result"] = {
-        "termination": _termination_dict(traj.termination),
+        lines.append(",".join(map(_csv_cell, cells)))
+    result = {
+        "termination": asdict(traj.termination),
         "n_samples": len(traj.samples),
         "max_constraint_residual": traj.max_ham_residual,
         "max_first_integral_residual": traj.max_first_integral_residual,
     }
-
+    csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)
-        with open(
-            args.out + ".manifest.json", "w", encoding="utf-8", newline=""
-        ) as fh:
-            fh.write(_dumps17(manifest_doc) + "\n")
     else:
         sys.stdout.write(csv_text)
-
-    if traj.termination.kind == STEP_SIZE_COLLAPSE:
-        return EXIT_INTEGRATOR
-    return EXIT_OK
+    return {"t_max": args.t_max}, result, None
 
 
-def _cmd_classify(args) -> int:
-    start = time.perf_counter()
-    names = list(_FLOW_OPTS) + list(_SETTINGS_OPTS) + list(_EVENT_OPTS)
-    vals = _merge_config(args, names)
-    if vals is None:
-        return EXIT_USAGE
-    if args.horizon is None or not args.horizon > 0.0:
-        return _fail(EXIT_USAGE, "--horizon must be a positive number")
-    config = _build_flow(vals)
-    if config is None:
-        return EXIT_USAGE
-    settings = _build_settings(vals, args.horizon)
-    events = _build_events(vals)
-    if settings is None or events is None:
-        return EXIT_USAGE
+def _cmd_classify(args, run):
+    cls = classify(run.flow, args.horizon, run.settings, run.events)
+    return {"horizon": args.horizon}, *_classification(cls)
 
-    cls = classify(config, args.horizon, settings, events)
-    manifest = RunManifest(
-        command="classify",
-        config=_config_echo(config, settings, events, {"horizon": args.horizon}),
-        tool_version=__version__,
-        wall_time_ms=int(round((time.perf_counter() - start) * 1000.0)),
+
+def _cmd_bisect(args, run):
+    _require(vars(args), ("lo", "hi", "tol"))
+    if not (args.lo < args.hi and args.tol > 0.0):
+        raise UsageError("need --lo < --hi, --tol > 0")
+    res = bisect_critical(
+        run.n, run.sign, args.lo, args.hi, args.tol, args.horizon,
+        run.settings, run.events,
     )
-    _emit_json(_classification_dict(cls), _classification_diag(cls), manifest)
-    return EXIT_OK
-
-
-def _cmd_bisect(args) -> int:
-    start = time.perf_counter()
-    names = ["n", "curvature", "vol_m", "vol_n"] + list(_SETTINGS_OPTS) + list(
-        _EVENT_OPTS
-    )
-    vals = _merge_config(args, names)
-    if vals is None:
-        return EXIT_USAGE
-    n = vals["n"]
-    if n is None or vals["curvature"] is None:
-        return _fail(EXIT_USAGE, "--n and --curvature are required")
-    if n < 2 or n % 2 != 0:
-        return _fail(EXIT_USAGE, f"--n must be an even integer >= 2, got {n}")
-    for flag, value in (("--lo", args.lo), ("--hi", args.hi), ("--tol", args.tol),
-                        ("--horizon", args.horizon)):
-        if value is None:
-            return _fail(EXIT_USAGE, f"{flag} is required")
-    if not (args.lo < args.hi and args.tol > 0.0 and args.horizon > 0.0):
-        return _fail(EXIT_USAGE, "need --lo < --hi, --tol > 0, --horizon > 0")
-    settings = _build_settings(vals, args.horizon)
-    events = _build_events(vals)
-    if settings is None or events is None:
-        return EXIT_USAGE
-
-    sign = CurvatureSign(vals["curvature"])
-    try:
-        res = bisect_critical(
-            n, sign, args.lo, args.hi, args.tol, args.horizon, settings, events
-        )
-    except (BracketError, PreconditionError, ValueError) as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-
-    manifest = RunManifest(
-        command="bisect",
-        config=_config_echo(
-            None,
-            settings,
-            events,
-            {
-                "n": n,
-                "curvature": sign.value,
-                "lo": args.lo,
-                "hi": args.hi,
-                "tol": args.tol,
-                "horizon": args.horizon,
-            },
-        ),
-        tool_version=__version__,
-        wall_time_ms=int(round((time.perf_counter() - start) * 1000.0)),
-    )
-    result = {
-        "bracket_lo": res.bracket[0],
-        "bracket_hi": res.bracket[1],
-        "iterations": res.iterations,
-        "horizon_used": res.horizon_used,
-        "verdict_lo": res.verdict_lo,
-        "verdict_hi": res.verdict_hi,
+    parameters = {
+        "n": run.n,
+        "curvature": run.sign.value,
+        "lo": args.lo,
+        "hi": args.hi,
+        "tol": args.tol,
+        "horizon": args.horizon,
     }
-    diagnostics = {"bracket_width": res.bracket[1] - res.bracket[0]}
-    _emit_json(result, diagnostics, manifest)
-    return EXIT_OK
+    result = asdict(res)
+    lo, hi = result.pop("bracket")
+    result = {"bracket_lo": lo, "bracket_hi": hi, **result}
+    return parameters, result, {"bracket_width": hi - lo}
 
 
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("EFL_THREADS")
-    if raw is None:
-        return 1
+def _cmd_sweep(args, run):
+    _require(vars(args), ("s_min", "s_max", "steps"))
+    if args.steps < 1 or args.s_min > args.s_max:
+        raise UsageError("need --steps >= 1, --s-min <= --s-max")
     try:
-        threads = int(raw)
+        threads = int(os.environ.get("EFL_THREADS", "1"))
     except ValueError:
-        return None
+        threads = 0
     if threads < 1:
-        return None
-    return threads
-
-
-def _cmd_sweep(args) -> int:
-    start = time.perf_counter()
-    names = ["n", "curvature", "vol_m", "vol_n"] + list(_SETTINGS_OPTS) + list(
-        _EVENT_OPTS
-    )
-    vals = _merge_config(args, names)
-    if vals is None:
-        return EXIT_USAGE
-    n = vals["n"]
-    if n is None or vals["curvature"] is None:
-        return _fail(EXIT_USAGE, "--n and --curvature are required")
-    if n < 2 or n % 2 != 0:
-        return _fail(EXIT_USAGE, f"--n must be an even integer >= 2, got {n}")
-    for flag, value in (("--s-min", args.s_min), ("--s-max", args.s_max),
-                        ("--steps", args.steps), ("--horizon", args.horizon)):
-        if value is None:
-            return _fail(EXIT_USAGE, f"{flag} is required")
-    if args.steps < 1 or not args.horizon > 0.0 or args.s_min > args.s_max:
-        return _fail(
-            EXIT_USAGE, "need --steps >= 1, --horizon > 0, --s-min <= --s-max"
-        )
-    threads = _threads_from_env()
-    if threads is None:
-        return _fail(EXIT_USAGE, "EFL_THREADS must be a positive integer")
-    settings = _build_settings(vals, args.horizon)
-    events = _build_events(vals)
-    if settings is None or events is None:
-        return EXIT_USAGE
-
-    sign = CurvatureSign(vals["curvature"])
+        raise UsageError("EFL_THREADS must be a positive integer")
     if args.steps == 1:
         grid = [args.s_min]
     else:
@@ -548,127 +342,64 @@ def _cmd_sweep(args) -> int:
             args.s_min + span * (i / (args.steps - 1)) for i in range(args.steps)
         ]
     rows = sweep(
-        n,
-        sign,
+        run.n,
+        run.sign,
         grid,
         args.horizon,
         with_limits=not args.no_limits,
         threads=threads,
-        settings=settings,
-        events=events,
+        settings=run.settings,
+        events=run.events,
     )
 
-    manifest = RunManifest(
-        command="sweep",
-        config=_config_echo(
-            None,
-            settings,
-            events,
-            {
-                "n": n,
-                "curvature": sign.value,
-                "s_min": args.s_min,
-                "s_max": args.s_max,
-                "steps": args.steps,
-                "horizon": args.horizon,
-                "limits": not args.no_limits,
-                "threads": threads,
-            },
-        ),
-        tool_version=__version__,
-        wall_time_ms=int(round((time.perf_counter() - start) * 1000.0)),
-    )
+    parameters = {
+        "n": run.n,
+        "curvature": run.sign.value,
+        "s_min": args.s_min,
+        "s_max": args.s_max,
+        "steps": args.steps,
+        "horizon": args.horizon,
+        "limits": not args.no_limits,
+        "threads": threads,
+    }
     result_rows = []
     diag_rows = []
     for row in rows:
+        result, diagnostics = None, None
+        if row.classification is not None:
+            result, diagnostics = _classification(row.classification)
         result_rows.append(
             {
                 "s": row.s,
-                "classification": (
-                    _classification_dict(row.classification)
-                    if row.classification is not None
-                    else None
-                ),
-                "limit": _limit_dict(row.limit),
+                "classification": result,
+                "limit": None if row.limit is None else asdict(row.limit),
                 "error": row.error,
             }
         )
-        diag_rows.append(
-            {
-                "s": row.s,
-                "diagnostics": (
-                    _classification_diag(row.classification)
-                    if row.classification is not None
-                    else None
-                ),
-            }
-        )
-    _emit_json({"rows": result_rows}, {"rows": diag_rows}, manifest)
-    return EXIT_OK
+        diag_rows.append({"s": row.s, "diagnostics": diagnostics})
+    return parameters, {"rows": result_rows}, {"rows": diag_rows}
 
 
-def _cmd_hamiltonian(args) -> int:
-    start = time.perf_counter()
-    names = list(_FLOW_OPTS) + list(_SETTINGS_OPTS) + list(_EVENT_OPTS)
-    vals = _merge_config(args, names)
-    if vals is None:
-        return EXIT_USAGE
-    if args.horizon is None or not args.horizon > 0.0:
-        return _fail(EXIT_USAGE, "--horizon must be a positive number")
-    config = _build_flow(vals)
-    if config is None:
-        return EXIT_USAGE
-    settings = _build_settings(vals, args.horizon)
-    events = _build_events(vals)
-    if settings is None or events is None:
-        return EXIT_USAGE
-
-    try:
-        audit = hamiltonian_audit(config, args.horizon, settings, events)
-    except GaugeRangeError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-
-    manifest = RunManifest(
-        command="hamiltonian",
-        config=_config_echo(config, settings, events, {"horizon": args.horizon}),
-        tool_version=__version__,
-        wall_time_ms=int(round((time.perf_counter() - start) * 1000.0)),
-    )
+def _cmd_hamiltonian(args, run):
+    audit = hamiltonian_audit(run.flow, args.horizon, run.settings, run.events)
     result = {
         "branch": audit.branch,
         "verdict": audit.verdict,
         "delta_total": audit.delta_total,
         "series": [[t, h] for t, h in audit.series],
     }
-    diagnostics = {"n_samples": len(audit.series)}
-    _emit_json(result, diagnostics, manifest)
-    return EXIT_OK
+    return {"horizon": args.horizon}, result, {"n_samples": len(audit.series)}
 
 
-def _cmd_background(args) -> int:
-    start = time.perf_counter()
-    if args.n is None or args.curvature is None or args.t is None:
-        return _fail(EXIT_USAGE, "--n, --curvature and --t are required")
+def _cmd_background(args, run):
+    _require(vars(args), ("n", "curvature", "t"))
     if args.n < 2:
-        return _fail(EXIT_USAGE, f"--n must be >= 2, got {args.n}")
+        raise UsageError(f"--n must be >= 2, got {args.n}")
     sign = CurvatureSign(args.curvature)
     model = BackgroundModel(n=args.n, sign=sign)
-    try:
-        a = scale_factor(model, args.t)
-        tau = mean_curvature(model, args.t)
-        lapse = homogeneous_lapse(args.n, tau, sign)
-    except GaugeDomainError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-
-    manifest = RunManifest(
-        command="background",
-        config=_config_echo(
-            None, None, None,
-            {"n": args.n, "curvature": sign.value, "t": args.t},
-        ),
-        tool_version=__version__,
-        wall_time_ms=int(round((time.perf_counter() - start) * 1000.0)),
-    )
+    a = scale_factor(model, args.t)
+    tau = mean_curvature(model, args.t)
+    lapse = homogeneous_lapse(args.n, tau, sign)
     result = {
         "t": args.t,
         "scale_factor": a,
@@ -676,8 +407,53 @@ def _cmd_background(args) -> int:
         "lapse": lapse,
         "scale_sq": args.n * lapse,
     }
-    _emit_json(result, {}, manifest)
-    return EXIT_OK
+    return {"n": args.n, "curvature": sign.value, "t": args.t}, result, {}
+
+
+# Help texts of the command-level arguments that have one.
+_HELP = {
+    "out": "CSV path; manifest goes to <out>.manifest.json",
+    "no_limits": "skip limit extraction on complete rows",
+}
+
+_COMMANDS = {
+    "simulate": _Command(
+        "integrate one trajectory to CSV", _cmd_simulate, _RUN_OPTS,
+        {"t_max": float, "out": str}, horizon="t_max",
+    ),
+    "classify": _Command(
+        "recollapse vs completeness verdict", _cmd_classify, _RUN_OPTS,
+        {"horizon": float},
+    ),
+    "bisect": _Command(
+        "bisect the critical coupling", _cmd_bisect, _FAMILY_OPTS,
+        {"lo": float, "hi": float, "tol": float, "horizon": float},
+        preconditions=(BracketError, PreconditionError, ValueError),
+    ),
+    "sweep": _Command(
+        "classification table over a coupling grid", _cmd_sweep, _FAMILY_OPTS,
+        {"s_min": float, "s_max": float, "steps": int, "horizon": float,
+         "no_limits": bool},
+    ),
+    "hamiltonian": _Command(
+        "reduced-Hamiltonian audit", _cmd_hamiltonian, _RUN_OPTS,
+        {"horizon": float}, preconditions=(GaugeRangeError,),
+    ),
+    "background": _Command(
+        "closed-form background quantities", _cmd_background, {},
+        {"n": int, "curvature": str, "t": float},
+        preconditions=(GaugeDomainError,),
+    ),
+}
+
+
+def _add_flag(parser: argparse.ArgumentParser, name: str, typ) -> None:
+    if name == "curvature":
+        parser.add_argument(_flag(name), choices=["positive", "negative"])
+    elif typ is bool:
+        parser.add_argument(_flag(name), action="store_true", help=_HELP[name])
+    else:
+        parser.add_argument(_flag(name), type=typ, help=_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -690,53 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_options(p, list(_FLOW_OPTS) + list(_SETTINGS_OPTS) + list(_EVENT_OPTS))
-    p.add_argument("--t-max", type=float)
-    p.add_argument("--out", help="CSV path; manifest goes to <out>.manifest.json")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("classify", help="recollapse vs completeness verdict")
-    _add_options(p, list(_FLOW_OPTS) + list(_SETTINGS_OPTS) + list(_EVENT_OPTS))
-    p.add_argument("--horizon", type=float)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("bisect", help="bisect the critical coupling")
-    _add_options(
-        p, ["n", "curvature", "vol_m", "vol_n"] + list(_SETTINGS_OPTS)
-        + list(_EVENT_OPTS)
-    )
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--horizon", type=float)
-    p.set_defaults(func=_cmd_bisect)
-
-    p = sub.add_parser("sweep", help="classification table over a coupling grid")
-    _add_options(
-        p, ["n", "curvature", "vol_m", "vol_n"] + list(_SETTINGS_OPTS)
-        + list(_EVENT_OPTS)
-    )
-    p.add_argument("--s-min", type=float)
-    p.add_argument("--s-max", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--no-limits", action="store_true",
-                   help="skip limit extraction on complete rows")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("hamiltonian", help="reduced-Hamiltonian audit")
-    _add_options(p, list(_FLOW_OPTS) + list(_SETTINGS_OPTS) + list(_EVENT_OPTS))
-    p.add_argument("--horizon", type=float)
-    p.set_defaults(func=_cmd_hamiltonian)
-
-    p = sub.add_parser("background", help="closed-form background quantities")
-    p.add_argument("--n", type=int)
-    p.add_argument("--curvature", choices=["positive", "negative"])
-    p.add_argument("--t", type=float)
-    p.set_defaults(func=_cmd_background)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option, (typ, _) in command.options.items():
+            _add_flag(p, option, typ)
+        if command.options:
+            p.add_argument("--config", help="JSON file mirroring the flags")
+        for param, typ in command.params.items():
+            _add_flag(p, param, typ)
     return parser
 
 
@@ -747,7 +484,36 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    return args.func(args)
+    command = _COMMANDS[args.command]
+    start = time.perf_counter()
+    try:
+        run = _resolve(args, command)
+        parameters, result, diagnostics = command.body(args, run)
+    except UsageError as exc:
+        return _fail(EXIT_USAGE, str(exc))
+    except command.preconditions as exc:
+        return _fail(EXIT_PRECONDITION, str(exc))
+    manifest = {
+        "command": args.command,
+        "config": _config_echo(run, parameters),
+        "tool_version": __version__,
+        "wall_time_ms": int(round((time.perf_counter() - start) * 1000.0)),
+    }
+    if args.command != "simulate":
+        doc = {"result": result, "diagnostics": diagnostics, "manifest": manifest}
+        sys.stdout.write(_dumps17(doc) + "\n")
+        return EXIT_OK
+    # simulate has written its CSV; the manifest carries the run's result
+    # block and goes next to the CSV file.
+    manifest["result"] = result
+    if args.out:
+        with open(
+            args.out + ".manifest.json", "w", encoding="utf-8", newline=""
+        ) as fh:
+            fh.write(_dumps17(manifest) + "\n")
+    if result["termination"]["kind"] == STEP_SIZE_COLLAPSE:
+        return EXIT_INTEGRATOR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

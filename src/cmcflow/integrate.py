@@ -491,6 +491,8 @@ def integrate_oracle(
     true step times).  Events are detected by a sign change across a step
     and then located by bisection over partial steps restarted from the
     step start, so the reported time does not inherit the full-step error.
+    ``n_accepted`` counts the steps completed, as for :func:`integrate`;
+    the partial step to an event is not counted.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -520,8 +522,9 @@ def integrate_oracle(
         samples.append((state, obs))
         last_emitted_t = ts
 
-    def rk4_step(t0, u0, h):
-        ka = f(t0, u0)
+    # ka is the slope at the step start; the caller has already evaluated it
+    # for the first-integral residual, and partial steps restart from it.
+    def rk4_step(t0, u0, h, ka):
         ub = tuple(u0[i] + 0.5 * h * ka[i] for i in range(4))
         kb = f(t0 + 0.5 * h, ub)
         uc = tuple(u0[i] + 0.5 * h * kb[i] for i in range(4))
@@ -554,19 +557,18 @@ def integrate_oracle(
             emit(t, u)
             return finish(Termination(BLOW_UP_EVENT, t_event=t, trigger=name))
 
-    i = 0
     while t < t_max:
         h = dt if t + dt <= t_max else t_max - t
         if h <= 0.0:
             break
-        if i % k_emit == 0:
+        if n_steps % k_emit == 0:
             emit(t, u)
         try:
             k1 = f(t, u)
             fir = abs(k1[2] + k1[3] + u[2] * u[2] + u[3] * u[3] - 2.0)
             if fir > max_fir:
                 max_fir = fir
-            unew = rk4_step(t, u, h)
+            unew = rk4_step(t, u, h, k1)
         except (BlowUpOverflow, OverflowError):
             emit(t, u)
             return finish(
@@ -581,7 +583,7 @@ def integrate_oracle(
                 try:
                     while hi - lo > _EVENT_T_TOL:
                         mid = 0.5 * (lo + hi)
-                        if g(rk4_step(t, u, mid)) <= 0.0:
+                        if g(rk4_step(t, u, mid, k1)) <= 0.0:
                             hi = mid
                         else:
                             lo = mid
@@ -591,7 +593,7 @@ def integrate_oracle(
                     hit_h = hi
                     hit_name = name
         if hit_h is not None:
-            u_hit = rk4_step(t, u, hit_h)
+            u_hit = rk4_step(t, u, hit_h, k1)
             t_hit = t + hit_h
             emit(t_hit, u_hit)
             return finish(
@@ -599,8 +601,8 @@ def integrate_oracle(
             )
 
         u = unew
-        i += 1
-        t = i * dt if i * dt <= t_max else t_max
+        n_steps += 1
+        t = n_steps * dt if n_steps * dt <= t_max else t_max
 
     try:
         k_end = f(t, u)

@@ -1,0 +1,183 @@
+"""CLI option sets: which flags each command takes, --config merging and
+the manifest sections each command echoes."""
+
+import json
+
+import pytest
+
+from cmcflow.cli import build_parser, main
+
+BISECT = ["bisect", "--lo", "1.4", "--hi", "1.6", "--tol", "1e-3",
+          "--horizon", "30"]
+SWEEP = ["sweep", "--s-min", "0.6", "--s-max", "2", "--steps", "3",
+         "--horizon", "20", "--no-limits"]
+
+SETTINGS_FLAGS = {"--rel-tol", "--abs-tol", "--max-step", "--min-step",
+                  "--output-dt", "--y-floor", "--velocity-floor", "--config"}
+RUN_FLAGS = {"--n", "--s", "--curvature", "--vol-m", "--vol-n"} | SETTINGS_FLAGS
+FAMILY_FLAGS = {"--n", "--curvature"} | SETTINGS_FLAGS
+
+
+def run(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def write_config(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+def command_flags(name):
+    sub = next(
+        action for action in build_parser()._actions
+        if action.dest == "command"
+    )
+    parser = sub.choices[name]
+    return {
+        flag for action in parser._actions for flag in action.option_strings
+    } - {"-h", "--help"}
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("simulate", RUN_FLAGS | {"--t-max", "--out"}),
+        ("classify", RUN_FLAGS | {"--horizon"}),
+        ("hamiltonian", RUN_FLAGS | {"--horizon"}),
+        ("bisect", FAMILY_FLAGS | {"--lo", "--hi", "--tol", "--horizon"}),
+        ("sweep", FAMILY_FLAGS | {"--s-min", "--s-max", "--steps", "--horizon",
+                                  "--no-limits"}),
+        ("background", {"--n", "--curvature", "--t"}),
+    ],
+)
+def test_flag_set_per_command(name, expected):
+    assert command_flags(name) == expected
+
+
+class TestConfigForBisectAndSweep:
+    def test_bisect_config_supplies_values_flags_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "n": 4, "curvature": "positive", "rel_tol": 1e-9,
+        })
+        rc, out, _ = run(capsys, BISECT + ["--config", cfg])
+        assert rc == 0
+        config = json.loads(out)["manifest"]["config"]
+        assert config["parameters"]["n"] == 4
+        assert config["parameters"]["curvature"] == "positive"
+        assert config["settings"]["rel_tol"] == 1e-9
+
+        rc, out, _ = run(capsys, BISECT + ["--config", cfg, "--rel-tol", "1e-10"])
+        assert rc == 0
+        assert json.loads(out)["manifest"]["config"]["settings"]["rel_tol"] == 1e-10
+
+        # the negative family has no threshold, so the override is visible
+        # in the exit code
+        rc, _, err = run(capsys, BISECT + ["--config", cfg,
+                                           "--curvature", "negative"])
+        assert rc == 4
+        assert err.startswith("error:")
+
+    def test_sweep_config_supplies_values_flags_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "n": 4, "curvature": "negative", "max_step": 0.05,
+        })
+        rc, out, _ = run(capsys, SWEEP + ["--config", cfg])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["manifest"]["config"]["settings"]["max_step"] == 0.05
+        verdicts = [r["classification"]["verdict"] for r in doc["result"]["rows"]]
+        assert verdicts == ["CompleteWithinHorizon"] * 3
+
+        rc, out, _ = run(capsys, SWEEP + ["--config", cfg,
+                                          "--curvature", "positive"])
+        assert rc == 0
+        verdicts = [r["classification"]["verdict"]
+                    for r in json.loads(out)["result"]["rows"]]
+        # s = 0.6 and s = 2 lie outside the positive completeness interval
+        assert verdicts == ["Recollapse", "CompleteWithinHorizon", "Recollapse"]
+
+
+class TestRemovedVolumeFlags:
+    @pytest.mark.parametrize("argv", [BISECT, SWEEP])
+    @pytest.mark.parametrize("flag", ["--vol-m", "--vol-n"])
+    def test_flag_rejected(self, capsys, argv, flag):
+        rc, _, err = run(capsys, argv + ["--n", "4", "--curvature", "positive",
+                                         flag, "2"])
+        assert rc == 2
+        assert flag in err
+
+    @pytest.mark.parametrize("argv", [BISECT, SWEEP])
+    @pytest.mark.parametrize("key", ["vol_m", "vol_n"])
+    def test_config_key_rejected(self, tmp_path, capsys, argv, key):
+        cfg = write_config(tmp_path, {"n": 4, "curvature": "positive", key: 2.0})
+        rc, _, err = run(capsys, argv + ["--config", cfg])
+        assert rc == 2
+        assert err.startswith("error:")
+        assert key in err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("argv", [BISECT, SWEEP])
+    def test_bad_curvature_is_usage_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {"n": 4, "curvature": "sideways"})
+        rc, _, err = run(capsys, argv + ["--config", cfg])
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "sideways" in err
+
+    @pytest.mark.parametrize("value", [4.7, True])
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--horizon", "10", "--s", "1"], BISECT, SWEEP,
+    ])
+    def test_integer_option_rejects_fraction_and_bool(
+        self, tmp_path, capsys, argv, value
+    ):
+        cfg = write_config(tmp_path, {"n": value, "curvature": "positive"})
+        rc, _, err = run(capsys, argv + ["--config", cfg])
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "'n'" in err
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 4.0, "s": 1.0,
+                                      "curvature": "positive"})
+        rc, out, _ = run(capsys, ["classify", "--horizon", "5", "--config", cfg])
+        assert rc == 0
+        assert json.loads(out)["manifest"]["config"]["flow"]["n"] == 4
+
+
+FLOW_ARGS = ["--n", "4", "--s", "1", "--curvature", "negative"]
+
+
+@pytest.mark.parametrize(
+    "argv, sections",
+    [
+        (["classify", *FLOW_ARGS, "--horizon", "5"],
+         ["flow", "settings", "events", "parameters"]),
+        (["hamiltonian", *FLOW_ARGS, "--horizon", "3"],
+         ["flow", "settings", "events", "parameters"]),
+        (BISECT + ["--n", "4", "--curvature", "positive"],
+         ["settings", "events", "parameters"]),
+        (SWEEP + ["--n", "4", "--curvature", "negative"],
+         ["settings", "events", "parameters"]),
+        (["background", "--n", "3", "--curvature", "negative", "--t", "1"],
+         ["parameters"]),
+    ],
+)
+def test_manifest_config_sections(capsys, argv, sections):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert list(json.loads(out)["manifest"]["config"]) == sections
+
+
+def test_simulate_manifest_config_sections(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    rc, _, _ = run(capsys, ["simulate", *FLOW_ARGS, "--t-max", "2",
+                            "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert list(manifest["config"]) == ["flow", "settings", "events",
+                                        "parameters"]

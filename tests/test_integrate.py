@@ -1,5 +1,6 @@
 """Tests for the adaptive integrator, the fixed-step oracle and events."""
 
+import importlib
 import math
 
 import pytest
@@ -318,3 +319,33 @@ class TestDeterminismAndConvergence:
             traj = integrate(config, IntegratorSettings(t_max=50.0))
             assert traj.termination.kind == REACHED_HORIZON
             assert traj.max_first_integral_residual <= 1e-7
+
+
+class TestOracleCounters:
+    # 1/64 divides the horizon exactly; 0.3 leaves a shorter last step.
+    @pytest.mark.parametrize("dt", [1.0 / 64.0, 0.3])
+    def test_n_accepted_counts_steps(self, dt):
+        traj = integrate_oracle(FlowConfig(m=2, sign=POS, s=1.2), dt, 2.0)
+        assert traj.termination.kind == REACHED_HORIZON
+        assert traj.n_accepted == math.ceil(2.0 / dt)
+
+    def test_four_rhs_calls_per_step(self, monkeypatch):
+        module = importlib.import_module("cmcflow.integrate")
+        real = module.derivatives
+        calls = 0
+
+        def counting_derivatives(config):
+            f = real(config)
+
+            def counted(t, u):
+                nonlocal calls
+                calls += 1
+                return f(t, u)
+
+            return counted
+
+        monkeypatch.setattr(module, "derivatives", counting_derivatives)
+        traj = integrate_oracle(FlowConfig(m=2, sign=POS, s=1.2), 1.0 / 64.0, 2.0)
+        assert traj.n_accepted == 128
+        # one closing evaluation gives the first-integral residual at t_max
+        assert calls == 4 * 128 + 1
