@@ -15,9 +15,7 @@ failure), 2 invalid flags, 3 integrator failure (step-size collapse without
 blow-up, simulate only), 4 precondition violation.
 
 Every manifest echoes the full numeric configuration including defaulted
-values, so a run can be reproduced without reading source.  The
-``EFL_THREADS`` environment variable (positive integer) caps sweep
-parallelism.
+values, so a run can be reproduced without reading source.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from collections.abc import Callable
@@ -328,12 +325,6 @@ def _cmd_sweep(args, run):
     _require(vars(args), ("s_min", "s_max", "steps"))
     if args.steps < 1 or args.s_min > args.s_max:
         raise UsageError("need --steps >= 1, --s-min <= --s-max")
-    try:
-        threads = int(os.environ.get("EFL_THREADS", "1"))
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError("EFL_THREADS must be a positive integer")
     if args.steps == 1:
         grid = [args.s_min]
     else:
@@ -347,7 +338,6 @@ def _cmd_sweep(args, run):
         grid,
         args.horizon,
         with_limits=not args.no_limits,
-        threads=threads,
         settings=run.settings,
         events=run.events,
     )
@@ -360,7 +350,6 @@ def _cmd_sweep(args, run):
         "steps": args.steps,
         "horizon": args.horizon,
         "limits": not args.no_limits,
-        "threads": threads,
     }
     result_rows = []
     diag_rows = []

@@ -13,7 +13,6 @@ so the verdict name keeps that epistemic status explicit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .background import CurvatureSign
@@ -175,6 +174,12 @@ def classify(
     threshold.
     """
     traj = integrate(config, _settings_for(horizon, settings), events)
+    return _classification(config, traj, horizon)
+
+
+def _classification(
+    config: FlowConfig, traj: Trajectory, horizon: float
+) -> Classification:
     term = traj.termination
     low_confidence = _near_threshold(config)
     if term.kind == REACHED_HORIZON:
@@ -287,6 +292,12 @@ def limit_Cs(
     coupling, positive products strictly between the thresholds.  The value
     is cross-checked against an independent fixed-step integration.
     """
+    _require_convergent(config)
+    traj = integrate(config, _settings_for(horizon, settings), events)
+    return _limit(config, traj, horizon, oracle_dt, events)
+
+
+def _require_convergent(config: FlowConfig) -> None:
     if config.sign is CurvatureSign.POSITIVE:
         lower, upper = thresholds(config.n)
         inside = config.s > lower and (upper is None or config.s < upper)
@@ -295,15 +306,23 @@ def limit_Cs(
                 f"coupling s={config.s} is outside the open convergent "
                 f"interval ({lower}, {upper}) for n={config.n}"
             )
-    traj = integrate(config, _settings_for(horizon, settings), events)
+
+
+def _limit(
+    config: FlowConfig,
+    traj: Trajectory,
+    horizon: float,
+    oracle_dt: float,
+    events: EventSpec | None,
+) -> LimitEstimate:
     if traj.termination.kind != REACHED_HORIZON:
         raise RegimeError(
             f"trajectory did not reach the horizon: {traj.termination}"
         )
 
-    diffs = [(state.t, state.x - state.y) for state, _ in traj.samples]
-    value = diffs[-1][1]
-    tail = [d for _, d in diffs[-max(2, len(diffs) // 5) :]]
+    diffs = [state.x - state.y for state, _ in traj.samples]
+    value = diffs[-1]
+    tail = diffs[-max(2, len(diffs) // 5) :]
     tail_variation = max(tail) - min(tail)
 
     oracle = integrate_oracle(config, oracle_dt, horizon, events)
@@ -384,31 +403,6 @@ def hamiltonian_audit(
     )
 
 
-def _sweep_row(
-    n: int,
-    sign: CurvatureSign,
-    s: float,
-    horizon: float,
-    with_limits: bool,
-    oracle_dt: float,
-    settings: IntegratorSettings | None,
-    events: EventSpec | None,
-) -> SweepRow:
-    try:
-        config = FlowConfig(m=n // 2, sign=sign, s=s)
-        cls = classify(config, horizon, settings, events)
-    except Exception as exc:  # per-row diagnostics, never abort the sweep
-        return SweepRow(s=s, classification=None, limit=None,
-                        error=f"{type(exc).__name__}: {exc}")
-    limit = None
-    if with_limits and cls.verdict == VERDICT_COMPLETE:
-        try:
-            limit = limit_Cs(config, horizon, oracle_dt, settings, events)
-        except RegimeError:
-            limit = None
-    return SweepRow(s=s, classification=cls, limit=limit)
-
-
 def sweep(
     n: int,
     sign: CurvatureSign,
@@ -416,22 +410,33 @@ def sweep(
     horizon: float,
     with_limits: bool = True,
     oracle_dt: float = 1e-3,
-    threads: int = 1,
     settings: IntegratorSettings | None = None,
     events: EventSpec | None = None,
 ) -> list[SweepRow]:
     """Classify (and optionally extract limits) over a coupling grid.
 
-    Rows are independent and may be computed in parallel; the returned
-    order always follows the input grid regardless of completion order.
+    Rows are computed one after another, in the order of the input grid.
+    Each row integrates once; the verdict and the limit read that one
+    trajectory.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
-    args = [
-        (n, sign, s, horizon, with_limits, oracle_dt, settings, events)
-        for s in s_grid
-    ]
-    if threads > 1 and len(args) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda a: _sweep_row(*a), args))
-    return [_sweep_row(*a) for a in args]
+
+    def row(s: float) -> SweepRow:
+        try:
+            config = FlowConfig(m=n // 2, sign=sign, s=s)
+            traj = integrate(config, _settings_for(horizon, settings), events)
+            cls = _classification(config, traj, horizon)
+        except Exception as exc:  # per-row diagnostics, never abort the sweep
+            return SweepRow(s=s, classification=None, limit=None,
+                            error=f"{type(exc).__name__}: {exc}")
+        limit = None
+        if with_limits and cls.verdict == VERDICT_COMPLETE:
+            try:
+                _require_convergent(config)
+                limit = _limit(config, traj, horizon, oracle_dt, events)
+            except RegimeError:
+                pass
+        return SweepRow(s=s, classification=cls, limit=limit)
+
+    return [row(s) for s in s_grid]

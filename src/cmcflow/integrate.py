@@ -4,8 +4,8 @@ The primary integrator is an embedded Dormand-Prince 5(4) pair with
 proportional-integral step-size control, the standard quartic continuous
 extension for dense output, and event location by bisection on the dense
 output.  A classical fixed-step fourth-order Runge-Kutta scheme is kept as
-a fully independent cross-check; it shares nothing with the adaptive path
-beyond the right-hand side.
+an independent cross-check; it shares nothing with the adaptive path
+beyond the right-hand side and the recording of output samples.
 
 Termination is a three-way taxonomy:
 
@@ -207,6 +207,41 @@ def _event_functions(events: EventSpec, direction: float):
     return ((TRIGGER_Y_FLOOR, g_y), (TRIGGER_VELOCITY_FLOOR, g_v))
 
 
+class _Recorder:
+    """Output samples of one run and the largest constraint residual on them.
+
+    ``emit`` keeps a sample only if it lies strictly beyond the previous one
+    in the stepping direction, so samples stay strictly monotone in t.
+    """
+
+    def __init__(self, config: FlowConfig, direction: float):
+        self.config = config
+        self.direction = direction
+        self.samples: list[tuple[FlowState, Observables]] = []
+        self.max_ham = 0.0
+
+    def emit(self, ts, us):
+        samples = self.samples
+        if samples and not self.direction * (ts - samples[-1][0].t) > 0.0:
+            return
+        state = FlowState(ts, us[0], us[1], us[2], us[3])
+        obs = observables(self.config, state)
+        if abs(obs.ham_residual) > self.max_ham:
+            self.max_ham = abs(obs.ham_residual)
+        samples.append((state, obs))
+
+    def finish(self, termination, max_fir, n_accepted, n_rejected):
+        return Trajectory(
+            config=self.config,
+            samples=self.samples,
+            termination=termination,
+            max_first_integral_residual=max_fir,
+            max_ham_residual=self.max_ham,
+            n_accepted=n_accepted,
+            n_rejected=n_rejected,
+        )
+
+
 def _run_adaptive(
     config: FlowConfig,
     settings: IntegratorSettings,
@@ -220,20 +255,8 @@ def _run_adaptive(
     t_end = direction * settings.t_max
     event_fns = _event_functions(events, direction)
 
-    samples: list[tuple[FlowState, Observables]] = []
-    max_ham = 0.0
-    last_emitted_t = None
-
-    def emit(ts, us):
-        nonlocal max_ham, last_emitted_t
-        if last_emitted_t is not None and not direction * (ts - last_emitted_t) > 0.0:
-            return
-        state = FlowState(ts, us[0], us[1], us[2], us[3])
-        obs = observables(config, state)
-        if abs(obs.ham_residual) > max_ham:
-            max_ham = abs(obs.ham_residual)
-        samples.append((state, obs))
-        last_emitted_t = ts
+    recorder = _Recorder(config, direction)
+    emit = recorder.emit
 
     def residual_at(us, k):
         return k[2] + k[3] + us[2] * us[2] + us[3] * us[3] - 2.0
@@ -243,15 +266,7 @@ def _run_adaptive(
     emit(t, u)
 
     def finish(termination):
-        return Trajectory(
-            config=config,
-            samples=samples,
-            termination=termination,
-            max_first_integral_residual=max_fir,
-            max_ham_residual=max_ham,
-            n_accepted=n_accepted,
-            n_rejected=n_rejected,
-        )
+        return recorder.finish(termination, max_fir, n_accepted, n_rejected)
 
     n_accepted = 0
     n_rejected = 0
@@ -507,20 +522,8 @@ def integrate_oracle(
     u = (state0.x, state0.y, state0.xp, state0.yp)
     t = 0.0
 
-    samples: list[tuple[FlowState, Observables]] = []
-    max_ham = 0.0
-    last_emitted_t = None
-
-    def emit(ts, us):
-        nonlocal max_ham, last_emitted_t
-        if last_emitted_t is not None and not ts > last_emitted_t:
-            return
-        state = FlowState(ts, us[0], us[1], us[2], us[3])
-        obs = observables(config, state)
-        if abs(obs.ham_residual) > max_ham:
-            max_ham = abs(obs.ham_residual)
-        samples.append((state, obs))
-        last_emitted_t = ts
+    recorder = _Recorder(config, 1.0)
+    emit = recorder.emit
 
     # ka is the slope at the step start; the caller has already evaluated it
     # for the first-integral residual, and partial steps restart from it.
@@ -542,15 +545,7 @@ def integrate_oracle(
     k_emit = max(1, int(round(output_dt / dt)))
 
     def finish(termination):
-        return Trajectory(
-            config=config,
-            samples=samples,
-            termination=termination,
-            max_first_integral_residual=max_fir,
-            max_ham_residual=max_ham,
-            n_accepted=n_steps,
-            n_rejected=0,
-        )
+        return recorder.finish(termination, max_fir, n_steps, 0)
 
     for name, g in event_fns:
         if g(u) <= 0.0:

@@ -287,29 +287,3 @@ class TestConfigFile:
             "--config", str(tmp_path / "nope.json"),
         ])
         assert rc == 2
-
-
-class TestThreadsEnv:
-    def test_thread_cap_respected_and_deterministic(self, capsys, monkeypatch):
-        argv = [
-            "sweep", "--n", "4", "--curvature", "positive",
-            "--s-min", "0.8", "--s-max", "2.0", "--steps", "4",
-            "--horizon", "30", "--no-limits",
-        ]
-        rc, out_serial, _ = run(capsys, argv)
-        assert rc == 0
-        monkeypatch.setenv("EFL_THREADS", "3")
-        rc, out_parallel, _ = run(capsys, argv)
-        assert rc == 0
-        serial = json.loads(out_serial)["result"]["rows"]
-        parallel = json.loads(out_parallel)["result"]["rows"]
-        assert serial == parallel
-
-    def test_invalid_threads_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("EFL_THREADS", "zero")
-        rc, _, _ = run(capsys, [
-            "sweep", "--n", "4", "--curvature", "positive",
-            "--s-min", "0.8", "--s-max", "2.0", "--steps", "2",
-            "--horizon", "10", "--no-limits",
-        ])
-        assert rc == 2

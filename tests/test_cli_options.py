@@ -181,3 +181,28 @@ def test_simulate_manifest_config_sections(tmp_path, capsys):
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert list(manifest["config"]) == ["flow", "settings", "events",
                                         "parameters"]
+
+
+class TestRemovedThreadsKnob:
+    ARGV = SWEEP + ["--n", "4", "--curvature", "positive"]
+
+    @staticmethod
+    def without_wall_time(out):
+        doc = json.loads(out)
+        del doc["manifest"]["wall_time_ms"]
+        return doc
+
+    def test_sweep_parameters_do_not_echo_threads(self, capsys):
+        rc, out, _ = run(capsys, self.ARGV)
+        assert rc == 0
+        parameters = json.loads(out)["manifest"]["config"]["parameters"]
+        assert list(parameters) == ["n", "curvature", "s_min", "s_max",
+                                    "steps", "horizon", "limits"]
+
+    def test_environment_variable_ignored(self, capsys, monkeypatch):
+        rc, plain, _ = run(capsys, self.ARGV)
+        assert rc == 0
+        monkeypatch.setenv("EFL_THREADS", "zero")
+        rc, with_env, _ = run(capsys, self.ARGV)
+        assert rc == 0
+        assert self.without_wall_time(with_env) == self.without_wall_time(plain)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cmcflow import experiments
 from cmcflow.background import CurvatureSign
 from cmcflow.experiments import (
     AUDIT_CONSTANT,
@@ -251,14 +252,31 @@ class TestSweep:
         assert rows[0].classification is None
         assert rows[1].classification.verdict == VERDICT_COMPLETE
 
-    def test_parallel_rows_match_serial(self):
-        grid = [0.8, 1.0, 1.2, 2.0]
-        serial = sweep(4, POS, grid, 30.0, with_limits=False, threads=1)
-        parallel = sweep(4, POS, grid, 30.0, with_limits=False, threads=4)
-        for a, b in zip(serial, parallel):
-            assert a.s == b.s
-            assert a.classification.verdict == b.classification.verdict
-            assert a.classification.t_blowup == b.classification.t_blowup
+    @pytest.mark.parametrize("s, oracle_calls", [(1.3, 1), (2.0, 0)])
+    def test_one_integration_per_row(self, monkeypatch, s, oracle_calls):
+        calls = {"integrate": 0, "integrate_oracle": 0}
+
+        def counted(name):
+            fn = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        counted("integrate")
+        counted("integrate_oracle")
+        (row,) = sweep(4, POS, [s], 20.0, oracle_dt=1e-2)
+        assert calls == {"integrate": 1, "integrate_oracle": oracle_calls}
+
+        monkeypatch.undo()
+        assert row.classification == classify(config(s=s), 20.0)
+        if oracle_calls:
+            assert row.limit == limit_Cs(config(s=s), 20.0, 1e-2)
+        else:
+            assert row.classification.verdict == VERDICT_RECOLLAPSE
+            assert row.limit is None
 
     def test_rows_keep_grid_order(self):
         grid = [2.0, 0.8, 1.3]

@@ -95,11 +95,11 @@ class TestSampling:
 
     def test_strictly_increasing_and_termination_consistent(self):
         config = FlowConfig(m=2, sign=POS, s=3.0)
-        traj = integrate(config)
-        ts = [st.t for st in traj.states()]
-        assert all(b > a for a, b in zip(ts, ts[1:]))
-        assert traj.termination.kind == BLOW_UP_EVENT
-        assert ts[-1] == traj.termination.t_event
+        for traj in (integrate(config), integrate_oracle(config, 1e-3, 50.0)):
+            ts = [st.t for st in traj.states()]
+            assert all(b > a for a, b in zip(ts, ts[1:]))
+            assert traj.termination.kind == BLOW_UP_EVENT
+            assert ts[-1] == traj.termination.t_event
 
     def test_horizon_not_on_grid_still_sampled(self):
         config = FlowConfig(m=2, sign=POS, s=1.0)
