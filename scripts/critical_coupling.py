@@ -22,8 +22,10 @@ def main() -> int:
     ap.add_argument("--horizons", type=float, nargs="*",
                     default=[30.0, 50.0, 80.0])
     args = ap.parse_args()
-
-    lower, upper = thresholds(args.n)
+    try:
+        lower, upper = thresholds(args.n)
+    except ValueError as exc:
+        ap.error(f"--n: {exc}")
     targets = []
     if upper is not None:
         targets.append(("upper", upper, 0.9 * upper, 1.2 * upper))

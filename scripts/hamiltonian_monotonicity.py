@@ -12,7 +12,7 @@ measured sign of the total change.
 import argparse
 import sys
 
-from cmcflow import CurvatureSign, FlowConfig, hamiltonian_audit
+from cmcflow import CurvatureSign, FlowConfig, hamiltonian_audit, thresholds
 
 CASES = [
     (CurvatureSign.NEGATIVE, 1.0),
@@ -30,6 +30,10 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--horizon", type=float, default=8.0)
     args = ap.parse_args()
+    try:
+        thresholds(args.n)
+    except ValueError as exc:
+        ap.error(f"--n: {exc}")
 
     print(f"{'curvature':<10} {'s':>6} {'branch':>7} {'verdict':<24} "
           f"{'H(0+)':>14} {'H(end)':>14} {'total change':>14}")

@@ -23,8 +23,12 @@ def main() -> int:
     ap.add_argument("--horizon", type=float, default=50.0)
     ap.add_argument("--no-limits", action="store_true")
     args = ap.parse_args()
-
-    lower, upper = thresholds(args.n)
+    try:
+        lower, upper = thresholds(args.n)
+    except ValueError as exc:
+        ap.error(f"--n: {exc}")
+    if args.points < 1:
+        ap.error(f"--points must be >= 1, got {args.points}")
     print(f"n = {args.n}: analytic completeness interval "
           f"[{lower:.6f}, {upper if upper is not None else 'undefined (n=2)'}]")
     # the limit is shown both gauge-free, as lim (x - y), and as the
@@ -33,7 +37,7 @@ def main() -> int:
           f"{'vol ratio':>12}")
 
     grid = [
-        args.s_min + (args.s_max - args.s_min) * i / (args.points - 1)
+        args.s_min + (args.s_max - args.s_min) * i / max(1, args.points - 1)
         for i in range(args.points)
     ]
     rows = sweep(args.n, CurvatureSign.POSITIVE, grid, args.horizon,

@@ -47,13 +47,6 @@ class BackgroundModel:
         if self.n < 2:
             raise ValueError(f"spatial dimension must be >= 2, got {self.n}")
 
-    @property
-    def t_domain(self) -> tuple[float, float]:
-        """Open interval of proper time on which the model is defined."""
-        if self.sign is CurvatureSign.NEGATIVE:
-            return (0.0, math.inf)
-        return (-math.inf, math.inf)
-
 
 @dataclass(frozen=True)
 class GaugeQuantities:
@@ -116,8 +109,7 @@ def homogeneous_lapse(n: int, tau: float, sign: CurvatureSign) -> float:
 
     which is the lapse equation with vanishing tracefree part.
     """
-    if n < 2:
-        raise ValueError(f"spatial dimension must be >= 2, got {n}")
+    BackgroundModel(n, sign)  # raises ValueError for a dimension below 2
     gap = tau * tau - float(n * n)
     if sign is CurvatureSign.NEGATIVE:
         if not gap > 0.0:
@@ -143,6 +135,7 @@ def cmc_time_maps(n: int, sign: CurvatureSign, T: float) -> tuple[float, float]:
 
     Negative sign (T > 0):  tau = -n*cosh(T)/sinh(T),  s(tau) = (tau/n)^2 - 1.
     Positive sign (any T):  tau = -n*sinh(T)/cosh(T),  s(tau) = 1 - (tau/n)^2.
+    Non-finite T, and T <= 0 for negative curvature, raise GaugeDomainError.
 
     s(tau(T)) collapses to sinh(T)^-2 resp. cosh(T)^-2.  The quadratic is
     evaluated in the factored form (tau/n -+ 1)(tau/n +- 1) =
@@ -150,11 +143,8 @@ def cmc_time_maps(n: int, sign: CurvatureSign, T: float) -> tuple[float, float]:
     cancellation of coth(T)^2 - 1 at large |T| and keeps
     s * sinh(T)^2 = 1 (resp. s * cosh(T)^2 = 1) to a few ulps.
     """
-    if n < 2:
-        raise ValueError(f"spatial dimension must be >= 2, got {n}")
+    _require_in_domain(BackgroundModel(n, sign), T)
     if sign is CurvatureSign.NEGATIVE:
-        if not T > 0.0:
-            raise GaugeDomainError(f"standard gauge needs T > 0, got T={T}")
         sh = math.sinh(T)
         tau = -n * math.cosh(T) / sh
         s = (math.exp(T) / sh) * (math.exp(-T) / sh)
@@ -187,15 +177,15 @@ def rescaled_background_residual(
     but -n*s in the reversed one, flipping the metric term along with the
     inhomogeneity.  Both residuals vanish identically; any sign or factor
     error in the reduction shows up as a nonzero return.
+
+    T must be finite, and positive for negative curvature; other T raise
+    GaugeDomainError.
     """
-    if n < 2:
-        raise ValueError(f"spatial dimension must be >= 2, got {n}")
+    _require_in_domain(BackgroundModel(n, sign), T)
     lapse = 1.0 / n
     g = 1.0
     sigma = 0.0
     if sign is CurvatureSign.NEGATIVE:
-        if not T > 0.0:
-            raise GaugeDomainError(f"standard gauge needs T > 0, got T={T}")
         rate = math.cosh(T) / math.sinh(T)
         stretch = n / math.sinh(T)
         ric = -(n - 1.0)

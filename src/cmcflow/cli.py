@@ -33,7 +33,7 @@ from .background import (
     BackgroundModel,
     CurvatureSign,
     GaugeDomainError,
-    homogeneous_lapse,
+    gauge_quantities,
     mean_curvature,
     scale_factor,
 )
@@ -387,14 +387,13 @@ def _cmd_background(args, run):
     sign = CurvatureSign(args.curvature)
     model = BackgroundModel(n=args.n, sign=sign)
     a = scale_factor(model, args.t)
-    tau = mean_curvature(model, args.t)
-    lapse = homogeneous_lapse(args.n, tau, sign)
+    gauge = gauge_quantities(args.n, mean_curvature(model, args.t), sign)
     result = {
         "t": args.t,
         "scale_factor": a,
-        "tau": tau,
-        "lapse": lapse,
-        "scale_sq": args.n * lapse,
+        "tau": gauge.tau,
+        "lapse": gauge.lapse,
+        "scale_sq": gauge.scale_sq,
     }
     return {"n": args.n, "curvature": sign.value, "t": args.t}, result, {}
 

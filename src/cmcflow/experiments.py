@@ -221,6 +221,7 @@ def bisect_critical(
         raise PreconditionError(
             "the negative-curvature family has no completeness threshold"
         )
+    thresholds(n)  # raises ValueError unless n is even and >= 2
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo}, {s_hi}]")
     if not tol > 0.0:
@@ -419,8 +420,7 @@ def sweep(
     Each row integrates once; the verdict and the limit read that one
     trajectory.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    thresholds(n)  # raises ValueError unless n is even and >= 2
 
     def row(s: float) -> SweepRow:
         try:

@@ -497,15 +497,16 @@ def integrate_oracle(
     dt: float,
     t_max: float,
     events: EventSpec | None = None,
-    output_dt: float = 0.1,
 ) -> Trajectory:
     """Fixed-step classical RK4 cross-check of :func:`integrate`.
 
-    Intended for verification only.  Samples are emitted at the first step
-    on or after each output_dt mark (no interpolation; sample times are the
-    true step times).  Events are detected by a sign change across a step
-    and then located by bisection over partial steps restarted from the
-    step start, so the reported time does not inherit the full-step error.
+    Intended for verification only.  Samples are emitted on the default
+    ``IntegratorSettings.output_dt`` grid (0.1), the grid :func:`integrate`
+    uses at default settings: every max(1, round(0.1 / dt)) steps, with no
+    interpolation, so sample times are the true step times.  Events are
+    detected by a sign change across a step and then located by bisection
+    over partial steps restarted from the step start, so the reported time
+    does not inherit the full-step error.
     ``n_accepted`` counts the steps completed, as for :func:`integrate`;
     the partial step to an event is not counted.
     """
@@ -542,7 +543,7 @@ def integrate_oracle(
 
     n_steps = 0
     max_fir = 0.0
-    k_emit = max(1, int(round(output_dt / dt)))
+    k_emit = max(1, int(round(IntegratorSettings.output_dt / dt)))
 
     def finish(termination):
         return recorder.finish(termination, max_fir, n_steps, 0)
@@ -554,8 +555,6 @@ def integrate_oracle(
 
     while t < t_max:
         h = dt if t + dt <= t_max else t_max - t
-        if h <= 0.0:
-            break
         if n_steps % k_emit == 0:
             emit(t, u)
         try:

@@ -145,7 +145,11 @@ class TestCmcTimeMaps:
     def test_domain(self):
         with pytest.raises(GaugeDomainError):
             cmc_time_maps(3, NEG, 0.0)
-        cmc_time_maps(3, POS, -4.0)  # reversed gauge covers all T
+        cmc_time_maps(3, POS, -4.0)  # reversed gauge covers all finite T
+        for sign in (NEG, POS):
+            for T in (math.inf, -math.inf, math.nan):
+                with pytest.raises(GaugeDomainError):
+                    cmc_time_maps(3, sign, T)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_identity_within_four_ulps(self, n):
@@ -176,3 +180,7 @@ class TestRescaledBackgroundResidual:
             rescaled_background_residual(3, NEG, -1.0)
         with pytest.raises(ValueError):
             rescaled_background_residual(1, NEG, 1.0)
+        for sign in (NEG, POS):
+            for T in (math.inf, -math.inf, math.nan):
+                with pytest.raises(GaugeDomainError):
+                    rescaled_background_residual(3, sign, T)

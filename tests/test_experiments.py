@@ -127,6 +127,12 @@ class TestBisect:
         with pytest.raises(BracketError):
             bisect_critical(4, POS, 2.0, 3.0, 1e-3, 30.0)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_odd_n_rejected(self, n):
+        # m = n // 2 would otherwise bisect the n - 1 threshold silently
+        with pytest.raises(ValueError, match="even integer"):
+            bisect_critical(n, POS, 1.4, 1.6, 1e-2, 30.0)
+
     def test_midpoints_approach_threshold_with_horizon(self):
         for lo, hi, target in [(1.4, 1.6, 1.5), (0.6, 0.9, 0.75)]:
             dists = []
