@@ -111,6 +111,10 @@ class IntegratorSettings:
     step keeps the local error proportional to the decaying mode instead,
     which is what holds the reduced-Hamiltonian drift below 1e-6 relative
     over audit-length horizons.
+
+    The horizon t_max must be positive and finite: the steppers run until
+    they reach it or a blow-up trigger fires, so an infinite horizon on a
+    complete trajectory would never return.
     """
 
     rel_tol: float = 1e-10
@@ -125,8 +129,8 @@ class IntegratorSettings:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.min_step < self.max_step:
             raise ValueError("need 0 < min_step < max_step")
-        if not self.t_max > 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         if not self.output_dt > 0.0:
             raise ValueError("output_dt must be positive")
 
@@ -275,59 +279,75 @@ def _run_adaptive(
         if g(u) <= 0.0:
             return finish(Termination(BLOW_UP_EVENT, t_event=t, trigger=name))
 
+    abs_tol = settings.abs_tol
+    rel_tol = settings.rel_tol
+    max_step = settings.max_step
+    output_dt = settings.output_dt
     next_k = 1
     h = direction * max(
-        settings.min_step, min(_INITIAL_STEP, settings.max_step, settings.t_max)
+        settings.min_step, min(_INITIAL_STEP, max_step, settings.t_max)
     )
     facold = 1e-4
 
+    # The stages are written out per component (suffix _i is component i of
+    # the state u = (x, y, x', y')); every sum keeps the operand order of the
+    # tableau row, so the arithmetic is that of the vector formulas.
     while True:
         last_step = False
         if direction * (t + h - t_end) >= 0.0:
             h = t_end - t
             last_step = True
 
+        u_0, u_1, u_2, u_3 = u
+        k1_0, k1_1, k1_2, k1_3 = k1
         try:
-            u2 = tuple(u[i] + h * (_A21 * k1[i]) for i in range(4))
-            k2 = f(t + _C2 * h, u2)
-            u3 = tuple(u[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(4))
-            k3 = f(t + _C3 * h, u3)
-            u4 = tuple(
-                u[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-                for i in range(4)
-            )
-            k4 = f(t + _C4 * h, u4)
-            u5 = tuple(
-                u[i]
-                + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                for i in range(4)
-            )
-            k5 = f(t + _C5 * h, u5)
-            u6 = tuple(
-                u[i]
-                + h
-                * (
-                    _A61 * k1[i]
-                    + _A62 * k2[i]
-                    + _A63 * k3[i]
-                    + _A64 * k4[i]
-                    + _A65 * k5[i]
-                )
-                for i in range(4)
-            )
-            k6 = f(t + h, u6)
-            unew = tuple(
-                u[i]
-                + h
-                * (
-                    _B1 * k1[i]
-                    + _B3 * k3[i]
-                    + _B4 * k4[i]
-                    + _B5 * k5[i]
-                    + _B6 * k6[i]
-                )
-                for i in range(4)
-            )
+            k2_0, k2_1, k2_2, k2_3 = f(t + _C2 * h, (
+                u_0 + h * (_A21 * k1_0),
+                u_1 + h * (_A21 * k1_1),
+                u_2 + h * (_A21 * k1_2),
+                u_3 + h * (_A21 * k1_3),
+            ))
+            k3_0, k3_1, k3_2, k3_3 = f(t + _C3 * h, (
+                u_0 + h * (_A31 * k1_0 + _A32 * k2_0),
+                u_1 + h * (_A31 * k1_1 + _A32 * k2_1),
+                u_2 + h * (_A31 * k1_2 + _A32 * k2_2),
+                u_3 + h * (_A31 * k1_3 + _A32 * k2_3),
+            ))
+            k4_0, k4_1, k4_2, k4_3 = f(t + _C4 * h, (
+                u_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
+                u_1 + h * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
+                u_2 + h * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
+                u_3 + h * (_A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
+            ))
+            k5_0, k5_1, k5_2, k5_3 = f(t + _C5 * h, (
+                u_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0
+                           + _A54 * k4_0),
+                u_1 + h * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1
+                           + _A54 * k4_1),
+                u_2 + h * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2
+                           + _A54 * k4_2),
+                u_3 + h * (_A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3
+                           + _A54 * k4_3),
+            ))
+            k6_0, k6_1, k6_2, k6_3 = f(t + h, (
+                u_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0
+                           + _A64 * k4_0 + _A65 * k5_0),
+                u_1 + h * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1
+                           + _A64 * k4_1 + _A65 * k5_1),
+                u_2 + h * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2
+                           + _A64 * k4_2 + _A65 * k5_2),
+                u_3 + h * (_A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3
+                           + _A64 * k4_3 + _A65 * k5_3),
+            ))
+            unew_0 = u_0 + h * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0
+                                + _B5 * k5_0 + _B6 * k6_0)
+            unew_1 = u_1 + h * (_B1 * k1_1 + _B3 * k3_1 + _B4 * k4_1
+                                + _B5 * k5_1 + _B6 * k6_1)
+            unew_2 = u_2 + h * (_B1 * k1_2 + _B3 * k3_2 + _B4 * k4_2
+                                + _B5 * k5_2 + _B6 * k6_2)
+            unew_3 = u_3 + h * (_B1 * k1_3 + _B3 * k3_3 + _B4 * k4_3
+                                + _B5 * k5_3 + _B6 * k6_3)
+            unew = (unew_0, unew_1, unew_2, unew_3)
             k7 = f(t + h, unew)
         except (BlowUpOverflow, OverflowError):
             # The state one step ahead is past the representable range; the
@@ -336,55 +356,62 @@ def _run_adaptive(
             return finish(
                 Termination(BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW)
             )
+        k7_0, k7_1, k7_2, k7_3 = k7
 
-        err_norm = 0.0
-        for i in range(4):
-            err_i = h * (
-                _E1 * k1[i]
-                + _E3 * k3[i]
-                + _E4 * k4[i]
-                + _E5 * k5[i]
-                + _E6 * k6[i]
-                + _E7 * k7[i]
-            )
-            scale = settings.abs_tol + settings.rel_tol * max(
-                abs(u[i]), abs(unew[i])
-            )
-            ratio = err_i / scale
-            err_norm += ratio * ratio
-        err_norm = math.sqrt(err_norm / 4.0)
+        # Scaled error of each component, combined as a root mean square.
+        r_0 = h * (_E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0
+                   + _E6 * k6_0 + _E7 * k7_0) / (
+            abs_tol + rel_tol * max(abs(u_0), abs(unew_0)))
+        r_1 = h * (_E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1
+                   + _E6 * k6_1 + _E7 * k7_1) / (
+            abs_tol + rel_tol * max(abs(u_1), abs(unew_1)))
+        r_2 = h * (_E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2
+                   + _E6 * k6_2 + _E7 * k7_2) / (
+            abs_tol + rel_tol * max(abs(u_2), abs(unew_2)))
+        r_3 = h * (_E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3
+                   + _E6 * k6_3 + _E7 * k7_3) / (
+            abs_tol + rel_tol * max(abs(u_3), abs(unew_3)))
+        err_norm = math.sqrt(
+            (r_0 * r_0 + r_1 * r_1 + r_2 * r_2 + r_3 * r_3) / 4.0
+        )
 
         if err_norm <= 1.0:
             t_new = t_end if last_step else t + h
 
-            # Quartic continuous extension over [t, t+h].
-            rcont1 = u
-            rcont2 = tuple(unew[i] - u[i] for i in range(4))
-            rcont3 = tuple(h * k1[i] - rcont2[i] for i in range(4))
-            rcont4 = tuple(rcont2[i] - h * k7[i] - rcont3[i] for i in range(4))
-            rcont5 = tuple(
-                h
-                * (
-                    _D1 * k1[i]
-                    + _D3 * k3[i]
-                    + _D4 * k4[i]
-                    + _D5 * k5[i]
-                    + _D6 * k6[i]
-                    + _D7 * k7[i]
-                )
-                for i in range(4)
-            )
+            # Quartic continuous extension over [t, t+h]: u and rc2 to rc5
+            # are the coefficients of its Horner form in dense().
+            rc2_0 = unew_0 - u_0
+            rc2_1 = unew_1 - u_1
+            rc2_2 = unew_2 - u_2
+            rc2_3 = unew_3 - u_3
+            rc3_0 = h * k1_0 - rc2_0
+            rc3_1 = h * k1_1 - rc2_1
+            rc3_2 = h * k1_2 - rc2_2
+            rc3_3 = h * k1_3 - rc2_3
+            rc4_0 = rc2_0 - h * k7_0 - rc3_0
+            rc4_1 = rc2_1 - h * k7_1 - rc3_1
+            rc4_2 = rc2_2 - h * k7_2 - rc3_2
+            rc4_3 = rc2_3 - h * k7_3 - rc3_3
+            rc5_0 = h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0
+                         + _D6 * k6_0 + _D7 * k7_0)
+            rc5_1 = h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1
+                         + _D6 * k6_1 + _D7 * k7_1)
+            rc5_2 = h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2
+                         + _D6 * k6_2 + _D7 * k7_2)
+            rc5_3 = h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3
+                         + _D6 * k6_3 + _D7 * k7_3)
 
             def dense(theta):
                 th1 = 1.0 - theta
-                return tuple(
-                    rcont1[i]
-                    + theta
-                    * (
-                        rcont2[i]
-                        + th1 * (rcont3[i] + theta * (rcont4[i] + th1 * rcont5[i]))
-                    )
-                    for i in range(4)
+                return (
+                    u_0 + theta * (rc2_0 + th1 * (
+                        rc3_0 + theta * (rc4_0 + th1 * rc5_0))),
+                    u_1 + theta * (rc2_1 + th1 * (
+                        rc3_1 + theta * (rc4_1 + th1 * rc5_1))),
+                    u_2 + theta * (rc2_2 + th1 * (
+                        rc3_2 + theta * (rc4_2 + th1 * rc5_2))),
+                    u_3 + theta * (rc2_3 + th1 * (
+                        rc3_3 + theta * (rc4_3 + th1 * rc5_3))),
                 )
 
             hit_theta = None
@@ -404,7 +431,7 @@ def _run_adaptive(
 
             t_stop = t + hit_theta * h if hit_theta is not None else t_new
             while True:
-                tg = direction * (next_k * settings.output_dt)
+                tg = direction * (next_k * output_dt)
                 if direction * (tg - t_stop) > 0.0:
                     break
                 emit(tg, dense((tg - t) / h))
@@ -441,8 +468,8 @@ def _run_adaptive(
             fac = max(1.0 / _MAX_GROW, min(_MAX_SHRINK, fac / _SAFETY))
             h = h / fac
             facold = max(err_norm, 1e-4)
-            if abs(h) > settings.max_step:
-                h = direction * settings.max_step
+            if abs(h) > max_step:
+                h = direction * max_step
         else:
             fac11 = err_norm**_EXPO1
             h = h / min(_MAX_SHRINK, fac11 / _SAFETY)
@@ -508,12 +535,13 @@ def integrate_oracle(
     over partial steps restarted from the step start, so the reported time
     does not inherit the full-step error.
     ``n_accepted`` counts the steps completed, as for :func:`integrate`;
-    the partial step to an event is not counted.
+    the partial step to an event is not counted.  ``t_max`` must be positive
+    and finite, as for :class:`IntegratorSettings`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     if events is None:
         events = EventSpec()
     f = derivatives(config)
@@ -528,17 +556,35 @@ def integrate_oracle(
 
     # ka is the slope at the step start; the caller has already evaluated it
     # for the first-integral residual, and partial steps restart from it.
-    def rk4_step(t0, u0, h, ka):
-        ub = tuple(u0[i] + 0.5 * h * ka[i] for i in range(4))
-        kb = f(t0 + 0.5 * h, ub)
-        uc = tuple(u0[i] + 0.5 * h * kb[i] for i in range(4))
-        kc = f(t0 + 0.5 * h, uc)
-        ud = tuple(u0[i] + h * kc[i] for i in range(4))
-        kd = f(t0 + h, ud)
+    # Written out per component like the DP5 stages.
+    def rk4_step(t0, us, h, ka):
+        u_0, u_1, u_2, u_3 = us
+        ka_0, ka_1, ka_2, ka_3 = ka
+        half = 0.5 * h
+        kb_0, kb_1, kb_2, kb_3 = f(t0 + half, (
+            u_0 + half * ka_0,
+            u_1 + half * ka_1,
+            u_2 + half * ka_2,
+            u_3 + half * ka_3,
+        ))
+        kc_0, kc_1, kc_2, kc_3 = f(t0 + half, (
+            u_0 + half * kb_0,
+            u_1 + half * kb_1,
+            u_2 + half * kb_2,
+            u_3 + half * kb_3,
+        ))
+        kd_0, kd_1, kd_2, kd_3 = f(t0 + h, (
+            u_0 + h * kc_0,
+            u_1 + h * kc_1,
+            u_2 + h * kc_2,
+            u_3 + h * kc_3,
+        ))
         sixth = h / 6.0
-        return tuple(
-            u0[i] + sixth * (ka[i] + 2.0 * kb[i] + 2.0 * kc[i] + kd[i])
-            for i in range(4)
+        return (
+            u_0 + sixth * (ka_0 + 2.0 * kb_0 + 2.0 * kc_0 + kd_0),
+            u_1 + sixth * (ka_1 + 2.0 * kb_1 + 2.0 * kc_1 + kd_1),
+            u_2 + sixth * (ka_2 + 2.0 * kb_2 + 2.0 * kc_2 + kd_2),
+            u_3 + sixth * (ka_3 + 2.0 * kb_3 + 2.0 * kc_3 + kd_3),
         )
 
     n_steps = 0

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cmcflow
 from cmcflow.background import CurvatureSign
 from cmcflow.cli import CSV_HEADER, _csv_cell, _dumps17, main
 from cmcflow.products import FlowConfig, FlowState, observables
@@ -251,6 +255,31 @@ class TestExitCodes:
         rc, _, err = run(capsys, argv)
         assert rc == 4
         assert err.startswith("error:")
+
+
+class TestNonFiniteHorizon:
+    # Run in a child process under a timeout: an accepted infinite horizon
+    # steps forever on these complete trajectories.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--n", "4", "--s", "1", "--curvature", "positive",
+             "--horizon", "inf"],
+            ["simulate", "--n", "4", "--s", "1", "--curvature", "positive",
+             "--t-max", "inf"],
+        ],
+    )
+    def test_exits_two_promptly(self, argv):
+        src = os.path.dirname(os.path.dirname(cmcflow.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmcflow.cli", *argv],
+            env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            timeout=15,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
 
 
 class TestConfigFile:

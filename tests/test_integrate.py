@@ -39,6 +39,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             IntegratorSettings(output_dt=0.0)
 
+    def test_infinite_horizon_rejected(self):
+        # an infinite horizon on a complete trajectory would never return
+        with pytest.raises(ValueError):
+            IntegratorSettings(t_max=math.inf)
+        with pytest.raises(ValueError):
+            integrate_oracle(FlowConfig(m=2, sign=POS, s=1.0), 1e-3, math.inf)
+
     def test_events(self):
         with pytest.raises(ValueError):
             EventSpec(y_floor=0.5)
@@ -349,3 +356,79 @@ class TestOracleCounters:
         assert traj.n_accepted == 128
         # one closing evaluation gives the first-integral residual at t_max
         assert calls == 4 * 128 + 1
+
+
+def _fingerprint(traj):
+    st = traj.final_state()
+    t_event = traj.termination.t_event
+    return (
+        tuple(v.hex() for v in (st.t, st.x, st.y, st.xp, st.yp)),
+        None if t_event is None else t_event.hex(),
+        traj.n_accepted,
+        traj.n_rejected,
+        traj.max_first_integral_residual.hex(),
+        traj.max_ham_residual.hex(),
+    )
+
+
+# Bit patterns of the final state (t, x, y, x', y'), t_event, accepted and
+# rejected steps, and the first-integral and constraint residual maxima.  A
+# change to the stage arithmetic of either stepper that alters the operand
+# order or association of any sum changes at least one of them.
+GOLDEN = {
+    "integrate-pos-1.3": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=1.3),
+                          IntegratorSettings(t_max=20.0)),
+        (("0x1.4000000000000p+4", "0x1.3de59a7026e68p+4",
+          "0x1.2868b98e20ab8p+4", "0x1.0000000000004p+0",
+          "0x1.ffffffffffffap-1"),
+         None, 793, 1, "0x1.46b8600000000p-32", "0x1.0bfa000000000p-31"),
+    ),
+    "integrate-neg-1.3": (
+        lambda: integrate(FlowConfig(m=2, sign=NEG, s=1.3),
+                          IntegratorSettings(t_max=20.0)),
+        (("0x1.4000000000000p+4", "0x1.4227c91d9c88ap+4",
+          "0x1.43d600beb1a7cp+4", "0x1.0000000000002p+0",
+          "0x1.0000000000002p+0"),
+         None, 752, 2, "0x1.8f1db00000000p-32", "0x1.5ab3000000000p-31"),
+    ),
+    # the velocity floor is located on the dense output
+    "integrate-pos-2.0-blowup": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=2.0)),
+        (("0x1.67d577f8b883ap+0", "0x1.327ef1a1f21b3p+1",
+          "-0x1.8754a30cdc9b7p+1", "0x1.5235776ec8fa1p+5",
+          "-0x1.1c8d5de0e845ap+7"),
+         "0x1.67d577f8b883ap+0", 261, 1,
+         "0x1.5915800000000p-21", "0x1.f126800000000p-21"),
+    ),
+    "backward-pos-2.0-blowup": (
+        lambda: backward_integrate(FlowConfig(m=2, sign=POS, s=2.0)),
+        (("-0x1.67d577f8b883ap+0", "0x1.327ef1a1f21b3p+1",
+          "-0x1.8754a30cdc9b7p+1", "-0x1.5235776ec8fa1p+5",
+          "0x1.1c8d5de0e845ap+7"),
+         "-0x1.67d577f8b883ap+0", 261, 1,
+         "0x1.5915800000000p-21", "0x1.f126800000000p-21"),
+    ),
+    "oracle-pos-1.3": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=1.3), 1e-3, 5.0),
+        (("0x1.4000000000000p+2", "0x1.37926e32cdd5dp+2",
+          "0x1.c356ddc2a32f6p+1", "0x1.001fc5290a891p+0",
+          "0x1.ff77af1020e5cp-1"),
+         None, 5000, 0, "0x1.38c0000000000p-39", "0x1.37e0000000000p-38"),
+    ),
+    "oracle-pos-2.0-blowup": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=2.0), 1e-3, 5.0),
+        (("0x1.67d5792d0e560p+0", "0x1.327ee314060e4p+1",
+          "-0x1.87546cfde0685p+1", "0x1.52354a6ca94a9p+5",
+          "-0x1.1c8d52b5fc9c4p+7"),
+         "0x1.67d5792d0e560p+0", 1405, 0,
+         "0x1.0b4c41b400000p-8", "0x1.69fcd2e800000p-7"),
+    ),
+}
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_fingerprint(self, name):
+        run, expected = GOLDEN[name]
+        assert _fingerprint(run()) == expected
