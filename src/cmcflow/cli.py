@@ -192,9 +192,11 @@ def _flag(name: str) -> str:
 
 
 def _require(values: dict, names) -> None:
-    flags = [_flag(name) for name in names]
-    if any(values[name] is None for name in names):
-        raise UsageError(f"{', '.join(flags[:-1])} and {flags[-1]} are required")
+    missing = [_flag(name) for name in names if values[name] is None]
+    if len(missing) == 1:
+        raise UsageError(f"{missing[0]} is required")
+    if missing:
+        raise UsageError(f"{', '.join(missing[:-1])} and {missing[-1]} are required")
 
 
 def _resolve(args: argparse.Namespace, command: _Command) -> _Run | None:
@@ -203,9 +205,8 @@ def _resolve(args: argparse.Namespace, command: _Command) -> _Run | None:
         return None
     vals = _merge_config(args, command.options)
     t_max = getattr(args, command.horizon)
-    if t_max is None or not t_max > 0.0:
-        raise UsageError(f"{_flag(command.horizon)} must be a positive number")
-    _require(vals, [name for name in ("n", "s", "curvature") if name in vals])
+    required = [name for name in ("n", "s", "curvature") if name in vals]
+    _require({**vals, command.horizon: t_max}, required + [command.horizon])
     n = vals["n"]
     if n < 2 or n % 2 != 0:
         raise UsageError(f"--n must be an even integer >= 2, got {n}")
@@ -220,7 +221,8 @@ def _resolve(args: argparse.Namespace, command: _Command) -> _Run | None:
         )
         events = EventSpec(**{name: vals[name] for name in _EVENT_OPTS})
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        # The library calls the horizon t_max; name the command's own flag.
+        raise UsageError(str(exc).replace("t_max", _flag(command.horizon))) from None
     return _Run(n, sign, flow, settings, events)
 
 

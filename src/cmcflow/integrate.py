@@ -216,6 +216,9 @@ class _Recorder:
 
     ``emit`` keeps a sample only if it lies strictly beyond the previous one
     in the stepping direction, so samples stay strictly monotone in t.
+    Every run ends in ``finish``, which emits the terminal state (the
+    horizon, the located event, or the last accepted state before an
+    overflow or a step-size collapse) and builds the :class:`Trajectory`.
     """
 
     def __init__(self, config: FlowConfig, direction: float):
@@ -234,7 +237,8 @@ class _Recorder:
             self.max_ham = abs(obs.ham_residual)
         samples.append((state, obs))
 
-    def finish(self, termination, max_fir, n_accepted, n_rejected):
+    def finish(self, t, u, termination, max_fir, n_accepted, n_rejected):
+        self.emit(t, u)
         return Trajectory(
             config=self.config,
             samples=self.samples,
@@ -268,16 +272,8 @@ def _run_adaptive(
     k1 = f(t, u)
     max_fir = abs(residual_at(u, k1))
     emit(t, u)
-
-    def finish(termination):
-        return recorder.finish(termination, max_fir, n_accepted, n_rejected)
-
     n_accepted = 0
     n_rejected = 0
-
-    for name, g in event_fns:
-        if g(u) <= 0.0:
-            return finish(Termination(BLOW_UP_EVENT, t_event=t, trigger=name))
 
     abs_tol = settings.abs_tol
     rel_tol = settings.rel_tol
@@ -352,10 +348,10 @@ def _run_adaptive(
         except (BlowUpOverflow, OverflowError):
             # The state one step ahead is past the representable range; the
             # last accepted time is the last safe one.
-            emit(t, u)
-            return finish(
-                Termination(BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW)
+            termination = Termination(
+                BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
             )
+            break
         k7_0, k7_1, k7_2, k7_3 = k7
 
         # Scaled error of each component, combined as a root mean square.
@@ -438,17 +434,16 @@ def _run_adaptive(
                 next_k += 1
 
             if hit_theta is not None:
-                u_hit = dense(hit_theta)
-                emit(t_stop, u_hit)
+                t = t_stop
+                u = dense(hit_theta)
                 try:
-                    fir = abs(residual_at(u_hit, f(t_stop, u_hit)))
+                    fir = abs(residual_at(u, f(t, u)))
                 except (BlowUpOverflow, OverflowError):
                     fir = max_fir  # floors set beyond the representable range
                 if fir > max_fir:
                     max_fir = fir
-                return finish(
-                    Termination(BLOW_UP_EVENT, t_event=t_stop, trigger=hit_name)
-                )
+                termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)
+                break
 
             fir = abs(residual_at(unew, k7))
             if fir > max_fir:
@@ -460,8 +455,8 @@ def _run_adaptive(
             n_accepted += 1
 
             if last_step:
-                emit(t_end, u)
-                return finish(Termination(REACHED_HORIZON))
+                termination = Termination(REACHED_HORIZON)
+                break
 
             fac11 = err_norm**_EXPO1
             fac = fac11 / facold**_BETA
@@ -476,8 +471,10 @@ def _run_adaptive(
             n_rejected += 1
 
         if abs(h) < settings.min_step:
-            emit(t, u)
-            return finish(Termination(STEP_SIZE_COLLAPSE, t_last=t))
+            termination = Termination(STEP_SIZE_COLLAPSE, t_last=t)
+            break
+
+    return recorder.finish(t, u, termination, max_fir, n_accepted, n_rejected)
 
 
 def integrate(
@@ -488,9 +485,10 @@ def integrate(
     """Integrate the product system forward from its constrained initial data.
 
     Samples are placed on the output_dt grid by dense-output interpolation,
-    with the initial state and the terminal state (horizon, event time, or
-    collapse time) always included.  Blow-up triggers are located on the
-    dense output to within 1e-10 in t.
+    with the initial state always included.  The run ends by recording its
+    terminal state: the state at t_max, at the located event, or at the last
+    accepted step before an overflow or a step-size collapse.  Blow-up
+    triggers are located on the dense output to within 1e-10 in t.
     """
     return _run_adaptive(
         config, settings or IntegratorSettings(), events or EventSpec(), 1.0
@@ -530,7 +528,9 @@ def integrate_oracle(
     Intended for verification only.  Samples are emitted on the default
     ``IntegratorSettings.output_dt`` grid (0.1), the grid :func:`integrate`
     uses at default settings: every max(1, round(0.1 / dt)) steps, with no
-    interpolation, so sample times are the true step times.  Events are
+    interpolation, so sample times are the true step times.  The terminal
+    sample is recorded when the run ends: the state at t_max, at the located
+    event, or at the last completed step before an overflow.  Events are
     detected by a sign change across a step and then located by bisection
     over partial steps restarted from the step start, so the reported time
     does not inherit the full-step error.
@@ -591,14 +591,6 @@ def integrate_oracle(
     max_fir = 0.0
     k_emit = max(1, int(round(IntegratorSettings.output_dt / dt)))
 
-    def finish(termination):
-        return recorder.finish(termination, max_fir, n_steps, 0)
-
-    for name, g in event_fns:
-        if g(u) <= 0.0:
-            emit(t, u)
-            return finish(Termination(BLOW_UP_EVENT, t_event=t, trigger=name))
-
     while t < t_max:
         h = dt if t + dt <= t_max else t_max - t
         if n_steps % k_emit == 0:
@@ -610,10 +602,10 @@ def integrate_oracle(
                 max_fir = fir
             unew = rk4_step(t, u, h, k1)
         except (BlowUpOverflow, OverflowError):
-            emit(t, u)
-            return finish(
-                Termination(BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW)
+            termination = Termination(
+                BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
             )
+            break
 
         hit_h = None
         hit_name = None
@@ -633,23 +625,23 @@ def integrate_oracle(
                     hit_h = hi
                     hit_name = name
         if hit_h is not None:
-            u_hit = rk4_step(t, u, hit_h, k1)
-            t_hit = t + hit_h
-            emit(t_hit, u_hit)
-            return finish(
-                Termination(BLOW_UP_EVENT, t_event=t_hit, trigger=hit_name)
-            )
+            u = rk4_step(t, u, hit_h, k1)
+            t = t + hit_h
+            termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)
+            break
 
         u = unew
         n_steps += 1
         t = n_steps * dt if n_steps * dt <= t_max else t_max
+    else:
+        # The loop reached t_max without a break.
+        termination = Termination(REACHED_HORIZON)
+        try:
+            k_end = f(t, u)
+            fir = abs(k_end[2] + k_end[3] + u[2] * u[2] + u[3] * u[3] - 2.0)
+            if fir > max_fir:
+                max_fir = fir
+        except (BlowUpOverflow, OverflowError):
+            pass
 
-    try:
-        k_end = f(t, u)
-        fir = abs(k_end[2] + k_end[3] + u[2] * u[2] + u[3] * u[3] - 2.0)
-        if fir > max_fir:
-            max_fir = fir
-    except (BlowUpOverflow, OverflowError):
-        pass
-    emit(t, u)
-    return finish(Termination(REACHED_HORIZON))
+    return recorder.finish(t, u, termination, max_fir, n_steps, 0)

@@ -257,9 +257,19 @@ class TestExitCodes:
         assert err.startswith("error:")
 
 
+def run_child(argv):
+    # A child process under a timeout: an accepted infinite horizon steps
+    # forever on a complete trajectory.
+    src = os.path.dirname(os.path.dirname(cmcflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "cmcflow.cli", *argv],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        timeout=15,
+    )
+
+
 class TestNonFiniteHorizon:
-    # Run in a child process under a timeout: an accepted infinite horizon
-    # steps forever on these complete trajectories.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -270,16 +280,53 @@ class TestNonFiniteHorizon:
         ],
     )
     def test_exits_two_promptly(self, argv):
-        src = os.path.dirname(os.path.dirname(cmcflow.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cmcflow.cli", *argv],
-            env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
-            timeout=15,
-        )
+        proc = run_child(argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert proc.stdout == ""
+
+
+class TestHorizonMessage:
+    # The horizon has one rule, the library's, reported under each command's
+    # own flag.
+    def test_one_message_for_every_bad_horizon(self):
+        procs = [
+            run_child(["classify", "--n", "4", "--s", "1", "--curvature",
+                       "positive", "--horizon", value])
+            for value in ("-3", "nan", "inf")
+        ]
+        assert [proc.returncode for proc in procs] == [2, 2, 2]
+        assert procs[0].stderr == "error: --horizon must be positive and finite\n"
+        assert all(proc.stderr == procs[0].stderr for proc in procs)
+
+    def test_simulate_names_its_own_flag(self):
+        proc = run_child(["simulate", "--n", "4", "--s", "1", "--curvature",
+                          "positive", "--t-max", "-1"])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --t-max must be positive and finite\n"
+
+
+class TestMissingFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bisect", "--n", "4", "--curvature", "positive", "--lo", "1.4",
+              "--hi", "1.6", "--horizon", "30"], "--tol is required"),
+            (["classify", "--n", "4", "--curvature", "positive",
+              "--horizon", "5"], "--s is required"),
+            (["simulate", "--n", "4", "--s", "1", "--curvature", "positive"],
+             "--t-max is required"),
+            (["bisect", "--n", "4", "--curvature", "positive", "--tol", "1e-3",
+              "--horizon", "30"], "--lo and --hi are required"),
+            (["classify", "--curvature", "positive", "--horizon", "5"],
+             "--n and --s are required"),
+        ],
+    )
+    def test_names_only_the_missing_flags(self, capsys, argv, message):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
 
 class TestConfigFile:

@@ -1,9 +1,12 @@
 """Tests for the adaptive integrator, the fixed-step oracle and events."""
 
+import hashlib
 import importlib
 import math
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cmcflow.background import CurvatureSign
 from cmcflow.integrate import (
@@ -13,11 +16,12 @@ from cmcflow.integrate import (
     EventSpec,
     IntegratorSettings,
     TimeSymmetryError,
+    _event_functions,
     backward_integrate,
     integrate,
     integrate_oracle,
 )
-from cmcflow.products import FlowConfig
+from cmcflow.products import FlowConfig, initial_state
 
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
@@ -424,6 +428,82 @@ GOLDEN = {
          "0x1.67d5792d0e560p+0", 1405, 0,
          "0x1.0b4c41b400000p-8", "0x1.69fcd2e800000p-7"),
     ),
+    # loose tolerances step past the representable range at t ~ 1.0835
+    "integrate-pos-3.0-overflow": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0),
+                          IntegratorSettings(rel_tol=1e-2, abs_tol=1e-2,
+                                             t_max=20.0)),
+        (("0x1.156169d5139cap+0", "0x1.cf314c2fe57c7p+0",
+          "-0x1.304c626b1247ap+1", "0x1.1d67158b884e4p+4",
+          "-0x1.b9658c59eb94dp+5"),
+         "0x1.156169d5139cap+0", 37, 1,
+         "0x1.4a46f6856e000p-2", "0x1.4a46f6856a000p-1"),
+    ),
+    # floors out of reach: the singularity exhausts min_step
+    "integrate-pos-3.0-collapse": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0),
+                          IntegratorSettings(t_max=50.0),
+                          EventSpec(y_floor=-1e12, velocity_floor=-1e300)),
+        (("0x1.1872f86063595p+0", "0x1.760bdf803ac92p+2",
+          "-0x1.13b62b9893537p+4", "0x1.4ce4fd9c34b8ep+35",
+          "-0x1.369840a1aa66ep+37"),
+         None, 1101, 1, "0x1.4b2d000004000p+39", "0x1.4b2c7ffff4000p+40"),
+    ),
+    "integrate-pos-3.0-y-floor": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0),
+                          events=EventSpec(y_floor=-5.0, velocity_floor=-1e9)),
+        (("0x1.1862d0d85aaeep+0", "0x1.47ff010ac6b61p+1",
+          "-0x1.40000017e5d54p+2", "0x1.780bc6d49f708p+9",
+          "-0x1.597bbd194e28fp+11"),
+         "0x1.1862d0d85aaeep+0", 360, 1,
+         "0x1.a5f0800000000p-13", "0x1.a5f0000000000p-12"),
+    ),
+    "oracle-pos-5.0-overflow": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=5.0), 0.5, 10.0,
+                                 EventSpec(y_floor=-1e6, velocity_floor=-1e6)),
+        (("0x1.0000000000000p+0", "0x1.881cdcf8334d6p+0",
+          "-0x1.b5bb9db60c385p+0", "0x1.af3ccccccd94fp+2",
+          "-0x1.445dd95086fc1p+4"),
+         "0x1.0000000000000p+0", 2, 0,
+         "0x1.143b925f19514p+6", "0x1.143b925f19510p+7"),
+    ),
+}
+
+
+def _samples_digest(traj):
+    """sha256 of the bit patterns of every sample's state and observables."""
+    digest = hashlib.sha256()
+    for state, obs in traj.samples:
+        values = astuple(state) + astuple(obs)
+        line = " ".join("None" if v is None else v.hex() for v in values)
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+# The fingerprint sees only the final state; these digests also pin the
+# number, order and values of all samples, so a lost or duplicated sample
+# (the terminal one included) changes them.
+SAMPLE_SHA256 = {
+    "backward-pos-2.0-blowup":
+        "09052c3fd6511dfb46b5e2afa71a4a5829e028a532a64e18c72d65ddeb71ab55",
+    "integrate-neg-1.3":
+        "1d4f91a258069add01f15d09927a6eb69445bd6335e1df31f0cf7c5c422e15b0",
+    "integrate-pos-1.3":
+        "171b18607466bc7affda736eaea991fdc445e8af3e27354e6f1d7934cef1c042",
+    "integrate-pos-2.0-blowup":
+        "e64c1736c6de4a76796aa550c73ccda85e61e37274cb2888193bc4d302d21fd7",
+    "integrate-pos-3.0-collapse":
+        "14bbf1827d84f5d2f773fd9ed0ae4ac1a79ac65256e82f2389d82c5de3e4d84f",
+    "integrate-pos-3.0-overflow":
+        "b2fb7ff60387cb5b2d07b3a0ab84fd9b2a6fc267f58345526aa12fb3f81f9a0f",
+    "integrate-pos-3.0-y-floor":
+        "ef774093bd4e4eaecd33bec902c22ff3811edca0b497083d230d67cd8922dd41",
+    "oracle-pos-1.3":
+        "9b4c061ae3af1ae7445c47af5e42ed5da422699a7c5c318c071ed88882ed7abb",
+    "oracle-pos-2.0-blowup":
+        "328d5a7027720ad9967c48cf866f38838f6b65db24467af768af531057448e90",
+    "oracle-pos-5.0-overflow":
+        "d115d79bc5b47d10bded20ffb83d86937aa037e9bb37fda2dd419448af2e821a",
 }
 
 
@@ -432,3 +512,33 @@ class TestGoldenBits:
     def test_fingerprint(self, name):
         run, expected = GOLDEN[name]
         assert _fingerprint(run()) == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_every_sample(self, name):
+        run, _ = GOLDEN[name]
+        assert _samples_digest(run()) == SAMPLE_SHA256[name]
+
+
+# Every valid floor is negative (-inf included); the initial data has y = 0
+# and x' + y' in {0, 2 sqrt 2}, and backward runs start velocity-free.
+_floors = st.floats(max_value=-math.ulp(0.0), allow_nan=False)
+
+
+class TestInitialStateIsSafe:
+    @given(
+        y_floor=_floors,
+        velocity_floor=_floors,
+        m=st.integers(min_value=1, max_value=64),
+        sign=st.sampled_from(CurvatureSign),
+        s=st.floats(min_value=0.5, exclude_min=True, allow_nan=False),
+    )
+    def test_no_event_fires_at_the_start(self, y_floor, velocity_floor, m,
+                                         sign, s):
+        config = FlowConfig(m=m, sign=sign, s=s)
+        events = EventSpec(y_floor=y_floor, velocity_floor=velocity_floor)
+        state0 = initial_state(config)
+        u = (state0.x, state0.y, state0.xp, state0.yp)
+        directions = (1.0, -1.0) if sign is POS else (1.0,)
+        for direction in directions:
+            for name, g in _event_functions(events, direction):
+                assert g(u) > 0.0, (name, direction)
