@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from cmcflow import CurvatureSign, FlowConfig, limit_volume_ratio, sweep, thresholds
+from cmcflow.experiments import coupling_grid
 
 
 def main() -> int:
@@ -36,10 +37,7 @@ def main() -> int:
     print(f"{'s':>10}  {'verdict':<22} {'t_blowup':>12}  {'lim (x-y)':>12}  "
           f"{'vol ratio':>12}")
 
-    grid = [
-        args.s_min + (args.s_max - args.s_min) * i / max(1, args.points - 1)
-        for i in range(args.points)
-    ]
+    grid = coupling_grid(args.s_min, args.s_max, args.points)
     rows = sweep(args.n, CurvatureSign.POSITIVE, grid, args.horizon,
                  with_limits=not args.no_limits, oracle_dt=1e-2)
     for row in rows:

@@ -43,6 +43,7 @@ from .experiments import (
     PreconditionError,
     bisect_critical,
     classify,
+    coupling_grid,
     hamiltonian_audit,
     sweep,
 )
@@ -327,17 +328,10 @@ def _cmd_sweep(args, run):
     _require(vars(args), ("s_min", "s_max", "steps"))
     if args.steps < 1 or args.s_min > args.s_max:
         raise UsageError("need --steps >= 1, --s-min <= --s-max")
-    if args.steps == 1:
-        grid = [args.s_min]
-    else:
-        span = args.s_max - args.s_min
-        grid = [
-            args.s_min + span * (i / (args.steps - 1)) for i in range(args.steps)
-        ]
     rows = sweep(
         run.n,
         run.sign,
-        grid,
+        coupling_grid(args.s_min, args.s_max, args.steps),
         args.horizon,
         with_limits=not args.no_limits,
         settings=run.settings,

@@ -274,10 +274,7 @@ def _decay_rate(traj: Trajectory) -> float | None:
     ]
     if len(usable) < 4:
         return None
-    window = usable[len(usable) // 2 :]
-    if len(window) < 2 or window[-1][0] == window[0][0]:
-        return None
-    return _fit_slope(window)
+    return _fit_slope(usable[len(usable) // 2 :])
 
 
 def limit_Cs(
@@ -377,8 +374,6 @@ def hamiltonian_audit(
                 t_first=state.t,
             )
         series.append((state.t, obs.h_red))
-    if branch is None or not series:
-        raise GaugeRangeError("no usable samples", t_first=0.0)
 
     expanding = [(t, v) for t, v in series if t > 0.0]
     values = [v for _, v in expanding]
@@ -402,6 +397,14 @@ def hamiltonian_audit(
         branch=branch,
         delta_total=values[-1] - values[0],
     )
+
+
+def coupling_grid(s_min: float, s_max: float, steps: int) -> list[float]:
+    """Evenly spaced couplings from s_min to s_max inclusive; [s_min] for one step."""
+    if steps == 1:
+        return [s_min]
+    span = s_max - s_min
+    return [s_min + span * (i / (steps - 1)) for i in range(steps)]
 
 
 def sweep(

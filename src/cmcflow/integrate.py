@@ -5,7 +5,8 @@ proportional-integral step-size control, the standard quartic continuous
 extension for dense output, and event location by bisection on the dense
 output.  A classical fixed-step fourth-order Runge-Kutta scheme is kept as
 an independent cross-check; it shares nothing with the adaptive path
-beyond the right-hand side and the recording of output samples.
+beyond the right-hand side, the first-integral formula and the recording of
+output samples.
 
 Termination is a three-way taxonomy:
 
@@ -30,6 +31,7 @@ from .products import (
     FlowState,
     Observables,
     derivatives,
+    first_integral_residual,
     initial_state,
     observables,
 )
@@ -212,30 +214,27 @@ def _event_functions(events: EventSpec, direction: float):
 
 
 class _Recorder:
-    """Output samples of one run and the largest constraint residual on them.
+    """Output samples of one run.
 
     ``emit`` keeps a sample only if it lies strictly beyond the previous one
     in the stepping direction, so samples stay strictly monotone in t.
     Every run ends in ``finish``, which emits the terminal state (the
     horizon, the located event, or the last accepted state before an
-    overflow or a step-size collapse) and builds the :class:`Trajectory`.
+    overflow or a step-size collapse) and builds the :class:`Trajectory`,
+    whose largest constraint residual skips NaNs: the first sample is finite.
     """
 
     def __init__(self, config: FlowConfig, direction: float):
         self.config = config
         self.direction = direction
         self.samples: list[tuple[FlowState, Observables]] = []
-        self.max_ham = 0.0
 
     def emit(self, ts, us):
         samples = self.samples
         if samples and not self.direction * (ts - samples[-1][0].t) > 0.0:
             return
         state = FlowState(ts, us[0], us[1], us[2], us[3])
-        obs = observables(self.config, state)
-        if abs(obs.ham_residual) > self.max_ham:
-            self.max_ham = abs(obs.ham_residual)
-        samples.append((state, obs))
+        samples.append((state, observables(self.config, state)))
 
     def finish(self, t, u, termination, max_fir, n_accepted, n_rejected):
         self.emit(t, u)
@@ -244,7 +243,7 @@ class _Recorder:
             samples=self.samples,
             termination=termination,
             max_first_integral_residual=max_fir,
-            max_ham_residual=self.max_ham,
+            max_ham_residual=max(abs(obs.ham_residual) for _, obs in self.samples),
             n_accepted=n_accepted,
             n_rejected=n_rejected,
         )
@@ -266,11 +265,8 @@ def _run_adaptive(
     recorder = _Recorder(config, direction)
     emit = recorder.emit
 
-    def residual_at(us, k):
-        return k[2] + k[3] + us[2] * us[2] + us[3] * us[3] - 2.0
-
     k1 = f(t, u)
-    max_fir = abs(residual_at(u, k1))
+    max_fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
     emit(t, u)
     n_accepted = 0
     n_rejected = 0
@@ -437,7 +433,8 @@ def _run_adaptive(
                 t = t_stop
                 u = dense(hit_theta)
                 try:
-                    fir = abs(residual_at(u, f(t, u)))
+                    k = f(t, u)
+                    fir = abs(first_integral_residual(u[2], u[3], k[2], k[3]))
                 except (BlowUpOverflow, OverflowError):
                     fir = max_fir  # floors set beyond the representable range
                 if fir > max_fir:
@@ -445,7 +442,7 @@ def _run_adaptive(
                 termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)
                 break
 
-            fir = abs(residual_at(unew, k7))
+            fir = abs(first_integral_residual(unew_2, unew_3, k7_2, k7_3))
             if fir > max_fir:
                 max_fir = fir
 
@@ -597,7 +594,7 @@ def integrate_oracle(
             emit(t, u)
         try:
             k1 = f(t, u)
-            fir = abs(k1[2] + k1[3] + u[2] * u[2] + u[3] * u[3] - 2.0)
+            fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
             if fir > max_fir:
                 max_fir = fir
             unew = rk4_step(t, u, h, k1)
@@ -609,8 +606,9 @@ def integrate_oracle(
 
         hit_h = None
         hit_name = None
+        # g(u) > 0: a step starts from the initial data or where none fired.
         for name, g in event_fns:
-            if g(unew) <= 0.0 and g(u) > 0.0:
+            if g(unew) <= 0.0:
                 lo, hi = 0.0, h
                 try:
                     while hi - lo > _EVENT_T_TOL:
@@ -638,7 +636,7 @@ def integrate_oracle(
         termination = Termination(REACHED_HORIZON)
         try:
             k_end = f(t, u)
-            fir = abs(k_end[2] + k_end[3] + u[2] * u[2] + u[3] * u[3] - 2.0)
+            fir = abs(first_integral_residual(u[2], u[3], k_end[2], k_end[3]))
             if fir > max_fir:
                 max_fir = fir
         except (BlowUpOverflow, OverflowError):

@@ -170,11 +170,9 @@ def rhs(config: FlowConfig, state: FlowState) -> tuple[float, float]:
     return xpp, ypp
 
 
-def first_integral_residual(
-    config: FlowConfig, state: FlowState, xpp: float, ypp: float
-) -> float:
+def first_integral_residual(xp: float, yp: float, xpp: float, ypp: float) -> float:
     """Defect of the conserved combination x'' + y'' + x'^2 + y'^2 - 2."""
-    return xpp + ypp + state.xp * state.xp + state.yp * state.yp - 2.0
+    return xpp + ypp + xp * xp + yp * yp - 2.0
 
 
 def _exp_or_inf(arg: float) -> float:
@@ -191,9 +189,9 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
     The constraint residual certifies tau, |Sigma|^2 and R jointly; the
     first-integral residual is recomputed from the accelerations at this
     state (for interpolated samples it therefore also reflects
-    interpolation error, not just step error).  Never raises: past the
-    overflow floor the exponential terms saturate to inf and the residuals
-    come back non-finite instead.
+    interpolation error, not just step error).  Never raises: exponentials
+    and powers too large for a double saturate to inf, and the residuals
+    and ``h_red`` come back non-finite instead.
     """
     m = config.m
     n = float(config.n)
@@ -216,20 +214,23 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
     cross = xp * yp
     xpp = n - curv * (config.kx * ex) - half_n * (xp * xp + cross)
     ypp = n - curv * (config.ky * ey) - half_n * (yp * yp + cross)
-    fir = first_integral_residual(config, state, xpp, ypp)
+    fir = first_integral_residual(xp, yp, xpp, ypp)
 
     # tau^2/n - n, factored to keep relative accuracy near the gauge
     # boundary |tau| -> n where the direct difference cancels.
     ratio = tau / n
     gap = n * (ratio - 1.0) * (ratio + 1.0)
     if gap != 0.0:
-        volume = (
-            _exp_or_inf(m * (x + y))
-            * (config.s * config.s / (2.0 * config.s - 1.0)) ** (0.5 * m)
-            * config.vol_m
-            * config.vol_n
-        )
-        h_red = abs(gap) ** (0.5 * n) * volume
+        try:
+            volume = (
+                _exp_or_inf(m * (x + y))
+                * (config.s * config.s / (2.0 * config.s - 1.0)) ** (0.5 * m)
+                * config.vol_m
+                * config.vol_n
+            )
+            h_red = abs(gap) ** (0.5 * n) * volume
+        except OverflowError:  # a power past the double range saturates
+            h_red = math.inf
     else:
         h_red = None
 

@@ -257,6 +257,34 @@ class TestExitCodes:
         assert err.startswith("error:")
 
 
+def sweep_argv(s_min, s_max, steps):
+    return ["sweep", "--n", "4", "--curvature", "positive", "--s-min", s_min,
+            "--s-max", s_max, "--steps", steps, "--horizon", "10",
+            "--no-limits"]
+
+
+class TestUsageMessages:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (sweep_argv("0.8", "2", "0"), "need --steps >= 1, --s-min <= --s-max"),
+            (sweep_argv("2", "1", "3"), "need --steps >= 1, --s-min <= --s-max"),
+            (["background", "--n", "1", "--curvature", "negative", "--t", "1"],
+             "--n must be >= 2, got 1"),
+        ],
+    )
+    def test_exit_two_with_message(self, capsys, argv, message):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_one_step_sweep_is_one_row_at_s_min(self, capsys):
+        rc, out, _ = run(capsys, sweep_argv("0.8", "2", "1"))
+        assert rc == 0
+        assert [row["s"] for row in json.loads(out)["result"]["rows"]] == [0.8]
+
+
 def run_child(argv):
     # A child process under a timeout: an accepted infinite horizon steps
     # forever on a complete trajectory.
@@ -356,6 +384,24 @@ class TestConfigFile:
         ])
         assert rc == 2
         assert "mystery" in err
+
+    @pytest.mark.parametrize(
+        "contents, message",
+        [
+            ([4, 1.0], "--config must hold a JSON object"),
+            ({"rel_tol": "abc"}, "bad value for 'rel_tol' in --config"),
+        ],
+    )
+    def test_bad_config_contents(self, tmp_path, capsys, contents, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(contents))
+        rc, out, err = run(capsys, [
+            "classify", "--n", "4", "--s", "1", "--curvature", "positive",
+            "--horizon", "10", "--config", str(cfg),
+        ])
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc, _, _ = run(capsys, [

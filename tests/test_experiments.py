@@ -1,8 +1,12 @@
 """Tests for classification, bisection, limit extraction, audits and sweeps."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from cmcflow import experiments
+from cmcflow import cli, experiments
 from cmcflow.background import CurvatureSign
 from cmcflow.experiments import (
     AUDIT_CONSTANT,
@@ -16,6 +20,7 @@ from cmcflow.experiments import (
     RegimeError,
     bisect_critical,
     classify,
+    coupling_grid,
     hamiltonian_audit,
     limit_Cs,
     sweep,
@@ -127,6 +132,11 @@ class TestBisect:
         with pytest.raises(BracketError):
             bisect_critical(4, POS, 2.0, 3.0, 1e-3, 30.0)
 
+    @pytest.mark.parametrize("lo, hi, tol", [(1.6, 1.4, 1e-3), (1.4, 1.6, 0.0)])
+    def test_bad_bracket_or_tolerance_rejected(self, lo, hi, tol):
+        with pytest.raises(ValueError):
+            bisect_critical(4, POS, lo, hi, tol, 30.0)
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_n_rejected(self, n):
         # m = n // 2 would otherwise bisect the n - 1 threshold silently
@@ -177,6 +187,12 @@ class TestLimit:
             limit_Cs(config(s=1.5), 30.0)  # boundary excluded
         with pytest.raises(RegimeError):
             limit_Cs(config(s=0.7), 30.0)
+
+    def test_oracle_blowup_is_regime_error(self):
+        # the oracle at dt 0.5 leaves the double range and stops on its
+        # velocity floor; that is reported, not raised as OverflowError
+        with pytest.raises(RegimeError, match="oracle integration"):
+            limit_Cs(config(m=3, sign=NEG, s=5.0), 8.0, oracle_dt=0.5)
 
     def test_continuity_in_coupling(self):
         base = limit_Cs(config(s=1.2), 40.0, oracle_dt=1e-2).value
@@ -288,3 +304,43 @@ class TestSweep:
         grid = [2.0, 0.8, 1.3]
         rows = sweep(4, POS, grid, 30.0, with_limits=False)
         assert [r.s for r in rows] == grid
+
+
+class TestCouplingGrid:
+    def test_ends_and_spacing(self):
+        grid = coupling_grid(0.55, 2.5, 25)
+        assert len(grid) == 25
+        assert grid[0] == 0.55 and grid[-1] == 2.5
+        assert grid[8] == 0.55 + (2.5 - 0.55) * (8 / 24)
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+
+    def test_cli_and_threshold_table_evaluate_the_same_couplings(
+        self, monkeypatch, capsys
+    ):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "threshold_table.py"
+        spec = importlib.util.spec_from_file_location("threshold_table", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        grids = {}
+
+        def recorder(name):
+            def fake_sweep(n, sign, s_grid, horizon, **kwargs):
+                grids[name] = list(s_grid)
+                return []
+            return fake_sweep
+
+        monkeypatch.setattr(script, "sweep", recorder("script"))
+        monkeypatch.setattr(cli, "sweep", recorder("cli"))
+        monkeypatch.setattr(sys, "argv", [
+            "threshold_table.py", "--n", "4", "--s-min", "0.55", "--s-max",
+            "2.5", "--points", "25", "--no-limits",
+        ])
+        assert script.main() == 0
+        assert cli.main([
+            "sweep", "--n", "4", "--curvature", "positive", "--s-min", "0.55",
+            "--s-max", "2.5", "--steps", "25", "--horizon", "50", "--no-limits",
+        ]) == 0
+        capsys.readouterr()
+        assert len(grids["cli"]) == 25
+        assert grids["script"] == grids["cli"]

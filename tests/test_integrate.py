@@ -50,6 +50,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             integrate_oracle(FlowConfig(m=2, sign=POS, s=1.0), 1e-3, math.inf)
 
+    def test_oracle_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_oracle(FlowConfig(m=2, sign=POS, s=1.0), 0.0, 5.0)
+
     def test_events(self):
         with pytest.raises(ValueError):
             EventSpec(y_floor=0.5)
@@ -172,6 +176,15 @@ class TestEvents:
         )
         assert traj.termination.kind == BLOW_UP_EVENT
         assert traj.termination.trigger == "overflow"
+
+    def test_oracle_returns_on_state_past_double_range(self):
+        # a coarse step reaches |x'+y'| ~ 1e133, where the reduced
+        # Hamiltonian's power overflows; the recorder must still return
+        traj = integrate_oracle(FlowConfig(m=3, sign=NEG, s=5.0), 0.5, 8.0)
+        assert traj.termination.kind == BLOW_UP_EVENT
+        assert traj.termination.trigger == "velocity_floor"
+        assert traj.termination.t_event == 1.25
+        assert traj.samples[-1][1].h_red == math.inf
 
 
 class TestStepSizeCollapse:

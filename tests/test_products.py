@@ -83,13 +83,36 @@ class TestRhs:
         assert math.isinf(obs.scalar_curv)
         assert not math.isfinite(obs.ham_residual)
 
+    @given(
+        m=st.integers(min_value=1, max_value=50),
+        sign=st.sampled_from([NEG, POS]),
+        s=st.floats(min_value=0.5, exclude_min=True, allow_infinity=False),
+        vol_m=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        vol_n=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        u=st.tuples(*[st.floats(min_value=-1e200, max_value=1e200)] * 4),
+    )
+    @settings(max_examples=300)
+    def test_observables_never_raise_on_finite_states(
+        self, m, sign, s, vol_m, vol_n, u
+    ):
+        # powers too large for a double saturate to inf like the exponentials
+        config = FlowConfig(m=m, sign=sign, s=s, vol_m=vol_m, vol_n=vol_n)
+        observables(config, state(*u))
+
+    def test_h_red_saturates_on_huge_state(self):
+        config = FlowConfig(m=3, sign=NEG, s=5.0)
+        obs = observables(config, state(x=1.0, y=1.0, xp=1e60, yp=1e60))
+        assert obs.h_red == math.inf
+        huge_coupling = FlowConfig(m=40, sign=POS, s=1e100)
+        assert observables(huge_coupling, state(xp=1.0)).h_red == math.inf
+
     def test_observables_match_rhs_bitwise(self):
         config = FlowConfig(m=2, sign=NEG, s=1.7)
         st_ = state(x=0.4, y=-0.2, xp=1.1, yp=0.3)
         xpp, ypp = rhs(config, st_)
         obs = observables(config, st_)
         assert obs.first_integral_residual == first_integral_residual(
-            config, st_, xpp, ypp
+            st_.xp, st_.yp, xpp, ypp
         )
 
     @given(
@@ -120,7 +143,7 @@ class TestFirstIntegral:
     def test_vanishes_on_initial_data(self, config):
         s0 = initial_state(config)
         xpp, ypp = rhs(config, s0)
-        assert abs(first_integral_residual(config, s0, xpp, ypp)) <= 1e-13
+        assert abs(first_integral_residual(s0.xp, s0.yp, xpp, ypp)) <= 1e-13
 
     def test_stays_small_along_oracle_trajectory(self):
         # state sampled at t = 5 from a fixed-step integration
@@ -128,7 +151,7 @@ class TestFirstIntegral:
         traj = integrate_oracle(config, 1e-4, 5.0)
         final = traj.final_state()
         xpp, ypp = rhs(config, final)
-        assert abs(first_integral_residual(config, final, xpp, ypp)) <= 1e-9
+        assert abs(first_integral_residual(final.xp, final.yp, xpp, ypp)) <= 1e-9
 
 
 class TestObservables:
