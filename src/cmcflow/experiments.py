@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from .background import CurvatureSign
 from .integrate import (
     BLOW_UP_EVENT,
+    CERTIFIED_COMPLETE,
     REACHED_HORIZON,
     EventSpec,
     IntegratorSettings,
@@ -182,7 +183,7 @@ def _classification(
 ) -> Classification:
     term = traj.termination
     low_confidence = _near_threshold(config)
-    if term.kind == REACHED_HORIZON:
+    if term.kind in (REACHED_HORIZON, CERTIFIED_COMPLETE):
         verdict, t_blowup = VERDICT_COMPLETE, None
     elif term.kind == BLOW_UP_EVENT:
         verdict, t_blowup = VERDICT_RECOLLAPSE, term.t_event
@@ -216,6 +217,16 @@ def bisect_critical(
     which approaches the analytic value as the horizon grows.  Positive
     curvature only: the negative family is complete for every coupling, so
     there is no threshold to find.
+
+    Each probe reads only a verdict, so it integrates with
+    ``stop_when_certified``: it stops, as complete, at the first accepted
+    state in the forward-invariant region R = {x' > 0, y' > 0,
+    kx e^(-2x) < n (1 - 1e-9), ky e^(-2y) < n (1 - 1e-9)}, where every
+    solution is complete (lemma in :func:`cmcflow.integrate.integrate`).  A
+    stopped probe ends in ``CertifiedComplete`` and classifies as
+    CompleteWithinHorizon, the verdict of the full run; the result is the
+    same as with full runs.  A coupling exactly on a threshold gives a
+    boundary solution that never enters R, and that probe runs in full.
     """
     if sign is not CurvatureSign.POSITIVE:
         raise PreconditionError(
@@ -227,9 +238,12 @@ def bisect_critical(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
+    run_settings = _settings_for(horizon, settings)
+
     def verdict_at(s):
         config = FlowConfig(m=n // 2, sign=sign, s=s)
-        return classify(config, horizon, settings, events).verdict
+        traj = integrate(config, run_settings, events, stop_when_certified=True)
+        return _classification(config, traj, horizon).verdict
 
     verdict_lo = verdict_at(s_lo)
     verdict_hi = verdict_at(s_hi)

@@ -176,11 +176,12 @@ def first_integral_residual(xp: float, yp: float, xpp: float, ypp: float) -> flo
 
 
 def _exp_or_inf(arg: float) -> float:
-    # math.exp raises OverflowError slightly above 709; volumes past that
-    # horizon are reported as inf rather than aborting observable output.
-    if arg > 709.0:
+    # Volumes past the double range are reported as inf rather than
+    # aborting observable output; every finite exp is returned as it is.
+    try:
+        return math.exp(arg)
+    except OverflowError:
         return math.inf
-    return math.exp(arg)
 
 
 def observables(config: FlowConfig, state: FlowState) -> Observables:

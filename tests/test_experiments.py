@@ -143,6 +143,32 @@ class TestBisect:
         with pytest.raises(ValueError, match="even integer"):
             bisect_critical(n, POS, 1.4, 1.6, 1e-2, 30.0)
 
+    # Bracket ends (float.hex), iterations and end verdicts at horizon 80,
+    # recorded with probes that integrate the full horizon.  The first
+    # midpoint of the n = 4 upper solve is 1.5 exactly, a boundary solution
+    # that never meets the completeness certificate.
+    GOLDEN = {
+        "n4-upper": ((4, 1.4, 1.6, 1e-4),
+                     ("0x1.8000000000000p+0", "0x1.8006666666666p+0", 11,
+                      VERDICT_COMPLETE, VERDICT_RECOLLAPSE)),
+        "n4-lower": ((4, 0.7, 0.85, 1e-6),
+                     ("0x1.7ffff99999999p-1", "0x1.80000ccccccccp-1", 18,
+                      VERDICT_RECOLLAPSE, VERDICT_COMPLETE)),
+        "n6-lower": ((6, 0.8, 0.9, 1e-6),
+                     ("0x1.aaaa99999999ap-1", "0x1.aaaab33333334p-1", 17,
+                      VERDICT_RECOLLAPSE, VERDICT_COMPLETE)),
+        "n8-upper": ((8, 1.1, 1.25, 1e-6),
+                     ("0x1.2aaaa66666666p+0", "0x1.2aaab00000000p+0", 18,
+                      VERDICT_COMPLETE, VERDICT_RECOLLAPSE)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_brackets(self, name):
+        (n, lo, hi, tol), expected = self.GOLDEN[name]
+        res = bisect_critical(n, POS, lo, hi, tol, 80.0)
+        assert (res.bracket[0].hex(), res.bracket[1].hex(), res.iterations,
+                res.verdict_lo, res.verdict_hi) == expected
+
     def test_midpoints_approach_threshold_with_horizon(self):
         for lo, hi, target in [(1.4, 1.6, 1.5), (0.6, 0.9, 0.75)]:
             dists = []
@@ -193,6 +219,16 @@ class TestLimit:
         # velocity floor; that is reported, not raised as OverflowError
         with pytest.raises(RegimeError, match="oracle integration"):
             limit_Cs(config(m=3, sign=NEG, s=5.0), 8.0, oracle_dt=0.5)
+
+    @pytest.mark.parametrize("n, sign, s", [
+        (4, POS, 0.9), (4, POS, 1.3), (4, NEG, 0.9), (4, NEG, 3.0),
+        (6, POS, 0.9), (6, POS, 1.2), (6, NEG, 0.7), (6, NEG, 2.0),
+    ])
+    def test_decay_rate_is_two(self, n, sign, s):
+        # For n >= 4 and s != 1, x - y = L + A e^(-2t) + O(e^(-4t)): the
+        # curvature forcing decays like e^(-2t), the free mode like e^(-nt).
+        est = limit_Cs(config(m=n // 2, sign=sign, s=s), 50.0, oracle_dt=1e-2)
+        assert abs(est.decay_rate + 2.0) <= 1e-3
 
     def test_continuity_in_coupling(self):
         base = limit_Cs(config(s=1.2), 40.0, oracle_dt=1e-2).value

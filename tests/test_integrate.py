@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmcflow.background import CurvatureSign
+from cmcflow.experiments import _classification, classify, thresholds
 from cmcflow.integrate import (
     BLOW_UP_EVENT,
+    CERTIFICATE_MARGIN,
+    CERTIFIED_COMPLETE,
     REACHED_HORIZON,
     STEP_SIZE_COLLAPSE,
     EventSpec,
     IntegratorSettings,
+    Termination,
     TimeSymmetryError,
     _event_functions,
     backward_integrate,
@@ -555,3 +559,80 @@ class TestInitialStateIsSafe:
         for direction in directions:
             for name, g in _event_functions(events, direction):
                 assert g(u) > 0.0, (name, direction)
+
+
+def _in_region(config, state):
+    """State in the completeness region R of integrate(stop_when_certified)."""
+    bound = config.n * (1.0 - CERTIFICATE_MARGIN)
+    return (state.xp > 0.0 and state.yp > 0.0
+            and config.kx * math.exp(-2.0 * state.x) < bound
+            and config.ky * math.exp(-2.0 * state.y) < bound)
+
+
+# Couplings 0.51, 0.57, ..., 1.95 plus both analytic thresholds of each n.
+_CERT_HORIZON = 40.0
+_CERT_GRID = [
+    (n, s)
+    for n in (2, 4, 6, 8)
+    for s in sorted({0.51 + 0.06 * k for k in range(25)}
+                    | {t for t in thresholds(n) if t is not None and t > 0.5})
+]
+
+
+class TestCompletenessCertificate:
+    def test_region_is_complete_and_reached_off_the_boundary(self):
+        settings = IntegratorSettings(t_max=_CERT_HORIZON)
+        never_entered = []
+        boundary = []
+        for n, s in _CERT_GRID:
+            config = FlowConfig(m=n // 2, sign=POS, s=s)
+            # A curvature coefficient equal to n exactly keeps x = 0 or
+            # y = 0 for all time: a complete boundary solution outside R.
+            if n in (config.kx, config.ky):
+                boundary.append((n, s))
+            full = integrate(config, settings)
+            entered = any(_in_region(config, state) for state in full.states())
+            # Once in R, no blow-up trigger or overflow can end the run.
+            if entered:
+                assert full.termination.kind == REACHED_HORIZON, (n, s)
+            elif full.termination.kind == REACHED_HORIZON:
+                never_entered.append((n, s))
+            # The certified stop gives the verdict of the full run.
+            cert = integrate(config, settings, stop_when_certified=True)
+            verdict = _classification(config, cert, _CERT_HORIZON).verdict
+            assert verdict == classify(config, _CERT_HORIZON).verdict, (n, s)
+        # Only the boundary solutions, at both thresholds of n = 4, 6, 8,
+        # stay complete outside R.
+        assert never_entered == boundary
+        assert len(boundary) == 6
+
+    @pytest.mark.parametrize("s", [0.9, 1.3])
+    def test_certified_run_is_a_prefix_of_the_full_run(self, s):
+        config = FlowConfig(m=2, sign=POS, s=s)
+        full = integrate(config)
+        cert = integrate(config, stop_when_certified=True)
+        assert cert.termination.kind == CERTIFIED_COMPLETE
+        t_stop = cert.termination.t_last
+        assert 0.0 < t_stop < 1.0
+        assert cert.final_state().t == t_stop
+        assert _in_region(config, cert.final_state())
+        # every grid sample before the stop is the full run's, bit for bit
+        assert cert.samples[:-1] == full.samples[:len(cert.samples) - 1]
+        assert cert.n_accepted < full.n_accepted
+
+    @pytest.mark.parametrize("s", [1.3, 2.0])
+    def test_negative_curvature_ignores_the_keyword(self, s):
+        config = FlowConfig(m=2, sign=NEG, s=s)
+        settings = IntegratorSettings(t_max=10.0)
+        cert = integrate(config, settings, stop_when_certified=True)
+        full = integrate(config, settings)
+        assert cert.termination == full.termination == Termination(REACHED_HORIZON)
+        assert cert.samples == full.samples
+
+    def test_recollapse_run_is_unchanged(self):
+        config = FlowConfig(m=2, sign=POS, s=2.0)
+        cert = integrate(config, stop_when_certified=True)
+        full = integrate(config)
+        assert cert.termination == full.termination
+        assert cert.termination.kind == BLOW_UP_EVENT
+        assert cert.samples == full.samples

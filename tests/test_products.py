@@ -106,6 +106,16 @@ class TestRhs:
         huge_coupling = FlowConfig(m=40, sign=POS, s=1e100)
         assert observables(huge_coupling, state(xp=1.0)).h_red == math.inf
 
+    def test_h_red_finite_up_to_the_exp_range(self):
+        # e^709.6 is a finite double (the range ends near 709.78), so a
+        # small base volume brings h_red back well inside the double range
+        config = FlowConfig(m=1, sign=NEG, s=1.0, vol_m=1e-10)
+        obs = observables(config, state(x=354.8, y=354.8, xp=0.1, yp=0.1))
+        # tau = -0.2, so |tau^2/n - n| = 1.98
+        assert obs.h_red == pytest.approx(1.98 * (math.exp(709.6) * 1e-10),
+                                          rel=1e-14)
+        assert 2.96e298 < obs.h_red < 2.97e298
+
     def test_observables_match_rhs_bitwise(self):
         config = FlowConfig(m=2, sign=NEG, s=1.7)
         st_ = state(x=0.4, y=-0.2, xp=1.1, yp=0.3)
