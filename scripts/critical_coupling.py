@@ -26,10 +26,12 @@ def main() -> int:
         lower, upper = thresholds(args.n)
     except ValueError as exc:
         ap.error(f"--n: {exc}")
-    targets = []
-    if upper is not None:
-        targets.append(("upper", upper, 0.9 * upper, 1.2 * upper))
-    targets.append(("lower", lower, max(0.51, 0.75 * lower), 0.5 * (lower + 1.0)))
+    if upper is None:
+        ap.error(f"--n {args.n} has no critical coupling: every s > 1/2 is complete")
+    targets = [
+        ("upper", upper, 0.9 * upper, 1.2 * upper),
+        ("lower", lower, max(0.51, 0.75 * lower), 0.5 * (lower + 1.0)),
+    ]
 
     for name, analytic, lo, hi in targets:
         print(f"{name} threshold, analytic {analytic:.10f}, "

@@ -306,6 +306,11 @@ def _cmd_bisect(args, run):
     _require(vars(args), ("lo", "hi", "tol"))
     if not (args.lo < args.hi and args.tol > 0.0):
         raise UsageError("need --lo < --hi, --tol > 0")
+    # --hi > --lo, so the library's coupling rule on --lo covers both ends.
+    try:
+        FlowConfig(m=run.n // 2, sign=run.sign, s=args.lo)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     res = bisect_critical(
         run.n, run.sign, args.lo, args.hi, args.tol, args.horizon,
         run.settings, run.events,
@@ -412,7 +417,7 @@ _COMMANDS = {
     "bisect": _Command(
         "bisect the critical coupling", _cmd_bisect, _FAMILY_OPTS,
         {"lo": float, "hi": float, "tol": float, "horizon": float},
-        preconditions=(BracketError, PreconditionError, ValueError),
+        preconditions=(BracketError, PreconditionError),
     ),
     "sweep": _Command(
         "classification table over a coupling grid", _cmd_sweep, _FAMILY_OPTS,

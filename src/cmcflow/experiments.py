@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from .background import CurvatureSign
 from .integrate import (
     BLOW_UP_EVENT,
-    CERTIFIED_COMPLETE,
     REACHED_HORIZON,
     EventSpec,
     IntegratorSettings,
@@ -27,7 +26,7 @@ from .integrate import (
     integrate,
     integrate_oracle,
 )
-from .products import FlowConfig
+from .products import FlowConfig, FlowState
 
 VERDICT_COMPLETE = "CompleteWithinHorizon"
 VERDICT_RECOLLAPSE = "Recollapse"
@@ -53,6 +52,9 @@ MONOTONE_REL_SLACK = 1e-6
 # Below this the magnitude of x' - y' is rounding noise and its log is
 # useless for rate fitting.
 DECAY_FIT_FLOOR = 1e-13
+
+# Relative margin of the completeness region's curvature conditions.
+CERTIFICATE_MARGIN = 1e-9
 
 
 class RegimeError(ValueError):
@@ -183,7 +185,7 @@ def _classification(
 ) -> Classification:
     term = traj.termination
     low_confidence = _near_threshold(config)
-    if term.kind in (REACHED_HORIZON, CERTIFIED_COMPLETE):
+    if term.kind == REACHED_HORIZON:
         verdict, t_blowup = VERDICT_COMPLETE, None
     elif term.kind == BLOW_UP_EVENT:
         verdict, t_blowup = VERDICT_RECOLLAPSE, term.t_event
@@ -199,6 +201,44 @@ def _classification(
         termination=term,
         low_confidence=low_confidence,
     )
+
+
+def in_completeness_region(config: FlowConfig, state: FlowState) -> bool:
+    """Whether a state lies in the completeness region R of positive curvature.
+
+    R = {x' > 0, y' > 0, kx e^(-2x) < n (1 - CERTIFICATE_MARGIN),
+    ky e^(-2y) < n (1 - CERTIFICATE_MARGIN)}.  Every solution that enters R
+    is complete: in R, x and y increase, so the curvature terms only shrink;
+    on the face x' = 0, x'' = n - kx e^(-2x) > 0, and likewise for y; x' and
+    y' stay below max(their entry values, sqrt 2).  So x' + y' > 0 and y
+    never decreases, and no blow-up trigger or overflow can fire.  The
+    margin keeps the boundary solutions (a coefficient equal to n) out of R.
+    """
+    bound = config.n * (1.0 - CERTIFICATE_MARGIN)
+    return (config.sign is CurvatureSign.POSITIVE
+            and state.xp > 0.0 and state.yp > 0.0
+            and config.kx * math.exp(-2.0 * state.x) < bound
+            and config.ky * math.exp(-2.0 * state.y) < bound)
+
+
+def _probe_verdict(
+    config: FlowConfig, settings: IntegratorSettings, events: EventSpec | None
+) -> str:
+    """Verdict of one bisection probe at horizon settings.t_max.
+
+    A head run integrates to min(t_max, max_step); if it gets there in R,
+    the solution is complete.  Otherwise the full run decides.  The signs of
+    x' and y' are those of n - kx and n - ky for all time, so a probe that
+    ever enters R is in it after the head, unless a curvature term lies
+    within the margin of n.
+    """
+    head_settings = replace(settings, t_max=min(settings.t_max, settings.max_step))
+    head = integrate(config, head_settings, events)
+    if (head.termination.kind == REACHED_HORIZON
+            and in_completeness_region(config, head.final_state())):
+        return VERDICT_COMPLETE
+    traj = integrate(config, settings, events)
+    return _classification(config, traj, settings.t_max).verdict
 
 
 def bisect_critical(
@@ -218,15 +258,9 @@ def bisect_critical(
     curvature only: the negative family is complete for every coupling, so
     there is no threshold to find.
 
-    Each probe reads only a verdict, so it integrates with
-    ``stop_when_certified``: it stops, as complete, at the first accepted
-    state in the forward-invariant region R = {x' > 0, y' > 0,
-    kx e^(-2x) < n (1 - 1e-9), ky e^(-2y) < n (1 - 1e-9)}, where every
-    solution is complete (lemma in :func:`cmcflow.integrate.integrate`).  A
-    stopped probe ends in ``CertifiedComplete`` and classifies as
-    CompleteWithinHorizon, the verdict of the full run; the result is the
-    same as with full runs.  A coupling exactly on a threshold gives a
-    boundary solution that never enters R, and that probe runs in full.
+    A probe in the completeness region R after its first max_step is
+    complete without the rest of the horizon (:func:`_probe_verdict`); the
+    result is that of full-horizon probes.
     """
     if sign is not CurvatureSign.POSITIVE:
         raise PreconditionError(
@@ -242,8 +276,7 @@ def bisect_critical(
 
     def verdict_at(s):
         config = FlowConfig(m=n // 2, sign=sign, s=s)
-        traj = integrate(config, run_settings, events, stop_when_certified=True)
-        return _classification(config, traj, horizon).verdict
+        return _probe_verdict(config, run_settings, events)
 
     verdict_lo = verdict_at(s_lo)
     verdict_hi = verdict_at(s_hi)
@@ -304,20 +337,20 @@ def limit_Cs(
     coupling, positive products strictly between the thresholds.  The value
     is cross-checked against an independent fixed-step integration.
     """
-    _require_convergent(config)
+    if not _convergent(config):
+        raise RegimeError(
+            f"coupling s={config.s} is outside the open convergent "
+            f"interval {thresholds(config.n)} for n={config.n}"
+        )
     traj = integrate(config, _settings_for(horizon, settings), events)
     return _limit(config, traj, horizon, oracle_dt, events)
 
 
-def _require_convergent(config: FlowConfig) -> None:
-    if config.sign is CurvatureSign.POSITIVE:
-        lower, upper = thresholds(config.n)
-        inside = config.s > lower and (upper is None or config.s < upper)
-        if not inside:
-            raise RegimeError(
-                f"coupling s={config.s} is outside the open convergent "
-                f"interval ({lower}, {upper}) for n={config.n}"
-            )
+def _convergent(config: FlowConfig) -> bool:
+    if config.sign is not CurvatureSign.POSITIVE:
+        return True
+    lower, upper = thresholds(config.n)
+    return config.s > lower and (upper is None or config.s < upper)
 
 
 def _limit(
@@ -435,7 +468,8 @@ def sweep(
 
     Rows are computed one after another, in the order of the input grid.
     Each row integrates once; the verdict and the limit read that one
-    trajectory.
+    trajectory.  Rows outside the convergent interval get no limit; a failed
+    limit is reported in the row's ``error``, next to its classification.
     """
     thresholds(n)  # raises ValueError unless n is even and >= 2
 
@@ -447,13 +481,12 @@ def sweep(
         except Exception as exc:  # per-row diagnostics, never abort the sweep
             return SweepRow(s=s, classification=None, limit=None,
                             error=f"{type(exc).__name__}: {exc}")
-        limit = None
-        if with_limits and cls.verdict == VERDICT_COMPLETE:
+        limit = error = None
+        if with_limits and cls.verdict == VERDICT_COMPLETE and _convergent(config):
             try:
-                _require_convergent(config)
                 limit = _limit(config, traj, horizon, oracle_dt, events)
-            except RegimeError:
-                pass
-        return SweepRow(s=s, classification=cls, limit=limit)
+            except RegimeError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        return SweepRow(s=s, classification=cls, limit=limit, error=error)
 
     return [row(s) for s in s_grid]

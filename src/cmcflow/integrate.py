@@ -16,11 +16,6 @@ Termination is a three-way taxonomy:
 * ``StepSizeCollapse``   - the controller demanded a step below min_step.
   This is reported as its own outcome, never silently reclassified.
 
-A forward positive-curvature run that asks for it may also end in
-``CertifiedComplete``: an accepted state entered the region where every
-solution is complete (see :func:`integrate`), so the rest of the horizon
-need not be integrated.
-
 Integrations are single-threaded and deterministic: identical inputs
 produce bit-identical trajectories.
 """
@@ -94,9 +89,6 @@ _MAX_SHRINK = 5.0
 _INITIAL_STEP = 0.01
 _EVENT_T_TOL = 1e-10
 
-# Relative margin of the completeness certificate's curvature conditions.
-CERTIFICATE_MARGIN = 1e-9
-
 TRIGGER_Y_FLOOR = "y_floor"
 TRIGGER_VELOCITY_FLOOR = "velocity_floor"
 TRIGGER_OVERFLOW = "overflow"
@@ -104,7 +96,6 @@ TRIGGER_OVERFLOW = "overflow"
 REACHED_HORIZON = "ReachedHorizon"
 BLOW_UP_EVENT = "BlowUpEvent"
 STEP_SIZE_COLLAPSE = "StepSizeCollapse"
-CERTIFIED_COMPLETE = "CertifiedComplete"
 
 
 class TimeSymmetryError(ValueError):
@@ -170,7 +161,7 @@ class Termination:
     """How an integration ended.
 
     ``t_event``/``trigger`` are set for blow-up terminations, ``t_last``
-    for step-size collapse and for a certified-complete stop.
+    for step-size collapse.
     """
 
     kind: str
@@ -263,7 +254,6 @@ def _run_adaptive(
     settings: IntegratorSettings,
     events: EventSpec,
     direction: float,
-    certify: bool = False,
 ) -> Trajectory:
     f = derivatives(config)
     state0 = initial_state(config)
@@ -286,14 +276,6 @@ def _run_adaptive(
     max_step = settings.max_step
     output_dt = settings.output_dt
     next_k = 1
-    # Completeness certificate of forward positive-curvature runs (only
-    # integrate() asks for it): x' > 0, y' > 0 and both curvature terms
-    # below n (1 - margin).
-    certify = certify and config.sign is CurvatureSign.POSITIVE
-    cert_kx = config.kx
-    cert_ky = config.ky
-    cert_bound = config.n * (1.0 - CERTIFICATE_MARGIN)
-    exp = math.exp
     h = direction * max(
         settings.min_step, min(_INITIAL_STEP, max_step, settings.t_max)
     )
@@ -472,11 +454,6 @@ def _run_adaptive(
             if last_step:
                 termination = Termination(REACHED_HORIZON)
                 break
-            if (certify and unew_2 > 0.0 and unew_3 > 0.0
-                    and cert_kx * exp(-2.0 * unew_0) < cert_bound
-                    and cert_ky * exp(-2.0 * unew_1) < cert_bound):
-                termination = Termination(CERTIFIED_COMPLETE, t_last=t)
-                break
 
             fac11 = err_norm**_EXPO1
             fac = fac11 / facold**_BETA
@@ -501,32 +478,17 @@ def integrate(
     config: FlowConfig,
     settings: IntegratorSettings | None = None,
     events: EventSpec | None = None,
-    *,
-    stop_when_certified: bool = False,
 ) -> Trajectory:
     """Integrate the product system forward from its constrained initial data.
 
     Samples are placed on the output_dt grid by dense-output interpolation,
     with the initial state always included.  The run ends by recording its
     terminal state: the state at t_max, at the located event, or at the last
-    accepted step before an overflow, a step-size collapse or a certified
-    stop.  Blow-up triggers are located on the dense output to within 1e-10
-    in t.
-
-    With ``stop_when_certified`` a positive-curvature run stops with
-    ``CertifiedComplete`` (``t_last`` the stop time) at the first accepted
-    state in R = {x' > 0, y' > 0, kx e^(-2x) < n (1 - CERTIFICATE_MARGIN),
-    ky e^(-2y) < n (1 - CERTIFICATE_MARGIN)}.  Every solution that enters R
-    is complete: in R, x and y increase, so the curvature terms only shrink;
-    on the face x' = 0, x'' = n - kx e^(-2x) > 0, and likewise for y; x' and
-    y' stay below max(their entry values, sqrt 2).  So x' + y' > 0 and y
-    never decreases, and neither a blow-up trigger nor the overflow guard can
-    fire.  The keyword is ignored for negative curvature; the run and its
-    output are otherwise those of the full run up to the stop.
+    accepted step before an overflow or a step-size collapse.  Blow-up
+    triggers are located on the dense output to within 1e-10 in t.
     """
     return _run_adaptive(
-        config, settings or IntegratorSettings(), events or EventSpec(), 1.0,
-        stop_when_certified,
+        config, settings or IntegratorSettings(), events or EventSpec(), 1.0
     )
 
 

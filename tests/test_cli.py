@@ -234,6 +234,8 @@ class TestExitCodes:
             ["bisect", "--n", "4", "--curvature", "positive", "--lo", "1.6",
              "--hi", "1.4", "--tol", "1e-3", "--horizon", "30"],
             ["unknown-command"],
+            ["bisect", "--n", "4", "--curvature", "positive", "--lo", "0.4",
+             "--hi", "0.9", "--tol", "1e-3", "--horizon", "30"],
         ],
     )
     def test_invalid_flags_exit_two(self, capsys, argv):
@@ -271,6 +273,12 @@ class TestUsageMessages:
             (sweep_argv("2", "1", "3"), "need --steps >= 1, --s-min <= --s-max"),
             (["background", "--n", "1", "--curvature", "negative", "--t", "1"],
              "--n must be >= 2, got 1"),
+            # A bracket end at or below 1/2 gets the message of --s.
+            (["classify", "--n", "4", "--s", "0.4", "--curvature", "positive",
+              "--horizon", "30"], "coupling must satisfy s > 1/2, got s=0.4"),
+            (["bisect", "--n", "4", "--curvature", "positive", "--lo", "0.4",
+              "--hi", "0.9", "--tol", "1e-3", "--horizon", "30"],
+             "coupling must satisfy s > 1/2, got s=0.4"),
         ],
     )
     def test_exit_two_with_message(self, capsys, argv, message):

@@ -303,6 +303,17 @@ class TestSweep:
         rows = sweep(4, POS, [0.75, 1.0, 1.5, 2.0], 30.0, oracle_dt=1e-2)
         present = [r.limit is not None for r in rows]
         assert present == [False, True, False, False]
+        assert [r.error for r in rows] == [None] * 4
+
+    def test_oracle_failure_reported_in_row(self):
+        # The coarse oracle overflows before the horizon, where limit_Cs
+        # raises; the row keeps its verdict and names the failure.
+        (row,) = sweep(6, NEG, [5.0], 8.0, oracle_dt=0.5)
+        assert row.classification.verdict == VERDICT_COMPLETE
+        assert row.limit is None
+        assert row.error.startswith(
+            "RegimeError: oracle integration did not reach the horizon"
+        )
 
     def test_bad_grid_value_reported_per_row(self):
         rows = sweep(4, POS, [0.3, 1.0], 30.0, with_limits=False)
@@ -342,6 +353,26 @@ class TestSweep:
         assert [r.s for r in rows] == grid
 
 
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestCriticalCouplingScript:
+    def test_n2_has_no_critical_coupling(self, monkeypatch, capsys):
+        script = load_script("critical_coupling")
+        monkeypatch.setattr(sys, "argv", ["critical_coupling.py", "--n", "2"])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--n 2 has no critical coupling" in err
+
+
 class TestCouplingGrid:
     def test_ends_and_spacing(self):
         grid = coupling_grid(0.55, 2.5, 25)
@@ -353,10 +384,7 @@ class TestCouplingGrid:
     def test_cli_and_threshold_table_evaluate_the_same_couplings(
         self, monkeypatch, capsys
     ):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "threshold_table.py"
-        spec = importlib.util.spec_from_file_location("threshold_table", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = load_script("threshold_table")
 
         grids = {}
 

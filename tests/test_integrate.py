@@ -8,24 +8,27 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, strategies as st
 
+from cmcflow import experiments
 from cmcflow.background import CurvatureSign
-from cmcflow.experiments import _classification, classify, thresholds
+from cmcflow.experiments import (
+    _probe_verdict,
+    classify,
+    in_completeness_region,
+    thresholds,
+)
 from cmcflow.integrate import (
     BLOW_UP_EVENT,
-    CERTIFICATE_MARGIN,
-    CERTIFIED_COMPLETE,
     REACHED_HORIZON,
     STEP_SIZE_COLLAPSE,
     EventSpec,
     IntegratorSettings,
-    Termination,
     TimeSymmetryError,
     _event_functions,
     backward_integrate,
     integrate,
     integrate_oracle,
 )
-from cmcflow.products import FlowConfig, initial_state
+from cmcflow.products import FlowConfig, FlowState, initial_state
 
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
@@ -561,14 +564,6 @@ class TestInitialStateIsSafe:
                 assert g(u) > 0.0, (name, direction)
 
 
-def _in_region(config, state):
-    """State in the completeness region R of integrate(stop_when_certified)."""
-    bound = config.n * (1.0 - CERTIFICATE_MARGIN)
-    return (state.xp > 0.0 and state.yp > 0.0
-            and config.kx * math.exp(-2.0 * state.x) < bound
-            and config.ky * math.exp(-2.0 * state.y) < bound)
-
-
 # Couplings 0.51, 0.57, ..., 1.95 plus both analytic thresholds of each n.
 _CERT_HORIZON = 40.0
 _CERT_GRID = [
@@ -577,6 +572,10 @@ _CERT_GRID = [
     for s in sorted({0.51 + 0.06 * k for k in range(25)}
                     | {t for t in thresholds(n) if t is not None and t > 0.5})
 ]
+
+
+def _state(x=0.0, y=0.0, xp=0.5, yp=0.5):
+    return FlowState(0.0, x, y, xp, yp)
 
 
 class TestCompletenessCertificate:
@@ -591,48 +590,72 @@ class TestCompletenessCertificate:
             if n in (config.kx, config.ky):
                 boundary.append((n, s))
             full = integrate(config, settings)
-            entered = any(_in_region(config, state) for state in full.states())
+            entered = any(
+                in_completeness_region(config, state) for state in full.states()
+            )
             # Once in R, no blow-up trigger or overflow can end the run.
             if entered:
                 assert full.termination.kind == REACHED_HORIZON, (n, s)
             elif full.termination.kind == REACHED_HORIZON:
                 never_entered.append((n, s))
-            # The certified stop gives the verdict of the full run.
-            cert = integrate(config, settings, stop_when_certified=True)
-            verdict = _classification(config, cert, _CERT_HORIZON).verdict
+            # The bisection probe gives the verdict of the full run.
+            verdict = _probe_verdict(config, settings, None)
             assert verdict == classify(config, _CERT_HORIZON).verdict, (n, s)
         # Only the boundary solutions, at both thresholds of n = 4, 6, 8,
         # stay complete outside R.
         assert never_entered == boundary
         assert len(boundary) == 6
 
-    @pytest.mark.parametrize("s", [0.9, 1.3])
-    def test_certified_run_is_a_prefix_of_the_full_run(self, s):
+    @pytest.mark.parametrize("xp, yp", [(0.0, 0.5), (-0.5, 0.5),
+                                        (0.5, 0.0), (0.5, -0.5)])
+    def test_region_needs_both_velocities_positive(self, xp, yp):
+        config = FlowConfig(m=2, sign=POS, s=1.0)  # kx = ky = 3 < n = 4
+        assert in_completeness_region(config, _state())
+        assert not in_completeness_region(config, _state(xp=xp, yp=yp))
+
+    @pytest.mark.parametrize("s, coordinate", [(0.75, "x"), (1.5, "y")])
+    def test_margin_keeps_terms_near_n_out(self, s, coordinate):
+        # kx (s = 0.75) or ky (s = 1.5) is n = 4 exactly, and a log scale
+        # factor d lowers its term by 2d relative, against the margin 1e-9.
         config = FlowConfig(m=2, sign=POS, s=s)
-        full = integrate(config)
-        cert = integrate(config, stop_when_certified=True)
-        assert cert.termination.kind == CERTIFIED_COMPLETE
-        t_stop = cert.termination.t_last
-        assert 0.0 < t_stop < 1.0
-        assert cert.final_state().t == t_stop
-        assert _in_region(config, cert.final_state())
-        # every grid sample before the stop is the full run's, bit for bit
-        assert cert.samples[:-1] == full.samples[:len(cert.samples) - 1]
-        assert cert.n_accepted < full.n_accepted
+        assert getattr(config, "k" + coordinate) == 4.0
+        inside = [
+            in_completeness_region(config, _state(**{coordinate: d}))
+            for d in (0.0, 1e-10, 4e-10, 6e-10, 1e-9)
+        ]
+        assert inside == [False, False, False, True, True]
 
-    @pytest.mark.parametrize("s", [1.3, 2.0])
-    def test_negative_curvature_ignores_the_keyword(self, s):
-        config = FlowConfig(m=2, sign=NEG, s=s)
-        settings = IntegratorSettings(t_max=10.0)
-        cert = integrate(config, settings, stop_when_certified=True)
-        full = integrate(config, settings)
-        assert cert.termination == full.termination == Termination(REACHED_HORIZON)
-        assert cert.samples == full.samples
+    @pytest.mark.parametrize("s", [0.7, 1.6])
+    def test_terms_above_n_are_out(self, s):
+        # One coefficient lies between n = 4 and 1.2 n at x = y = 0; at
+        # x = y = 1 both terms are below n.
+        config = FlowConfig(m=2, sign=POS, s=s)
+        assert 4.0 < max(config.kx, config.ky) < 4.8
+        assert not in_completeness_region(config, _state())
+        assert in_completeness_region(config, _state(x=1.0, y=1.0))
 
-    def test_recollapse_run_is_unchanged(self):
-        config = FlowConfig(m=2, sign=POS, s=2.0)
-        cert = integrate(config, stop_when_certified=True)
-        full = integrate(config)
-        assert cert.termination == full.termination
-        assert cert.termination.kind == BLOW_UP_EVENT
-        assert cert.samples == full.samples
+    def test_negative_curvature_is_never_in_region(self):
+        config = FlowConfig(m=2, sign=NEG, s=1.0)
+        assert not in_completeness_region(config, _state(x=1.0, y=1.0))
+
+    @pytest.mark.parametrize("s, horizon, t_maxes", [
+        (1.3, 40.0, [0.03]),          # in R after the head run
+        (2.0, 40.0, [0.03, 40.0]),    # recollapse: the full run decides
+        (1.5, 40.0, [0.03, 40.0]),    # boundary solution, never in R
+        (1.3, 0.02, [0.02]),          # horizon below max_step
+    ])
+    def test_probe_runs_the_horizon_only_outside_the_region(
+        self, monkeypatch, s, horizon, t_maxes
+    ):
+        config = FlowConfig(m=2, sign=POS, s=s)
+        seen = []
+
+        def recording(config, settings, events):
+            seen.append(settings.t_max)
+            return integrate(config, settings, events)
+
+        monkeypatch.setattr(experiments, "integrate", recording)
+        verdict = _probe_verdict(config, IntegratorSettings(t_max=horizon), None)
+        monkeypatch.undo()
+        assert seen == t_maxes
+        assert verdict == classify(config, horizon).verdict
