@@ -39,7 +39,7 @@ def main() -> int:
 
     grid = coupling_grid(args.s_min, args.s_max, args.points)
     rows = sweep(args.n, CurvatureSign.POSITIVE, grid, args.horizon,
-                 with_limits=not args.no_limits, oracle_dt=1e-2)
+                 with_limits=not args.no_limits)
     for row in rows:
         if row.error:
             print(f"{row.s:>10.5f}  {row.error}")

@@ -200,6 +200,13 @@ def _require(values: dict, names) -> None:
         raise UsageError(f"{', '.join(missing[:-1])} and {missing[-1]} are required")
 
 
+def _require_finite(args: argparse.Namespace, names) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise UsageError(f"{_flag(name)} must be finite, got {value}")
+
+
 def _resolve(args: argparse.Namespace, command: _Command) -> _Run | None:
     """Merge the command's options and build the library objects they name."""
     if not command.options:
@@ -304,6 +311,7 @@ def _cmd_classify(args, run):
 
 def _cmd_bisect(args, run):
     _require(vars(args), ("lo", "hi", "tol"))
+    _require_finite(args, ("lo", "hi"))
     if not (args.lo < args.hi and args.tol > 0.0):
         raise UsageError("need --lo < --hi, --tol > 0")
     # --hi > --lo, so the library's coupling rule on --lo covers both ends.
@@ -311,6 +319,13 @@ def _cmd_bisect(args, run):
         FlowConfig(m=run.n // 2, sign=run.sign, s=args.lo)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # No two doubles in the bracket lie further apart than this, so every
+    # accepted --tol is met: the library would stop short of a smaller one.
+    spacing = math.ulp(args.hi)
+    if args.tol < spacing:
+        raise UsageError(
+            f"--tol must be at least {spacing!r}, the spacing of doubles at --hi"
+        )
     res = bisect_critical(
         run.n, run.sign, args.lo, args.hi, args.tol, args.horizon,
         run.settings, run.events,
@@ -331,6 +346,7 @@ def _cmd_bisect(args, run):
 
 def _cmd_sweep(args, run):
     _require(vars(args), ("s_min", "s_max", "steps"))
+    _require_finite(args, ("s_min", "s_max"))
     if args.steps < 1 or args.s_min > args.s_max:
         raise UsageError("need --steps >= 1, --s-min <= --s-max")
     rows = sweep(

@@ -56,6 +56,10 @@ DECAY_FIT_FLOOR = 1e-13
 # Relative margin of the completeness region's curvature conditions.
 CERTIFICATE_MARGIN = 1e-9
 
+# Default step of the RK4 cross-check in limit_Cs and sweep; limit_Cs
+# states its measured error.
+ORACLE_DT = 4e-3
+
 
 class RegimeError(ValueError):
     """Limit extraction requested outside the convergent regime."""
@@ -261,12 +265,19 @@ def bisect_critical(
     A probe in the completeness region R after its first max_step is
     complete without the rest of the horizon (:func:`_probe_verdict`); the
     result is that of full-horizon probes.
+
+    Both ends must be finite.  Bisection stops once the bracket is no wider
+    than tol, or once its midpoint rounds to one of its ends: the ends are
+    then adjacent doubles, and the bracket may be wider than a tol below
+    their spacing.
     """
     if sign is not CurvatureSign.POSITIVE:
         raise PreconditionError(
             "the negative-curvature family has no completeness threshold"
         )
     thresholds(n)  # raises ValueError unless n is even and >= 2
+    if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
+        raise ValueError(f"need finite s_lo and s_hi, got [{s_lo}, {s_hi}]")
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo}, {s_hi}]")
     if not tol > 0.0:
@@ -289,6 +300,8 @@ def bisect_critical(
     lo, hi = s_lo, s_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if verdict_at(mid) == verdict_lo:
             lo = mid
         else:
@@ -327,7 +340,7 @@ def _decay_rate(traj: Trajectory) -> float | None:
 def limit_Cs(
     config: FlowConfig,
     horizon: float,
-    oracle_dt: float = 1e-3,
+    oracle_dt: float = ORACLE_DT,
     settings: IntegratorSettings | None = None,
     events: EventSpec | None = None,
 ) -> LimitEstimate:
@@ -335,7 +348,11 @@ def limit_Cs(
 
     Valid in the convergent regime only: negative products for any
     coupling, positive products strictly between the thresholds.  The value
-    is cross-checked against an independent fixed-step integration.
+    is cross-checked against an independent fixed-step RK4 integration, of
+    step ORACLE_DT = 4e-3 by default.  That oracle's error in x - y is at
+    most 1.3e-10 at horizon 50 (measured on 64 limit rows against a step of
+    2.5e-4), far inside the 1e-6 bound that cross_check_delta must meet.
+    A smaller step buys little: at 1e-3 rounding already sets the error.
     """
     if not _convergent(config):
         raise RegimeError(
@@ -460,7 +477,7 @@ def sweep(
     s_grid: list[float],
     horizon: float,
     with_limits: bool = True,
-    oracle_dt: float = 1e-3,
+    oracle_dt: float = ORACLE_DT,
     settings: IntegratorSettings | None = None,
     events: EventSpec | None = None,
 ) -> list[SweepRow]:

@@ -279,6 +279,8 @@ class TestUsageMessages:
             (["bisect", "--n", "4", "--curvature", "positive", "--lo", "0.4",
               "--hi", "0.9", "--tol", "1e-3", "--horizon", "30"],
              "coupling must satisfy s > 1/2, got s=0.4"),
+            (sweep_argv("1", "inf", "3"), "--s-max must be finite, got inf"),
+            (sweep_argv("nan", "2", "3"), "--s-min must be finite, got nan"),
         ],
     )
     def test_exit_two_with_message(self, capsys, argv, message):
@@ -320,6 +322,36 @@ class TestNonFiniteHorizon:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert proc.stdout == ""
+
+
+class TestBisectEnds:
+    # In a child process under a timeout: a bisection with an infinite end,
+    # or a tol below the spacing of doubles, stops moving its midpoint.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bisect", "--n", "4", "--curvature", "positive", "--lo", "1.4",
+              "--hi", "inf", "--tol", "1e-3", "--horizon", "30"],
+             "--hi must be finite, got inf"),
+            (["bisect", "--n", "4", "--curvature", "positive", "--lo", "1.4",
+              "--hi", "1.6", "--tol", "1e-20", "--horizon", "30"],
+             "--tol must be at least 2.220446049250313e-16, the spacing of "
+             "doubles at --hi"),
+        ],
+    )
+    def test_exits_two_promptly(self, argv, message):
+        proc = run_child(argv)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+
+    def test_tol_at_the_spacing_is_met(self, capsys):
+        rc, out, _ = run(capsys, [
+            "bisect", "--n", "4", "--curvature", "positive", "--lo", "1.4",
+            "--hi", "1.6", "--tol", repr(math.ulp(1.6)), "--horizon", "10"])
+        assert rc == 0
+        result = json.loads(out)["result"]
+        assert result["bracket_hi"] == math.nextafter(result["bracket_lo"], 2.0)
 
 
 class TestHorizonMessage:

@@ -1,6 +1,9 @@
 """Tests for classification, bisection, limit extraction, audits and sweeps."""
 
 import importlib.util
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from cmcflow.experiments import (
     AUDIT_NON_INCREASING,
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
+    ORACLE_DT,
     BracketError,
     GaugeRangeError,
     PreconditionError,
@@ -26,7 +30,7 @@ from cmcflow.experiments import (
     sweep,
     thresholds,
 )
-from cmcflow.integrate import IntegratorSettings
+from cmcflow.integrate import IntegratorSettings, integrate_oracle
 from cmcflow.products import FlowConfig
 
 NEG = CurvatureSign.NEGATIVE
@@ -137,6 +141,32 @@ class TestBisect:
         with pytest.raises(ValueError):
             bisect_critical(4, POS, lo, hi, tol, 30.0)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (1.4, math.inf), (-math.inf, 1.6), (math.nan, 1.6), (1.4, math.nan),
+    ])
+    def test_non_finite_bracket_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="need finite s_lo and s_hi"):
+            bisect_critical(4, POS, lo, hi, 1e-3, 30.0)
+
+    def test_tol_below_double_spacing_ends_at_adjacent_doubles(self):
+        # In a child process under a timeout: once the midpoint rounds to a
+        # bracket end, a loop on the width alone never ends.
+        code = (
+            "from cmcflow.experiments import bisect_critical\n"
+            "from cmcflow.background import CurvatureSign\n"
+            "res = bisect_critical(4, CurvatureSign.POSITIVE, 1.4, 1.6, 1e-20, 30.0)\n"
+            "print(*(end.hex() for end in res.bracket))\n"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lo, hi = map(float.fromhex, proc.stdout.split())
+        assert hi == math.nextafter(lo, math.inf)
+        assert lo - 1e-2 <= 1.5 <= hi + 1e-2
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_n_rejected(self, n):
         # m = n // 2 would otherwise bisect the n - 1 threshold silently
@@ -229,6 +259,22 @@ class TestLimit:
         # curvature forcing decays like e^(-2t), the free mode like e^(-nt).
         est = limit_Cs(config(m=n // 2, sign=sign, s=s), 50.0, oracle_dt=1e-2)
         assert abs(est.decay_rate + 2.0) <= 1e-3
+
+    @pytest.mark.parametrize("sign, frozen", [(POS, CS_POS_13), (NEG, CS_NEG_13)])
+    def test_default_oracle_step_meets_frozen_limits(self, sign, frozen):
+        # The worst oracle error measured at ORACLE_DT over the benchmark's
+        # limit rows at horizon 50 is 1.3e-10 in x - y.
+        end = integrate_oracle(config(sign=sign, s=1.3), ORACLE_DT, 40.0).final_state()
+        assert end.t == 40.0
+        assert abs((end.x - end.y) - frozen) <= 1e-9
+
+    @pytest.mark.parametrize("sign", [POS, NEG])
+    def test_limit_and_sweep_share_the_oracle_step(self, sign):
+        est = limit_Cs(config(sign=sign, s=1.3), 40.0)
+        (row,) = sweep(4, sign, [1.3], 40.0)
+        assert row.limit == est
+        end = integrate_oracle(config(sign=sign, s=1.3), ORACLE_DT, 40.0).final_state()
+        assert est.cross_check_delta == abs(est.value - (end.x - end.y))
 
     def test_continuity_in_coupling(self):
         base = limit_Cs(config(s=1.2), 40.0, oracle_dt=1e-2).value
