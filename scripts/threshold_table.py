@@ -28,8 +28,10 @@ def main() -> int:
         lower, upper = thresholds(args.n)
     except ValueError as exc:
         ap.error(f"--n: {exc}")
-    if args.points < 1:
-        ap.error(f"--points must be >= 1, got {args.points}")
+    try:
+        grid = coupling_grid(args.s_min, args.s_max, args.points)
+    except ValueError as exc:
+        ap.error(f"grid: {exc}")
     print(f"n = {args.n}: analytic completeness interval "
           f"[{lower:.6f}, {upper if upper is not None else 'undefined (n=2)'}]")
     # the limit is shown both gauge-free, as lim (x - y), and as the
@@ -37,7 +39,6 @@ def main() -> int:
     print(f"{'s':>10}  {'verdict':<22} {'t_blowup':>12}  {'lim (x-y)':>12}  "
           f"{'vol ratio':>12}")
 
-    grid = coupling_grid(args.s_min, args.s_max, args.points)
     rows = sweep(args.n, CurvatureSign.POSITIVE, grid, args.horizon,
                  with_limits=not args.no_limits)
     for row in rows:

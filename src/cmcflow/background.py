@@ -45,7 +45,7 @@ class BackgroundModel:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError(f"spatial dimension must be >= 2, got {self.n}")
+            raise ValueError(f"n must be >= 2, got {self.n}")
 
 
 @dataclass(frozen=True)

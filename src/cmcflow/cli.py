@@ -11,8 +11,9 @@ Output contracts:
   floats serialized to 17 significant digits.
 
 Exit codes: 0 success (a blow-up is a reported scientific result, not a
-failure), 2 invalid flags, 3 integrator failure (step-size collapse without
-blow-up, simulate only), 4 precondition violation.
+failure), 2 invalid flags or input that breaks a library rule, 3 integrator
+failure (step-size collapse without blow-up, simulate only), 4 precondition
+violation.
 
 Every manifest echoes the full numeric configuration including defaulted
 values, so a run can be reproduced without reading source.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -46,6 +48,7 @@ from .experiments import (
     coupling_grid,
     hamiltonian_audit,
     sweep,
+    thresholds,
 )
 from .integrate import (
     STEP_SIZE_COLLAPSE,
@@ -163,10 +166,13 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
 class _Command:
     """One subcommand: its body, merged options and own arguments.
 
-    ``options`` are the flags that ``--config`` may also supply; ``params``
-    maps the command's own arguments to their types.  ``horizon`` names the
-    argument that sets ``IntegratorSettings.t_max``.  ``preconditions`` are
-    the library exceptions reported with exit code 4.
+    ``options`` are the flags that ``--config`` may also supply; those
+    without a default are required.  ``params`` maps the command's own
+    arguments to their types; all but ``out`` are required and echoed as
+    ``config.parameters``.  ``horizon`` names the argument that sets
+    ``IntegratorSettings.t_max``.  ``preconditions`` are the library
+    exceptions reported with exit code 4; any other ``ValueError`` is a
+    library input rule, reported with exit code 2.
     """
 
     help: str
@@ -200,42 +206,53 @@ def _require(values: dict, names) -> None:
         raise UsageError(f"{', '.join(missing[:-1])} and {missing[-1]} are required")
 
 
-def _require_finite(args: argparse.Namespace, names) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise UsageError(f"{_flag(name)} must be finite, got {value}")
+def _own_args(args: argparse.Namespace, command: _Command) -> dict:
+    """The command's own arguments except the output path, in table order."""
+    return {name: getattr(args, name) for name in command.params if name != "out"}
 
 
 def _resolve(args: argparse.Namespace, command: _Command) -> _Run | None:
-    """Merge the command's options and build the library objects they name."""
+    """Check every required flag, then build the library objects they name."""
+    vals = _merge_config(args, command.options)
+    own = _own_args(args, command)
+    required = [name for name, (_, default) in command.options.items()
+                if default is None]
+    _require({**vals, **own}, required + list(own))
     if not command.options:
         return None
-    vals = _merge_config(args, command.options)
-    t_max = getattr(args, command.horizon)
-    required = [name for name in ("n", "s", "curvature") if name in vals]
-    _require({**vals, command.horizon: t_max}, required + [command.horizon])
     n = vals["n"]
-    if n < 2 or n % 2 != 0:
-        raise UsageError(f"--n must be an even integer >= 2, got {n}")
-    try:
-        sign = CurvatureSign(vals["curvature"])
-        flow = None
-        if "s" in vals:
-            shape = {name: vals[name] for name in ("s", "vol_m", "vol_n")}
-            flow = FlowConfig(m=n // 2, sign=sign, **shape)
-        settings = IntegratorSettings(
-            t_max=t_max, **{name: vals[name] for name in _SETTINGS_OPTS}
-        )
-        events = EventSpec(**{name: vals[name] for name in _EVENT_OPTS})
-    except ValueError as exc:
-        # The library calls the horizon t_max; name the command's own flag.
-        raise UsageError(str(exc).replace("t_max", _flag(command.horizon))) from None
+    thresholds(n)  # raises ValueError unless n is even and >= 2
+    sign = CurvatureSign(vals["curvature"])
+    flow = None
+    if "s" in vals:
+        shape = {name: vals[name] for name in ("s", "vol_m", "vol_n")}
+        flow = FlowConfig(m=n // 2, sign=sign, **shape)
+    settings = IntegratorSettings(
+        t_max=own[command.horizon], **{name: vals[name] for name in _SETTINGS_OPTS}
+    )
+    events = EventSpec(**{name: vals[name] for name in _EVENT_OPTS})
     return _Run(n, sign, flow, settings, events)
 
 
-def _config_echo(run: _Run | None, parameters: dict) -> dict:
+def _in_flag_names(message: str, command: _Command) -> str:
+    """A library message under the command's flag names.
+
+    ``n``, the horizon (``t_max``), the bracket ends (``s_lo``, ``s_hi``) and
+    the command's own arguments become flags; other words, such as the
+    coupling ``s``, stay as the library wrote them.
+    """
+    library = {"t_max": command.horizon, "s_lo": "lo", "s_hi": "hi"}
+
+    def rename(match: re.Match) -> str:
+        name = library.get(match[0], match[0])
+        return _flag(name) if name == "n" or name in command.params else match[0]
+
+    return re.sub(r"\w+", rename, message)
+
+
+def _config_echo(args: argparse.Namespace, command: _Command, run: _Run | None) -> dict:
     echo: dict = {}
+    parameters = _own_args(args, command)
     if run is not None:
         if run.flow is not None:
             echo["flow"] = {
@@ -246,6 +263,8 @@ def _config_echo(run: _Run | None, parameters: dict) -> dict:
                 "vol_m": run.flow.vol_m,
                 "vol_n": run.flow.vol_n,
             }
+        else:
+            parameters = {"n": run.n, "curvature": run.sign.value, **parameters}
         echo["settings"] = asdict(run.settings)
         echo["events"] = asdict(run.events)
     echo["parameters"] = parameters
@@ -274,7 +293,7 @@ def _csv_cell(value) -> str:
     return repr(value)
 
 
-# Command bodies return (parameters, result, diagnostics).  They reach the
+# Command bodies return (result, diagnostics).  They reach the
 # library through module globals, looked up at call time, so a wrapper
 # installed on this module sees every call.
 
@@ -301,28 +320,20 @@ def _cmd_simulate(args, run):
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
-    return {"t_max": args.t_max}, result, None
+    return result, None
 
 
 def _cmd_classify(args, run):
     cls = classify(run.flow, args.horizon, run.settings, run.events)
-    return {"horizon": args.horizon}, *_classification(cls)
+    return _classification(cls)
 
 
 def _cmd_bisect(args, run):
-    _require(vars(args), ("lo", "hi", "tol"))
-    _require_finite(args, ("lo", "hi"))
-    if not (args.lo < args.hi and args.tol > 0.0):
-        raise UsageError("need --lo < --hi, --tol > 0")
-    # --hi > --lo, so the library's coupling rule on --lo covers both ends.
-    try:
-        FlowConfig(m=run.n // 2, sign=run.sign, s=args.lo)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    # No two doubles in the bracket lie further apart than this, so every
-    # accepted --tol is met: the library would stop short of a smaller one.
+    # No two doubles in a finite bracket lie further apart than this, so
+    # every accepted --tol is met: the library would stop short of a smaller
+    # one.  An infinite --hi is left to the library's rule on the ends.
     spacing = math.ulp(args.hi)
-    if args.tol < spacing:
+    if args.tol < spacing < math.inf:
         raise UsageError(
             f"--tol must be at least {spacing!r}, the spacing of doubles at --hi"
         )
@@ -330,44 +341,22 @@ def _cmd_bisect(args, run):
         run.n, run.sign, args.lo, args.hi, args.tol, args.horizon,
         run.settings, run.events,
     )
-    parameters = {
-        "n": run.n,
-        "curvature": run.sign.value,
-        "lo": args.lo,
-        "hi": args.hi,
-        "tol": args.tol,
-        "horizon": args.horizon,
-    }
     result = asdict(res)
     lo, hi = result.pop("bracket")
     result = {"bracket_lo": lo, "bracket_hi": hi, **result}
-    return parameters, result, {"bracket_width": hi - lo}
+    return result, {"bracket_width": hi - lo}
 
 
 def _cmd_sweep(args, run):
-    _require(vars(args), ("s_min", "s_max", "steps"))
-    _require_finite(args, ("s_min", "s_max"))
-    if args.steps < 1 or args.s_min > args.s_max:
-        raise UsageError("need --steps >= 1, --s-min <= --s-max")
     rows = sweep(
         run.n,
         run.sign,
         coupling_grid(args.s_min, args.s_max, args.steps),
         args.horizon,
-        with_limits=not args.no_limits,
+        with_limits=args.limits,
         settings=run.settings,
         events=run.events,
     )
-
-    parameters = {
-        "n": run.n,
-        "curvature": run.sign.value,
-        "s_min": args.s_min,
-        "s_max": args.s_max,
-        "steps": args.steps,
-        "horizon": args.horizon,
-        "limits": not args.no_limits,
-    }
     result_rows = []
     diag_rows = []
     for row in rows:
@@ -383,7 +372,7 @@ def _cmd_sweep(args, run):
             }
         )
         diag_rows.append({"s": row.s, "diagnostics": diagnostics})
-    return parameters, {"rows": result_rows}, {"rows": diag_rows}
+    return {"rows": result_rows}, {"rows": diag_rows}
 
 
 def _cmd_hamiltonian(args, run):
@@ -394,13 +383,10 @@ def _cmd_hamiltonian(args, run):
         "delta_total": audit.delta_total,
         "series": [[t, h] for t, h in audit.series],
     }
-    return {"horizon": args.horizon}, result, {"n_samples": len(audit.series)}
+    return result, {"n_samples": len(audit.series)}
 
 
 def _cmd_background(args, run):
-    _require(vars(args), ("n", "curvature", "t"))
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
     sign = CurvatureSign(args.curvature)
     model = BackgroundModel(n=args.n, sign=sign)
     a = scale_factor(model, args.t)
@@ -412,13 +398,13 @@ def _cmd_background(args, run):
         "lapse": gauge.lapse,
         "scale_sq": gauge.scale_sq,
     }
-    return {"n": args.n, "curvature": sign.value, "t": args.t}, result, {}
+    return result, {}
 
 
 # Help texts of the command-level arguments that have one.
 _HELP = {
     "out": "CSV path; manifest goes to <out>.manifest.json",
-    "no_limits": "skip limit extraction on complete rows",
+    "limits": "skip limit extraction on complete rows",
 }
 
 _COMMANDS = {
@@ -438,7 +424,7 @@ _COMMANDS = {
     "sweep": _Command(
         "classification table over a coupling grid", _cmd_sweep, _FAMILY_OPTS,
         {"s_min": float, "s_max": float, "steps": int, "horizon": float,
-         "no_limits": bool},
+         "limits": bool},
     ),
     "hamiltonian": _Command(
         "reduced-Hamiltonian audit", _cmd_hamiltonian, _RUN_OPTS,
@@ -456,7 +442,10 @@ def _add_flag(parser: argparse.ArgumentParser, name: str, typ) -> None:
     if name == "curvature":
         parser.add_argument(_flag(name), choices=["positive", "negative"])
     elif typ is bool:
-        parser.add_argument(_flag(name), action="store_true", help=_HELP[name])
+        parser.add_argument(
+            "--no-" + name.replace("_", "-"), dest=name, action="store_false",
+            help=_HELP[name],
+        )
     else:
         parser.add_argument(_flag(name), type=typ, help=_HELP.get(name))
 
@@ -493,14 +482,16 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         run = _resolve(args, command)
-        parameters, result, diagnostics = command.body(args, run)
+        result, diagnostics = command.body(args, run)
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
     except command.preconditions as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, _in_flag_names(str(exc), command))
     manifest = {
         "command": args.command,
-        "config": _config_echo(run, parameters),
+        "config": _config_echo(args, command, run),
         "tool_version": __version__,
         "wall_time_ms": int(round((time.perf_counter() - start) * 1000.0)),
     }

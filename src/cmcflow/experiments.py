@@ -68,10 +68,6 @@ class RegimeError(ValueError):
 class GaugeRangeError(ValueError):
     """A trajectory left the gauge range of the audited Hamiltonian branch."""
 
-    def __init__(self, message: str, t_first: float):
-        super().__init__(message)
-        self.t_first = t_first
-
 
 class BracketError(ValueError):
     """Bisection endpoints classify identically; no threshold inside."""
@@ -152,6 +148,12 @@ def thresholds(n: int) -> tuple[float, float | None]:
     lower = (n - 1) / n
     upper = (n - 1) / (n - 2) if n > 2 else None
     return lower, upper
+
+
+def _require_finite(**ends: float) -> None:
+    for name, value in ends.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _near_threshold(config: FlowConfig) -> bool:
@@ -276,8 +278,7 @@ def bisect_critical(
             "the negative-curvature family has no completeness threshold"
         )
     thresholds(n)  # raises ValueError unless n is even and >= 2
-    if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
-        raise ValueError(f"need finite s_lo and s_hi, got [{s_lo}, {s_hi}]")
+    _require_finite(s_lo=s_lo, s_hi=s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo}, {s_hi}]")
     if not tol > 0.0:
@@ -434,8 +435,7 @@ def hamiltonian_audit(
         if sample_branch != branch or obs.h_red is None:
             raise GaugeRangeError(
                 f"sample at t={state.t} left the {branch} gauge range "
-                f"(tau={tau}, n={n})",
-                t_first=state.t,
+                f"(tau={tau}, n={n})"
             )
         series.append((state.t, obs.h_red))
 
@@ -464,7 +464,14 @@ def hamiltonian_audit(
 
 
 def coupling_grid(s_min: float, s_max: float, steps: int) -> list[float]:
-    """Evenly spaced couplings from s_min to s_max inclusive; [s_min] for one step."""
+    """Evenly spaced couplings from s_min to s_max inclusive; [s_min] for one step.
+
+    Both ends must be finite, s_min <= s_max and steps >= 1; other input
+    raises ValueError.
+    """
+    _require_finite(s_min=s_min, s_max=s_max)
+    if not (steps >= 1 and s_min <= s_max):
+        raise ValueError("need steps >= 1, s_min <= s_max")
     if steps == 1:
         return [s_min]
     span = s_max - s_min

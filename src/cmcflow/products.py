@@ -51,7 +51,6 @@ class BlowUpOverflow(ArithmeticError):
 
     def __init__(self, t: float):
         super().__init__(f"log scale factor below {OVERFLOW_FLOOR} at t={t}")
-        self.t = t
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,9 @@ class TestExitCodes:
             ["hamiltonian", "--n", "4", "--s", "3", "--curvature", "positive",
              "--horizon", "50"],
             ["background", "--n", "3", "--curvature", "negative", "--t", "-1"],
+            # The library checks the curvature before the bracket.
+            ["bisect", "--n", "4", "--curvature", "negative", "--lo", "1.6",
+             "--hi", "1.4", "--tol", "1e-3", "--horizon", "30"],
         ],
     )
     def test_precondition_violations_exit_four(self, capsys, argv):
@@ -281,6 +284,12 @@ class TestUsageMessages:
              "coupling must satisfy s > 1/2, got s=0.4"),
             (sweep_argv("1", "inf", "3"), "--s-max must be finite, got inf"),
             (sweep_argv("nan", "2", "3"), "--s-min must be finite, got nan"),
+            # The library's s_lo, s_hi and n, under the command's flags.
+            (["bisect", "--n", "4", "--curvature", "positive", "--lo", "1.6",
+              "--hi", "1.4", "--tol", "1e-3", "--horizon", "30"],
+             "need --lo < --hi, got [1.6, 1.4]"),
+            (["classify", "--n", "3", "--s", "1", "--curvature", "positive",
+              "--horizon", "30"], "--n must be an even integer >= 2, got 3"),
         ],
     )
     def test_exit_two_with_message(self, capsys, argv, message):
@@ -388,6 +397,9 @@ class TestMissingFlags:
               "--horizon", "30"], "--lo and --hi are required"),
             (["classify", "--curvature", "positive", "--horizon", "5"],
              "--n and --s are required"),
+            # Options and own arguments are named together, in table order.
+            (["bisect", "--curvature", "positive", "--hi", "1.6", "--tol",
+              "1e-3", "--horizon", "30"], "--n and --lo are required"),
         ],
     )
     def test_names_only_the_missing_flags(self, capsys, argv, message):

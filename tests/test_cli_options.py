@@ -206,3 +206,41 @@ class TestRemovedThreadsKnob:
         rc, with_env, _ = run(capsys, self.ARGV)
         assert rc == 0
         assert self.without_wall_time(with_env) == self.without_wall_time(plain)
+
+
+SWEEP_LIMITS = ["sweep", "--s-min", "0.8", "--s-max", "1.2", "--steps", "2",
+                "--horizon", "10", "--n", "4", "--curvature", "negative"]
+
+
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (["classify", *FLOW_ARGS, "--horizon", "5"], [("horizon", 5.0)]),
+        (["hamiltonian", *FLOW_ARGS, "--horizon", "3"], [("horizon", 3.0)]),
+        (BISECT + ["--n", "4", "--curvature", "positive"],
+         [("n", 4), ("curvature", "positive"), ("lo", 1.4), ("hi", 1.6),
+          ("tol", 1e-3), ("horizon", 30.0)]),
+        (SWEEP + ["--n", "4", "--curvature", "negative"],
+         [("n", 4), ("curvature", "negative"), ("s_min", 0.6), ("s_max", 2.0),
+          ("steps", 3), ("horizon", 20.0), ("limits", False)]),
+        (SWEEP_LIMITS,
+         [("n", 4), ("curvature", "negative"), ("s_min", 0.8), ("s_max", 1.2),
+          ("steps", 2), ("horizon", 10.0), ("limits", True)]),
+        (["background", "--n", "3", "--curvature", "negative", "--t", "1"],
+         [("n", 3), ("curvature", "negative"), ("t", 1.0)]),
+    ],
+)
+def test_manifest_parameters(capsys, argv, parameters):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    echo = json.loads(out)["manifest"]["config"]["parameters"]
+    assert list(echo.items()) == parameters
+
+
+def test_simulate_manifest_parameters(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    rc, _, _ = run(capsys, ["simulate", *FLOW_ARGS, "--t-max", "2",
+                            "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert list(manifest["config"]["parameters"].items()) == [("t_max", 2.0)]

@@ -145,7 +145,8 @@ class TestBisect:
         (1.4, math.inf), (-math.inf, 1.6), (math.nan, 1.6), (1.4, math.nan),
     ])
     def test_non_finite_bracket_rejected(self, lo, hi):
-        with pytest.raises(ValueError, match="need finite s_lo and s_hi"):
+        end = "s_hi" if math.isfinite(lo) else "s_lo"
+        with pytest.raises(ValueError, match=f"{end} must be finite"):
             bisect_critical(4, POS, lo, hi, 1e-3, 30.0)
 
     def test_tol_below_double_spacing_ends_at_adjacent_doubles(self):
@@ -426,6 +427,33 @@ class TestCouplingGrid:
         assert grid[0] == 0.55 and grid[-1] == 2.5
         assert grid[8] == 0.55 + (2.5 - 0.55) * (8 / 24)
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+    @pytest.mark.parametrize("s_min, s_max, steps, message", [
+        (0.8, math.inf, 3, "s_max must be finite, got inf"),
+        (math.nan, 2.0, 3, "s_min must be finite, got nan"),
+        (2.0, 1.0, 3, "need steps >= 1, s_min <= s_max"),
+        (0.8, 2.0, 0, "need steps >= 1, s_min <= s_max"),
+    ])
+    def test_bad_grid_rejected(self, s_min, s_max, steps, message):
+        with pytest.raises(ValueError) as exc:
+            coupling_grid(s_min, s_max, steps)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bounds", [
+        ["--s-max", "inf"], ["--s-min", "2", "--s-max", "1"],
+    ])
+    def test_threshold_table_rejects_bad_grid(self, monkeypatch, capsys, bounds):
+        script = load_script("threshold_table")
+        monkeypatch.setattr(sys, "argv", [
+            "threshold_table.py", "--n", "4", *bounds, "--points", "3",
+            "--horizon", "10", "--no-limits",
+        ])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage:")
 
     def test_cli_and_threshold_table_evaluate_the_same_couplings(
         self, monkeypatch, capsys
