@@ -9,6 +9,7 @@ the late-time volume-ratio limit on the open interval.
 """
 
 import argparse
+import re
 import sys
 
 from cmcflow import CurvatureSign, FlowConfig, limit_volume_ratio, sweep, thresholds
@@ -31,7 +32,9 @@ def main() -> int:
     try:
         grid = coupling_grid(args.s_min, args.s_max, args.points)
     except ValueError as exc:
-        ap.error(f"grid: {exc}")
+        # coupling_grid names its arguments; report them as this script's flags
+        flags = {"s_min": "--s-min", "s_max": "--s-max", "steps": "--points"}
+        ap.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
     print(f"n = {args.n}: analytic completeness interval "
           f"[{lower:.6f}, {upper if upper is not None else 'undefined (n=2)'}]")
     # the limit is shown both gauge-free, as lim (x - y), and as the

@@ -19,6 +19,7 @@ from .background import CurvatureSign
 from .integrate import (
     BLOW_UP_EVENT,
     REACHED_HORIZON,
+    TRIGGER_VELOCITY_FLOOR,
     EventSpec,
     IntegratorSettings,
     Termination,
@@ -55,6 +56,12 @@ DECAY_FIT_FLOOR = 1e-13
 
 # Relative margin of the completeness region's curvature conditions.
 CERTIFICATE_MARGIN = 1e-9
+
+# Total velocity x' + y' at which a bisection probe tries the recollapse
+# certificate; recollapse_time_bound needs it below -2.  Values from -2.2 to
+# -4 leave a probe's step count within 2% of each other; -3 keeps the bound
+# short (0.201 at n = 4), so few probes near the horizon fall back.
+RECOLLAPSE_V0 = -3.0
 
 # Default step of the RK4 cross-check in limit_Cs and sweep; limit_Cs
 # states its measured error.
@@ -227,22 +234,62 @@ def in_completeness_region(config: FlowConfig, state: FlowState) -> bool:
             and config.ky * math.exp(-2.0 * state.y) < bound)
 
 
+def recollapse_time_bound(config: FlowConfig, v0: float) -> float | None:
+    """Time within which a positive-curvature solution with x' + y' <= v0 blows up.
+
+    Let v = x' + y'.  The sum of the two equations is
+    v' = 2n - K - (n/2) v^2 with K = kx e^(-2x) + ky e^(-2y).  For positive
+    curvature K > 0, so v' <= -(n/2)(v^2 - 4).  The Riccati equation
+    w' = -(n/2)(w^2 - 4) with w(t0) = v0 < -2 is solved by
+    w(t) = 2 coth(n (t - t0 - T)), which reaches -infinity at t0 + T with
+    T = ln((v0 - 2)/(v0 + 2)) / (2n) = artanh(2/|v0|) / n.  Since v <= w
+    while both exist, a solution with v(t0) <= v0 cannot be continued past
+    t0 + T, and any velocity floor is crossed before then.
+    This returns T, or None when no bound follows: for negative curvature
+    (K < 0) or for v0 >= -2, where w need not blow up.
+    """
+    if config.sign is not CurvatureSign.POSITIVE or not v0 < -2.0:
+        return None
+    return math.log((v0 - 2.0) / (v0 + 2.0)) / (2.0 * config.n)
+
+
 def _probe_verdict(
     config: FlowConfig, settings: IntegratorSettings, events: EventSpec | None
 ) -> str:
     """Verdict of one bisection probe at horizon settings.t_max.
 
-    A head run integrates to min(t_max, max_step); if it gets there in R,
-    the solution is complete.  Otherwise the full run decides.  The signs of
-    x' and y' are those of n - kx and n - ky for all time, so a probe that
-    ever enters R is in it after the head, unless a curvature term lies
-    within the margin of n.
+    A probe is decided by one of three things, and each gives the verdict of
+    the full run:
+
+    * Region R.  A head run integrates to min(t_max, max_step); if it gets
+      there in R, the solution is complete.  The signs of x' and y' are those
+      of n - kx and n - ky for all time, so a probe that ever enters R is in
+      it after the head, unless a curvature term lies within the margin of n.
+    * The recollapse certificate.  Otherwise, for positive curvature and a
+      velocity floor below RECOLLAPSE_V0, the full run is made with only the
+      velocity floor raised to RECOLLAPSE_V0.  Events only end a run, so up
+      to that floor it is step for step the full run, and if it ends another
+      way its verdict is the full run's.  If the raised floor fires at t with
+      t + recollapse_time_bound < t_max, the solution blows up inside the
+      horizon: Recollapse.
+    * The full run, with the caller's events, in every other case.
     """
     head_settings = replace(settings, t_max=min(settings.t_max, settings.max_step))
     head = integrate(config, head_settings, events)
     if (head.termination.kind == REACHED_HORIZON
             and in_completeness_region(config, head.final_state())):
         return VERDICT_COMPLETE
+    events = events or EventSpec()
+    bound = recollapse_time_bound(config, RECOLLAPSE_V0)
+    if bound is not None and events.velocity_floor < RECOLLAPSE_V0:
+        raised = integrate(
+            config, settings, replace(events, velocity_floor=RECOLLAPSE_V0)
+        )
+        term = raised.termination
+        if term.trigger != TRIGGER_VELOCITY_FLOOR:
+            return _classification(config, raised, settings.t_max).verdict
+        if term.t_event + bound < settings.t_max:
+            return VERDICT_RECOLLAPSE
     traj = integrate(config, settings, events)
     return _classification(config, traj, settings.t_max).verdict
 
@@ -265,8 +312,11 @@ def bisect_critical(
     there is no threshold to find.
 
     A probe in the completeness region R after its first max_step is
-    complete without the rest of the horizon (:func:`_probe_verdict`); the
-    result is that of full-horizon probes.
+    complete without the rest of the horizon, and a probe whose x' + y'
+    falls to RECOLLAPSE_V0 early enough that :func:`recollapse_time_bound`
+    puts its blow-up inside the horizon recollapses without the last
+    approach to the velocity floor (:func:`_probe_verdict`); the result is
+    that of full-horizon probes.
 
     Both ends must be finite.  Bisection stops once the bracket is no wider
     than tol, or once its midpoint rounds to one of its ends: the ends are

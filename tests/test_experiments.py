@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cmcflow import cli, experiments
 from cmcflow.background import CurvatureSign
@@ -30,7 +31,7 @@ from cmcflow.experiments import (
     sweep,
     thresholds,
 )
-from cmcflow.integrate import IntegratorSettings, integrate_oracle
+from cmcflow.integrate import IntegratorSettings, integrate, integrate_oracle
 from cmcflow.products import FlowConfig
 
 NEG = CurvatureSign.NEGATIVE
@@ -191,6 +192,15 @@ class TestBisect:
         "n8-upper": ((8, 1.1, 1.25, 1e-6),
                      ("0x1.2aaaa66666666p+0", "0x1.2aaab00000000p+0", 18,
                       VERDICT_COMPLETE, VERDICT_RECOLLAPSE)),
+        "n4-upper-fine": ((4, 1.45, 1.6, 1e-6),
+                          ("0x1.7ffffccccccccp+0", "0x1.8000066666666p+0", 18,
+                           VERDICT_COMPLETE, VERDICT_RECOLLAPSE)),
+        "n6-upper": ((6, 1.2, 1.3, 1e-6),
+                     ("0x1.4000000000000p+0", "0x1.40000cccccccdp+0", 17,
+                      VERDICT_COMPLETE, VERDICT_RECOLLAPSE)),
+        "n8-lower": ((8, 0.85, 0.9, 1e-6),
+                     ("0x1.bfffe66666666p-1", "0x1.c000000000000p-1", 16,
+                      VERDICT_RECOLLAPSE, VERDICT_COMPLETE)),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -208,6 +218,59 @@ class TestBisect:
                 mid = 0.5 * (res.bracket[0] + res.bracket[1])
                 dists.append(abs(mid - target))
             assert all(b <= a for a, b in zip(dists, dists[1:]))
+
+
+def _mirror(s):
+    """The involution s -> s/(2s - 1) of s > 1/2; it swaps kx and ky."""
+    return s / (2.0 * s - 1.0)
+
+
+# Largest deviations over 600 random mirror pairs at horizon 20 (n in
+# {4, 6, 8}, both signs, s in [0.55, 3]): 1.8e-14 in a state component of a
+# complete run and 7.0e-11 in a blow-up time, which the event locator finds
+# to within 1e-10.
+MIRROR_HORIZON = 20.0
+MIRROR_STATE_TOL = 1e-12
+MIRROR_BLOWUP_TOL = 1e-9
+
+
+class TestMirrorSymmetry:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from((4, 6, 8)), sign=st.sampled_from(CurvatureSign),
+           s=st.floats(min_value=0.55, max_value=3.0))
+    def test_mirror_coupling_swaps_the_factors(self, n, sign, s):
+        # Blow-up times grow without bound at a threshold; keep them well
+        # inside the horizon.
+        assume(all(abs(s - t) > 1e-6 for t in thresholds(n) if t is not None))
+        pair = [FlowConfig(m=n // 2, sign=sign, s=c) for c in (s, _mirror(s))]
+        a, b = (integrate(c, IntegratorSettings(t_max=MIRROR_HORIZON))
+                for c in pair)
+        row_a, row_b = sweep(n, sign, [c.s for c in pair], MIRROR_HORIZON)
+        cls_a, cls_b = row_a.classification, row_b.classification
+        assert cls_a.verdict == cls_b.verdict
+        if cls_a.verdict == VERDICT_RECOLLAPSE:
+            assert abs(cls_a.t_blowup - cls_b.t_blowup) <= MIRROR_BLOWUP_TOL
+            return
+        assert cls_a.t_blowup is cls_b.t_blowup is None
+        assert len(a.samples) == len(b.samples)
+        for p, q in zip(a.states(), b.states()):
+            assert p.t == q.t
+            assert max(abs(p.x - q.y), abs(p.y - q.x),
+                       abs(p.xp - q.yp), abs(p.yp - q.xp)) <= MIRROR_STATE_TOL
+        assert abs(row_a.limit.value + row_b.limit.value) <= 2 * MIRROR_STATE_TOL
+
+    @pytest.mark.parametrize("name", ["n4-lower", "n6-lower", "n8-lower"])
+    def test_mirrored_lower_bracket_brackets_the_upper_threshold(self, name):
+        (n, s_lo, s_hi, tol), _ = TestBisect.GOLDEN[name]
+        res = bisect_critical(n, POS, s_lo, s_hi, tol, 80.0)
+        lo, hi = res.bracket
+        # The involution reverses order: the complete end maps below the
+        # upper threshold and the recollapsing end above it.
+        up_lo, up_hi = _mirror(hi), _mirror(lo)
+        assert up_lo <= thresholds(n)[1] <= up_hi
+        verdicts = [classify(FlowConfig(m=n // 2, sign=POS, s=c), 80.0).verdict
+                    for c in (up_lo, up_hi)]
+        assert verdicts == [res.verdict_hi, res.verdict_lo]
 
 
 class TestLimit:
@@ -439,13 +502,18 @@ class TestCouplingGrid:
             coupling_grid(s_min, s_max, steps)
         assert str(exc.value) == message
 
+    # Each case is (grid flags, message); a later --points overrides 3.
     @pytest.mark.parametrize("bounds", [
-        ["--s-max", "inf"], ["--s-min", "2", "--s-max", "1"],
+        (["--s-max", "inf"], "--s-max must be finite, got inf"),
+        (["--s-min", "2", "--s-max", "1"],
+         "need --points >= 1, --s-min <= --s-max"),
+        (["--points", "0"], "need --points >= 1, --s-min <= --s-max"),
     ])
     def test_threshold_table_rejects_bad_grid(self, monkeypatch, capsys, bounds):
+        grid, message = bounds
         script = load_script("threshold_table")
         monkeypatch.setattr(sys, "argv", [
-            "threshold_table.py", "--n", "4", *bounds, "--points", "3",
+            "threshold_table.py", "--n", "4", "--points", "3", *grid,
             "--horizon", "10", "--no-limits",
         ])
         with pytest.raises(SystemExit) as exc:
@@ -454,6 +522,7 @@ class TestCouplingGrid:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage:")
+        assert err.endswith(f"error: {message}\n")
 
     def test_cli_and_threshold_table_evaluate_the_same_couplings(
         self, monkeypatch, capsys

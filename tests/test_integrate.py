@@ -11,15 +11,20 @@ from hypothesis import given, strategies as st
 from cmcflow import experiments
 from cmcflow.background import CurvatureSign
 from cmcflow.experiments import (
+    RECOLLAPSE_V0,
+    VERDICT_COMPLETE,
+    VERDICT_RECOLLAPSE,
     _probe_verdict,
     classify,
     in_completeness_region,
+    recollapse_time_bound,
     thresholds,
 )
 from cmcflow.integrate import (
     BLOW_UP_EVENT,
     REACHED_HORIZON,
     STEP_SIZE_COLLAPSE,
+    TRIGGER_VELOCITY_FLOOR,
     EventSpec,
     IntegratorSettings,
     TimeSymmetryError,
@@ -638,24 +643,113 @@ class TestCompletenessCertificate:
         config = FlowConfig(m=2, sign=NEG, s=1.0)
         assert not in_completeness_region(config, _state(x=1.0, y=1.0))
 
-    @pytest.mark.parametrize("s, horizon, t_maxes", [
-        (1.3, 40.0, [0.03]),          # in R after the head run
-        (2.0, 40.0, [0.03, 40.0]),    # recollapse: the full run decides
-        (1.5, 40.0, [0.03, 40.0]),    # boundary solution, never in R
-        (1.3, 0.02, [0.02]),          # horizon below max_step
+    # (t_max, velocity_floor) of each run; the caller's floor is -100.
+    @pytest.mark.parametrize("sign, s, horizon, runs", [
+        (POS, 1.3, 40.0, [(0.03, -100.0)]),             # in R after the head
+        (POS, 2.0, 40.0, [(0.03, -100.0), (40.0, -3.0)]),   # certified blow-up
+        (POS, 1.5, 40.0, [(0.03, -100.0), (40.0, -3.0)]),   # boundary, complete
+        (POS, 1.3, 0.02, [(0.02, -100.0)]),             # horizon below max_step
+        (NEG, 2.0, 8.0, [(0.03, -100.0), (8.0, -100.0)]),   # no certificate
     ])
     def test_probe_runs_the_horizon_only_outside_the_region(
-        self, monkeypatch, s, horizon, t_maxes
+        self, monkeypatch, sign, s, horizon, runs
     ):
-        config = FlowConfig(m=2, sign=POS, s=s)
-        seen = []
+        config = FlowConfig(m=2, sign=sign, s=s)
+        seen = _record_runs(monkeypatch, config, IntegratorSettings(t_max=horizon))
+        assert seen == (runs, classify(config, horizon).verdict)
 
-        def recording(config, settings, events):
-            seen.append(settings.t_max)
-            return integrate(config, settings, events)
 
-        monkeypatch.setattr(experiments, "integrate", recording)
-        verdict = _probe_verdict(config, IntegratorSettings(t_max=horizon), None)
-        monkeypatch.undo()
-        assert seen == t_maxes
-        assert verdict == classify(config, horizon).verdict
+def _record_runs(monkeypatch, config, settings, events=None):
+    """(t_max, velocity_floor) of each run of one probe, and its verdict."""
+    seen = []
+
+    def recording(config, settings, events):
+        seen.append((settings.t_max, (events or EventSpec()).velocity_floor))
+        return integrate(config, settings, events)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "integrate", recording)
+        verdict = _probe_verdict(config, settings, events)
+    return seen, verdict
+
+
+class TestRecollapseCertificate:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("v0", [-2.2, -2.5, -3.0, -4.0, -100.0])
+    def test_bound_is_the_riccati_blow_up_time(self, n, v0):
+        # w = 2 coth(n (t - T)) solves w' = -(n/2)(w^2 - 4) with w(0) = v0
+        # and reaches -infinity at T = artanh(2/|v0|)/n.
+        config = FlowConfig(m=n // 2, sign=POS, s=1.3)
+        bound = recollapse_time_bound(config, v0)
+        assert bound == pytest.approx(math.atanh(2.0 / -v0) / n, rel=1e-13)
+        assert 2.0 / math.tanh(-n * bound) == pytest.approx(v0, rel=1e-12)
+
+    def test_bound_at_the_probe_threshold(self):
+        assert RECOLLAPSE_V0 < -2.0
+        bounds = [recollapse_time_bound(FlowConfig(m=n // 2, sign=POS, s=1.3),
+                                        -3.0) for n in (4, 6)]
+        assert bounds == pytest.approx([0.2011797390542625, 0.1341198260361750],
+                                       rel=1e-15)
+
+    @pytest.mark.parametrize("v0", [-2.0, -1.0, 0.0])
+    def test_no_bound_unless_the_riccati_solution_blows_up(self, v0):
+        assert recollapse_time_bound(FlowConfig(m=2, sign=POS, s=1.3), v0) is None
+
+    @pytest.mark.parametrize("s", [0.6, 1.3, 2.0])
+    def test_no_bound_for_negative_curvature(self, s):
+        # The curvature term enters v' = 2n + |K| - (n/2) v^2 with the other
+        # sign, and v' <= -(n/2)(v^2 - 4) fails.
+        config = FlowConfig(m=2, sign=NEG, s=s)
+        assert recollapse_time_bound(config, RECOLLAPSE_V0) is None
+
+    def test_raised_floor_run_is_a_prefix_and_the_bound_holds(self):
+        settings = IntegratorSettings(t_max=_CERT_HORIZON)
+        raised_floor = EventSpec(velocity_floor=RECOLLAPSE_V0)
+        certified = 0
+        for n, s in _CERT_GRID:
+            config = FlowConfig(m=n // 2, sign=POS, s=s)
+            full = integrate(config, settings)
+            if full.termination.kind != BLOW_UP_EVENT:
+                continue
+            raised = integrate(config, settings, raised_floor)
+            term = raised.termination
+            assert term.trigger == TRIGGER_VELOCITY_FLOOR, (n, s)
+            # Events only end a run: the grid samples before the raised
+            # floor fires are those of the full run.
+            assert raised.samples[:-1] == full.samples[:len(raised.samples) - 1]
+            bound = recollapse_time_bound(config, RECOLLAPSE_V0)
+            t_blowup = full.termination.t_event
+            assert term.t_event < t_blowup <= term.t_event + bound, (n, s)
+            certified += 1
+        assert certified == 51
+
+    def test_probe_near_the_horizon_falls_back_to_the_full_run(self, monkeypatch):
+        config = FlowConfig(m=2, sign=POS, s=2.0)
+        bound = recollapse_time_bound(config, RECOLLAPSE_V0)
+        t_v0 = integrate(config, IntegratorSettings(t_max=40.0),
+                         EventSpec(velocity_floor=RECOLLAPSE_V0)
+                         ).termination.t_event
+        assert t_v0 < T_BLOWUP_S2 < t_v0 + bound
+        for horizon, verdict in [
+            (0.5 * (t_v0 + T_BLOWUP_S2), VERDICT_COMPLETE),
+            (0.5 * (T_BLOWUP_S2 + t_v0 + bound), VERDICT_RECOLLAPSE),
+        ]:
+            seen = _record_runs(monkeypatch, config,
+                                IntegratorSettings(t_max=horizon))
+            runs = [(0.03, -100.0), (horizon, -3.0), (horizon, -100.0)]
+            assert seen == (runs, verdict)
+            assert classify(config, horizon).verdict == verdict
+        horizon = t_v0 + bound + 1e-3
+        seen = _record_runs(monkeypatch, config, IntegratorSettings(t_max=horizon))
+        assert seen == ([(0.03, -100.0), (horizon, -3.0)], VERDICT_RECOLLAPSE)
+
+    @pytest.mark.parametrize("velocity_floor", [-3.0, -2.5, -2.0])
+    def test_caller_floor_at_or_above_v0_skips_the_certificate(
+        self, monkeypatch, velocity_floor
+    ):
+        config = FlowConfig(m=2, sign=POS, s=2.0)
+        events = EventSpec(velocity_floor=velocity_floor)
+        seen = _record_runs(monkeypatch, config,
+                            IntegratorSettings(t_max=40.0), events)
+        runs = [(0.03, velocity_floor), (40.0, velocity_floor)]
+        assert seen == (runs, VERDICT_RECOLLAPSE)
