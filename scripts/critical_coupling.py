@@ -10,6 +10,7 @@ times grow only logarithmically in the distance to the threshold.
 """
 
 import argparse
+import re
 import sys
 
 from cmcflow import CurvatureSign, bisect_critical, thresholds
@@ -33,13 +34,25 @@ def main() -> int:
         ("lower", lower, max(0.51, 0.75 * lower), 0.5 * (lower + 1.0)),
     ]
 
-    for name, analytic, lo, hi in targets:
+    # Every bisection runs before anything is printed, so a library error
+    # ends the script with a usage error and no partial table.
+    try:
+        solves = [
+            [bisect_critical(args.n, CurvatureSign.POSITIVE, lo, hi, args.tol,
+                             horizon)
+             for horizon in args.horizons]
+            for _, _, lo, hi in targets
+        ]
+    except ValueError as exc:
+        # bisect_critical names its arguments; report them in this script's terms
+        flags = {"tol": "--tol", "t_max": "--horizons",
+                 "s_hi": "the upper end of the start bracket"}
+        ap.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
+
+    for (name, analytic, lo, hi), results in zip(targets, solves):
         print(f"{name} threshold, analytic {analytic:.10f}, "
               f"start bracket [{lo:.4f}, {hi:.4f}]")
-        for horizon in args.horizons:
-            res = bisect_critical(
-                args.n, CurvatureSign.POSITIVE, lo, hi, args.tol, horizon
-            )
+        for horizon, res in zip(args.horizons, results):
             mid = 0.5 * (res.bracket[0] + res.bracket[1])
             print(f"  horizon {horizon:>6.1f}: bracket "
                   f"[{res.bracket[0]:.8f}, {res.bracket[1]:.8f}]  "

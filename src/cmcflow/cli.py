@@ -5,7 +5,8 @@ Output contracts:
 * ``simulate`` writes a trajectory CSV (header exactly
   ``t,x,y,xp,yp,tau,sigma_sq,scalar_curv,ham_residual,first_integral_residual,h_red``,
   LF line endings, '.' decimal separator, h_red empty when out of gauge
-  range) and a JSON manifest next to it at ``<out>.manifest.json``.
+  range, first_integral_residual empty past the overflow floor) and a JSON
+  manifest next to it at ``<out>.manifest.json``.
 * every other command prints a single JSON object
   ``{"result": ..., "diagnostics": ..., "manifest": ...}`` to stdout with
   floats serialized to 17 significant digits.
@@ -56,7 +57,12 @@ from .integrate import (
     IntegratorSettings,
     integrate,
 )
-from .products import FlowConfig
+from .products import (
+    BlowUpOverflow,
+    FlowConfig,
+    derivatives,
+    first_integral_residual,
+)
 
 CSV_HEADER = (
     "t,x,y,xp,yp,tau,sigma_sq,scalar_curv,ham_residual,"
@@ -298,14 +304,24 @@ def _csv_cell(value) -> str:
 # installed on this module sees every call.
 
 
+def _first_integral_cell(f, state):
+    """The first-integral residual of a sample; None past the overflow floor."""
+    try:
+        _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
+    except BlowUpOverflow:
+        return None
+    return first_integral_residual(state.xp, state.yp, xpp, ypp)
+
+
 def _cmd_simulate(args, run):
     traj = integrate(run.flow, run.settings, run.events)
+    f = derivatives(run.flow)
     lines = [CSV_HEADER]
     for state, obs in traj.samples:
         cells = (
             state.t, state.x, state.y, state.xp, state.yp,
             obs.tau, obs.sigma_sq, obs.scalar_curv, obs.ham_residual,
-            obs.first_integral_residual, obs.h_red,
+            _first_integral_cell(f, state), obs.h_red,
         )
         lines.append(",".join(map(_csv_cell, cells)))
     result = {
@@ -329,14 +345,6 @@ def _cmd_classify(args, run):
 
 
 def _cmd_bisect(args, run):
-    # No two doubles in a finite bracket lie further apart than this, so
-    # every accepted --tol is met: the library would stop short of a smaller
-    # one.  An infinite --hi is left to the library's rule on the ends.
-    spacing = math.ulp(args.hi)
-    if args.tol < spacing < math.inf:
-        raise UsageError(
-            f"--tol must be at least {spacing!r}, the spacing of doubles at --hi"
-        )
     res = bisect_critical(
         run.n, run.sign, args.lo, args.hi, args.tol, args.horizon,
         run.settings, run.events,

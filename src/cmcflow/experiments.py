@@ -318,10 +318,10 @@ def bisect_critical(
     approach to the velocity floor (:func:`_probe_verdict`); the result is
     that of full-horizon probes.
 
-    Both ends must be finite.  Bisection stops once the bracket is no wider
-    than tol, or once its midpoint rounds to one of its ends: the ends are
-    then adjacent doubles, and the bracket may be wider than a tol below
-    their spacing.
+    Both ends must be finite and tol at least math.ulp(s_hi), the spacing
+    of doubles at s_hi, which no two neighbouring doubles in the bracket
+    exceed.  So every midpoint lies strictly inside its bracket, and the
+    bisection stops only once the bracket is no wider than tol.
     """
     if sign is not CurvatureSign.POSITIVE:
         raise PreconditionError(
@@ -331,8 +331,11 @@ def bisect_critical(
     _require_finite(s_lo=s_lo, s_hi=s_hi)
     if not s_lo < s_hi:
         raise ValueError(f"need s_lo < s_hi, got [{s_lo}, {s_hi}]")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    spacing = math.ulp(s_hi)
+    if not tol >= spacing:
+        raise ValueError(
+            f"tol must be at least {spacing!r}, the spacing of doubles at s_hi"
+        )
 
     run_settings = _settings_for(horizon, settings)
 
@@ -351,8 +354,6 @@ def bisect_critical(
     lo, hi = s_lo, s_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
         if verdict_at(mid) == verdict_lo:
             lo = mid
         else:

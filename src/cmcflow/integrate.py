@@ -522,9 +522,10 @@ def integrate_oracle(
 ) -> Trajectory:
     """Fixed-step classical RK4 cross-check of :func:`integrate`.
 
-    Intended for verification only.  Samples are emitted on the default
-    ``IntegratorSettings.output_dt`` grid (0.1), the grid :func:`integrate`
-    uses at default settings: every max(1, round(0.1 / dt)) steps, with no
+    Intended for verification only.  The horizon rule and the sample grid
+    are those of ``IntegratorSettings(t_max=t_max)``: samples fall on the
+    default output_dt grid (0.1), the grid :func:`integrate` uses at
+    default settings, every max(1, round(0.1 / dt)) steps, with no
     interpolation, so sample times are the true step times.  The terminal
     sample is recorded when the run ends: the state at t_max, at the located
     event, or at the last completed step before an overflow.  Events are
@@ -532,13 +533,11 @@ def integrate_oracle(
     over partial steps restarted from the step start, so the reported time
     does not inherit the full-step error.
     ``n_accepted`` counts the steps completed, as for :func:`integrate`;
-    the partial step to an event is not counted.  ``t_max`` must be positive
-    and finite, as for :class:`IntegratorSettings`.
+    the partial step to an event is not counted.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
+    settings = IntegratorSettings(t_max=t_max)
     if events is None:
         events = EventSpec()
     f = derivatives(config)
@@ -586,7 +585,7 @@ def integrate_oracle(
 
     n_steps = 0
     max_fir = 0.0
-    k_emit = max(1, int(round(IntegratorSettings.output_dt / dt)))
+    k_emit = max(1, int(round(settings.output_dt / dt)))
 
     while t < t_max:
         h = dt if t + dt <= t_max else t_max - t

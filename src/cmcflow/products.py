@@ -26,9 +26,9 @@ These expressions follow from the warped-product second fundamental form;
 they are not taken on trust but certified by the Hamiltonian constraint
 R - |Sigma|^2 + tau^2 (n-1)/n = n(n-1), whose residual is reported with
 every sample and must vanish along constrained trajectories.  The pointwise
-identity  first_integral_residual == -(2/n) * ham_residual  ties the
-observable formulas to the evolution equations for arbitrary states, not
-just solutions.
+identity  first_integral_residual == -(2/n) * ham_residual, with the
+accelerations of :func:`derivatives`, ties the observable formulas to the
+evolution equations for arbitrary states, not just solutions.
 
 All functions here are pure and operate on immutable inputs; they are safe
 to call concurrently.
@@ -117,13 +117,14 @@ class Observables:
     occupies: (tau^2/n - n)^(n/2) * vol for tau^2 > n^2, and
     (n - tau^2/n)^(n/2) * vol for tau^2 < n^2.  Exactly on the gauge
     boundary tau^2 = n^2 neither branch applies and the value is None.
+    No field needs the accelerations; they, and so the first-integral
+    residual, come from :func:`derivatives` alone.
     """
 
     tau: float
     sigma_sq: float
     scalar_curv: float
     ham_residual: float
-    first_integral_residual: float
     h_red: float | None
 
 
@@ -186,12 +187,9 @@ def _exp_or_inf(arg: float) -> float:
 def observables(config: FlowConfig, state: FlowState) -> Observables:
     """Evaluate the gauge/constraint observables at one state.
 
-    The constraint residual certifies tau, |Sigma|^2 and R jointly; the
-    first-integral residual is recomputed from the accelerations at this
-    state (for interpolated samples it therefore also reflects
-    interpolation error, not just step error).  Never raises: exponentials
-    and powers too large for a double saturate to inf, and the residuals
-    and ``h_red`` come back non-finite instead.
+    The constraint residual certifies tau, |Sigma|^2 and R jointly.  Never
+    raises: exponentials and powers too large for a double saturate to inf,
+    and the residual and ``h_red`` come back non-finite instead.
     """
     m = config.m
     n = float(config.n)
@@ -208,13 +206,6 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
     ham_residual = (
         scalar_curv - sigma_sq + tau * tau * ((n - 1.0) / n) - n * (n - 1.0)
     )
-
-    # same arithmetic as the integrator's right-hand side, minus its guard
-    half_n = 0.5 * n
-    cross = xp * yp
-    xpp = n - curv * (config.kx * ex) - half_n * (xp * xp + cross)
-    ypp = n - curv * (config.ky * ey) - half_n * (yp * yp + cross)
-    fir = first_integral_residual(xp, yp, xpp, ypp)
 
     # tau^2/n - n, factored to keep relative accuracy near the gauge
     # boundary |tau| -> n where the direct difference cancels.
@@ -239,7 +230,6 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
         sigma_sq=sigma_sq,
         scalar_curv=scalar_curv,
         ham_residual=ham_residual,
-        first_integral_residual=fir,
         h_red=h_red,
     )
 

@@ -9,9 +9,11 @@ import sys
 import pytest
 
 import cmcflow
+from cmcflow import cli
 from cmcflow.background import CurvatureSign
 from cmcflow.cli import CSV_HEADER, _csv_cell, _dumps17, main
-from cmcflow.products import FlowConfig, FlowState, observables
+from cmcflow.integrate import IntegratorSettings, integrate
+from cmcflow.products import OVERFLOW_FLOOR, FlowConfig, FlowState, observables
 
 SIM_ARGS = [
     "simulate", "--n", "4", "--s", "1", "--curvature", "negative",
@@ -113,6 +115,27 @@ class TestSimulate:
             "--min-step", "0.2", "--max-step", "0.5",
         ])
         assert rc == 3
+
+    def test_sample_past_the_overflow_floor_has_empty_first_integral(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # The right-hand side raises past OVERFLOW_FLOOR, so the residual of
+        # such a sample has no value; its cell is empty, like an out-of-range
+        # h_red, and the run still succeeds.
+        config = FlowConfig(m=2, sign=CurvatureSign.NEGATIVE, s=1.0)
+        traj = integrate(config, IntegratorSettings(t_max=0.3))
+        past = FlowState(t=0.35, x=0.0, y=OVERFLOW_FLOOR - 1.0, xp=0.1, yp=0.1)
+        traj.samples.append((past, observables(config, past)))
+        monkeypatch.setattr(cli, "integrate", lambda *args: traj)
+        out = tmp_path / "past.csv"
+        rc, _, _ = run(capsys, SIM_ARGS + ["--out", str(out)])
+        assert rc == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        column = CSV_HEADER.split(",").index("first_integral_residual")
+        assert len(rows) == len(traj.samples)
+        assert all(row[column] != "" for row in rows[:-1])
+        assert rows[-1][column] == ""
+        assert rows[-1][column + 1] != ""  # h_red still has its value
 
     def test_stdout_when_no_out_path(self, capsys):
         rc, out, _ = run(capsys, SIM_ARGS)
@@ -334,8 +357,9 @@ class TestNonFiniteHorizon:
 
 
 class TestBisectEnds:
-    # In a child process under a timeout: a bisection with an infinite end,
-    # or a tol below the spacing of doubles, stops moving its midpoint.
+    # In a child process under a timeout: a bisection with an infinite end
+    # would never close its bracket.  The tol rule is bisect_critical's,
+    # reported under the command's flag names.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -346,6 +370,10 @@ class TestBisectEnds:
               "--hi", "1.6", "--tol", "1e-20", "--horizon", "30"],
              "--tol must be at least 2.220446049250313e-16, the spacing of "
              "doubles at --hi"),
+            (["bisect", "--n", "4", "--curvature", "positive", "--lo", "1.4",
+              "--hi", "1.6", "--tol", "0", "--horizon", "30"],
+             "--tol must be at least 2.220446049250313e-16, the spacing of "
+             "doubles at --hi"),
         ],
     )
     def test_exits_two_promptly(self, argv, message):
@@ -353,6 +381,16 @@ class TestBisectEnds:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {message}\n"
         assert proc.stdout == ""
+
+    def test_curvature_is_checked_before_tol(self, capsys):
+        # bisect_critical checks the curvature first, then the ends, the
+        # bracket order and the tol.
+        rc, out, err = run(capsys, [
+            "bisect", "--n", "4", "--curvature", "negative", "--lo", "1.4",
+            "--hi", "1.6", "--tol", "1e-20", "--horizon", "30"])
+        assert (rc, out) == (4, "")
+        assert err == ("error: the negative-curvature family has no "
+                       "completeness threshold\n")
 
     def test_tol_at_the_spacing_is_met(self, capsys):
         rc, out, _ = run(capsys, [

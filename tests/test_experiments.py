@@ -2,10 +2,9 @@
 
 import importlib.util
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +18,7 @@ from cmcflow.experiments import (
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
     ORACLE_DT,
+    RECOLLAPSE_V0,
     BracketError,
     GaugeRangeError,
     PreconditionError,
@@ -150,24 +150,83 @@ class TestBisect:
         with pytest.raises(ValueError, match=f"{end} must be finite"):
             bisect_critical(4, POS, lo, hi, 1e-3, 30.0)
 
-    def test_tol_below_double_spacing_ends_at_adjacent_doubles(self):
-        # In a child process under a timeout: once the midpoint rounds to a
-        # bracket end, a loop on the width alone never ends.
-        code = (
-            "from cmcflow.experiments import bisect_critical\n"
-            "from cmcflow.background import CurvatureSign\n"
-            "res = bisect_critical(4, CurvatureSign.POSITIVE, 1.4, 1.6, 1e-20, 30.0)\n"
-            "print(*(end.hex() for end in res.bracket))\n"
+    @pytest.mark.parametrize("tol", [1e-20, 0.0, -1.0, math.nan])
+    def test_tol_below_double_spacing_rejected_before_any_run(
+        self, monkeypatch, tol
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "integrate",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as exc:
+            bisect_critical(4, POS, 1.4, 1.6, tol, 30.0)
+        assert str(exc.value) == (
+            "tol must be at least 2.220446049250313e-16, the spacing of "
+            "doubles at s_hi"
         )
-        src = str(Path(experiments.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=30,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lo, hi = map(float.fromhex, proc.stdout.split())
-        assert hi == math.nextafter(lo, math.inf)
-        assert lo - 1e-2 <= 1.5 <= hi + 1e-2
+        assert calls == []
+
+    @settings(max_examples=300)
+    @given(s_hi=st.floats(min_value=0.5, max_value=8e307, exclude_min=True),
+           data=st.data())
+    def test_midpoint_lies_strictly_inside_the_bracket(self, s_hi, data):
+        # The loop's one exit rests on this: for 0.5 < lo < hi <= s_hi with
+        # hi - lo > ulp(s_hi), the rounded midpoint is neither end, since
+        # its rounding error is at most ulp(hi)/2 < (hi - lo)/2.
+        spacing = math.ulp(s_hi)
+        hi = data.draw(st.floats(min_value=0.5, max_value=s_hi,
+                                 exclude_min=True))
+        assume(hi - spacing > 0.5)
+        lo = data.draw(st.floats(min_value=0.5, max_value=hi - spacing,
+                                 exclude_min=True))
+        assume(hi - lo > spacing)
+        assert lo < 0.5 * (lo + hi) < hi
+
+    @settings(max_examples=100)
+    @given(s_lo=st.floats(min_value=0.5, max_value=4.0, exclude_min=True),
+           width=st.floats(min_value=1e-15, max_value=1e300),
+           fraction=st.floats(min_value=0.0, max_value=1.0),
+           slack=st.sampled_from([1.0, 1.5, 1e3]))
+    def test_every_bracket_meets_tol(self, s_lo, width, fraction, slack):
+        # Probes stubbed by a step at s_star: the loop probes only strictly
+        # inside its bracket and stops only once the bracket meets tol.
+        s_hi = s_lo + width
+        assume(s_lo < s_hi < math.inf)
+        s_star = s_lo + fraction * (s_hi - s_lo)
+        tol = slack * math.ulp(s_hi)
+        bracket = [s_lo, s_hi]
+        probes = []
+
+        def verdict(config, settings, events):
+            s = config.s
+            probes.append(s)
+            if len(probes) <= 2:  # the ends, s_lo then s_hi
+                complete = s == s_lo
+            else:
+                assert bracket[0] < s < bracket[1]
+                complete = s < s_star
+                bracket[0 if complete else 1] = s
+            return VERDICT_COMPLETE if complete else VERDICT_RECOLLAPSE
+
+        with mock.patch.object(experiments, "_probe_verdict", verdict):
+            res = bisect_critical(4, POS, s_lo, s_hi, tol, 30.0)
+        lo, hi = res.bracket
+        assert [lo, hi] == bracket
+        assert res.iterations == len(probes) - 2
+        assert s_lo <= lo < hi <= s_hi
+        assert hi - lo <= tol
+
+    def test_ends_past_the_sum_overflow_classify_alike(self):
+        # lo + hi overflows only if both ends lie above about 1e292.  There
+        # kx = (n-1)/s is too small to change n - kx e^(-2x) for any x above
+        # the overflow floor, so every probe runs bitwise alike and such a
+        # bracket is rejected before its first midpoint.
+        runs = [integrate(FlowConfig(m=2, sign=POS, s=s),
+                          IntegratorSettings(t_max=10.0))
+                for s in (1e292, 1.7e308)]
+        assert runs[0].states() == runs[1].states()
+        assert runs[0].termination == runs[1].termination
+        with pytest.raises(BracketError):
+            bisect_critical(4, POS, 1e292, 1.7e308, math.ulp(1.7e308), 10.0)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_n_rejected(self, n):
@@ -209,6 +268,43 @@ class TestBisect:
         res = bisect_critical(n, POS, lo, hi, tol, 80.0)
         assert (res.bracket[0].hex(), res.bracket[1].hex(), res.iterations,
                 res.verdict_lo, res.verdict_hi) == expected
+
+    # At a short horizon the bracket closes on the coupling whose blow-up
+    # time is the horizon, so late probes reach the raised velocity floor
+    # too late for the recollapse certificate and fall back to the full run.
+    @pytest.mark.parametrize("n, s_lo, s_hi, horizon", [
+        (4, 1.4, 3.0, 2.0), (4, 1.4, 3.0, 1.5), (6, 0.55, 0.9, 3.0),
+    ])
+    def test_fall_back_runs_give_the_classify_bisection(
+        self, monkeypatch, n, s_lo, s_hi, horizon
+    ):
+        full_runs = []
+
+        def counted(config, settings, events=None):
+            if settings.t_max == horizon and (
+                    events is None or events.velocity_floor != RECOLLAPSE_V0):
+                full_runs.append(config.s)
+            return integrate(config, settings, events)
+
+        monkeypatch.setattr(experiments, "integrate", counted)
+        res = bisect_critical(n, POS, s_lo, s_hi, 1e-6, horizon)
+        monkeypatch.undo()
+        assert full_runs
+
+        def verdict(s):
+            return classify(FlowConfig(m=n // 2, sign=POS, s=s), horizon).verdict
+
+        lo, hi = s_lo, s_hi
+        iterations = 0
+        verdict_lo = verdict(lo)
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if verdict(mid) == verdict_lo:
+                lo = mid
+            else:
+                hi = mid
+            iterations += 1
+        assert (res.bracket, res.iterations) == ((lo, hi), iterations)
 
     def test_midpoints_approach_threshold_with_horizon(self):
         for lo, hi, target in [(1.4, 1.6, 1.5), (0.6, 0.9, 0.75)]:
@@ -313,6 +409,14 @@ class TestLimit:
         # velocity floor; that is reported, not raised as OverflowError
         with pytest.raises(RegimeError, match="oracle integration"):
             limit_Cs(config(m=3, sign=NEG, s=5.0), 8.0, oracle_dt=0.5)
+
+    def test_run_that_misses_the_horizon_is_regime_error(self):
+        # A min_step just below the default max_step collapses the step of a
+        # convergent run; no limit is read off a run that stopped short.
+        with pytest.raises(RegimeError, match=(
+                "trajectory did not reach the horizon: .*StepSizeCollapse")):
+            limit_Cs(config(sign=NEG, s=1.3), 10.0,
+                     settings=IntegratorSettings(min_step=0.029))
 
     @pytest.mark.parametrize("n, sign, s", [
         (4, POS, 0.9), (4, POS, 1.3), (4, NEG, 0.9), (4, NEG, 3.0),
@@ -481,6 +585,21 @@ class TestCriticalCouplingScript:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--n 2 has no critical coupling" in err
+
+    def test_library_error_is_a_usage_error(self, monkeypatch, capsys):
+        script = load_script("critical_coupling")
+        monkeypatch.setattr(sys, "argv", [
+            "critical_coupling.py", "--n", "4", "--tol", "1e-20",
+            "--horizons", "20"])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage:")
+        assert err.endswith(
+            "error: --tol must be at least 2.220446049250313e-16, the spacing "
+            "of doubles at the upper end of the start bracket\n")
 
 
 class TestCouplingGrid:

@@ -33,7 +33,13 @@ from cmcflow.integrate import (
     integrate,
     integrate_oracle,
 )
-from cmcflow.products import FlowConfig, FlowState, initial_state
+from cmcflow.products import (
+    FlowConfig,
+    FlowState,
+    derivatives,
+    first_integral_residual,
+    initial_state,
+)
 
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
@@ -496,10 +502,19 @@ GOLDEN = {
 
 
 def _samples_digest(traj):
-    """sha256 of the bit patterns of every sample's state and observables."""
+    """sha256 of the bit patterns of every sample's state and observables.
+
+    The first-integral residual of each sample, from the right-hand side,
+    sits between the constraint residual and h_red: the SAMPLE_SHA256
+    constants were recorded with it there.
+    """
     digest = hashlib.sha256()
+    f = derivatives(traj.config)
     for state, obs in traj.samples:
-        values = astuple(state) + astuple(obs)
+        _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
+        fir = first_integral_residual(state.xp, state.yp, xpp, ypp)
+        *head, h_red = astuple(obs)
+        values = astuple(state) + (*head, fir, h_red)
         line = " ".join("None" if v is None else v.hex() for v in values)
         digest.update(line.encode() + b"\n")
     return digest.hexdigest()
