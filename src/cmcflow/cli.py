@@ -23,6 +23,7 @@ values, so a run can be reproduced without reading source.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -131,16 +132,27 @@ _FAMILY_OPTS = {
 }
 
 
+# The values a flag and its --config key may take, in the order usage and
+# help list them.
+_CHOICES = {
+    "curvature": [CurvatureSign.POSITIVE.value, CurvatureSign.NEGATIVE.value],
+}
+
+
 def _config_value(name: str, typ, raw):
-    # int() would truncate 4.7 to 4 and read true as 1.
-    if typ is int and (
-        isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())
+    # int() and float() would read true as 1, and int() would truncate 4.7
+    # to 4.
+    if isinstance(raw, bool) or (
+        typ is int and isinstance(raw, float) and not raw.is_integer()
     ):
         raise UsageError(f"bad value for {name!r} in --config")
     try:
-        return typ(raw)
+        value = typ(raw)
     except (TypeError, ValueError):
         raise UsageError(f"bad value for {name!r} in --config") from None
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise UsageError(f"bad value for {name!r} in --config: {raw!r}")
+    return value
 
 
 def _merge_config(args: argparse.Namespace, options: dict) -> dict:
@@ -447,18 +459,20 @@ _COMMANDS = {
 
 
 def _add_flag(parser: argparse.ArgumentParser, name: str, typ) -> None:
-    if name == "curvature":
-        parser.add_argument(_flag(name), choices=["positive", "negative"])
-    elif typ is bool:
+    if typ is bool:
         parser.add_argument(
             "--no-" + name.replace("_", "-"), dest=name, action="store_false",
             help=_HELP[name],
         )
     else:
-        parser.add_argument(_flag(name), type=typ, help=_HELP.get(name))
+        parser.add_argument(
+            _flag(name), type=typ, choices=_CHOICES.get(name),
+            help=_HELP.get(name),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser tree; :func:`main` builds one per process and reuses it."""
     parser = argparse.ArgumentParser(
         prog="cmcflow",
         description=(
@@ -479,10 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser, built at its first call.  Reusing it is safe: argparse
+# keeps no state between parses, no default is mutable, and usage, errors and
+# help go to sys.stdout and sys.stderr as they are when printed.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

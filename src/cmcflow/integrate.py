@@ -522,11 +522,13 @@ def integrate_oracle(
 ) -> Trajectory:
     """Fixed-step classical RK4 cross-check of :func:`integrate`.
 
-    Intended for verification only.  The horizon rule and the sample grid
-    are those of ``IntegratorSettings(t_max=t_max)``: samples fall on the
-    default output_dt grid (0.1), the grid :func:`integrate` uses at
-    default settings, every max(1, round(0.1 / dt)) steps, with no
-    interpolation, so sample times are the true step times.  The terminal
+    Intended for verification only.  The horizon rule and output_dt (0.1)
+    are those of ``IntegratorSettings(t_max=t_max)``.  A sample is recorded
+    every k = max(1, round(0.1 / dt)) steps, with no interpolation, so
+    sample times are the true step times, k*dt apart.  They lie on the 0.1
+    grid that :func:`integrate` uses at default settings only when dt
+    divides 0.1: at dt = 8e-3 and 1.6e-2 they fall every 0.096, and at
+    dt = 3e-2 every 0.09.  The terminal
     sample is recorded when the run ends: the state at t_max, at the located
     event, or at the last completed step before an overflow.  Events are
     detected by a sign change across a step and then located by bisection

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -499,3 +500,56 @@ class TestConfigFile:
             "--config", str(tmp_path / "nope.json"),
         ])
         assert rc == 2
+
+
+class TestParserReuse:
+    # Two commands, an argparse error, help and a CSV on stdout, in one
+    # process.
+    SEQUENCE = [
+        ["classify", "--n", "4", "--s", "1.3", "--curvature", "positive",
+         "--horizon", "5"],
+        ["background", "--n", "3", "--curvature", "negative", "--t", "1"],
+        ["classify", "--n", "4", "--s", "1", "--curvature", "sideways",
+         "--horizon", "5"],
+        ["--help"],
+        ["simulate", "--n", "4", "--s", "1", "--curvature", "negative",
+         "--t-max", "2"],
+        ["classify", "--n", "4", "--s", "1.3", "--curvature", "positive",
+         "--horizon", "5"],
+    ]
+
+    def transcript(self, capsys):
+        runs = []
+        for argv in self.SEQUENCE:
+            rc, out, err = run(capsys, list(argv))
+            runs.append((rc, re.sub(r'"wall_time_ms": \d+', "", out), err))
+        return runs
+
+    def test_reused_parser_prints_what_a_fresh_one_prints(
+        self, capsys, monkeypatch
+    ):
+        cli._parser.cache_clear()
+        reused = self.transcript(capsys)
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
+
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.transcript(capsys)
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+        assert "invalid choice: 'sideways'" in reused[2][2]
+        assert reused[3][1].startswith("usage: cmcflow")
+
+    def test_build_parser_returns_a_new_tree(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(cmcflow.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from cmcflow import cli; print(cli._parser.cache_info().currsize)"],
+            env=dict(os.environ, PYTHONPATH=src), stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, timeout=15,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "0\n"

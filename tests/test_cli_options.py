@@ -120,13 +120,27 @@ class TestRemovedVolumeFlags:
 
 
 class TestConfigValues:
-    @pytest.mark.parametrize("argv", [BISECT, SWEEP])
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--horizon", "10", "--s", "1"], BISECT, SWEEP,
+    ])
     def test_bad_curvature_is_usage_error(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path, {"n": 4, "curvature": "sideways"})
         rc, _, err = run(capsys, argv + ["--config", cfg])
         assert rc == 2
         assert err.startswith("error:")
         assert "sideways" in err
+        assert err == "error: bad value for 'curvature' in --config: 'sideways'\n"
+
+    # A float option of each group: flow, settings, events.
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", ["s", "rel_tol", "max_step", "y_floor"])
+    def test_float_option_rejects_bool(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"n": 4, "s": 1.0, "curvature": "positive",
+                                      key: value})
+        rc, out, err = run(capsys, ["classify", "--horizon", "5", "--config", cfg])
+        assert rc == 2
+        assert err == f"error: bad value for {key!r} in --config\n"
+        assert out == ""
 
     @pytest.mark.parametrize("value", [4.7, True])
     @pytest.mark.parametrize("argv", [

@@ -140,6 +140,20 @@ class TestSampling:
         ts = [st.t for st in traj.states()]
         assert ts == [0.0, 0.5, 1.0, 1.03]
 
+    # The oracle samples every round(0.1 / dt) steps, which lands on the 0.1
+    # grid only when dt divides 0.1.
+    @pytest.mark.parametrize(
+        "dt, k, spacing",
+        [(4e-3, 25, 0.1), (8e-3, 12, 0.096), (1.6e-2, 6, 0.096), (3e-2, 3, 0.09)],
+    )
+    def test_oracle_samples_every_k_steps(self, dt, k, spacing):
+        traj = integrate_oracle(FlowConfig(m=2, sign=POS, s=1.2), dt, 1.0)
+        ts = [st.t for st in traj.states()]
+        assert ts[-1] == 1.0
+        assert ts[:-1] == [(j * k) * dt for j in range(len(ts) - 1)]
+        assert len(ts) - 1 == math.ceil(math.ceil(1.0 / dt) / k)
+        assert k * dt == pytest.approx(spacing, rel=1e-12)
+
 
 class TestEvents:
     def test_velocity_floor_blowup(self):
