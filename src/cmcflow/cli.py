@@ -140,19 +140,19 @@ _CHOICES = {
 
 
 def _config_value(name: str, typ, raw):
-    # int() and float() would read true as 1, and int() would truncate 4.7
-    # to 4.
-    if isinstance(raw, bool) or (
-        typ is int and isinstance(raw, float) and not raw.is_integer()
-    ):
-        raise UsageError(f"bad value for {name!r} in --config")
+    # The JSON type itself is checked: int() and float() would read true as
+    # 1 and the string "4" as 4, and int() would truncate 4.7 to 4.
+    if name in _CHOICES:
+        if raw not in _CHOICES[name]:
+            raise UsageError(f"bad value for {name!r} in --config: {raw!r}")
+        return raw
     try:
-        value = typ(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"bad value for {name!r} in --config") from None
-    if name in _CHOICES and value not in _CHOICES[name]:
-        raise UsageError(f"bad value for {name!r} in --config: {raw!r}")
-    return value
+        if type(raw) is int or (
+                type(raw) is float and (typ is float or raw.is_integer())):
+            return typ(raw)
+    except OverflowError:  # float() of an integer beyond the float range
+        pass
+    raise UsageError(f"bad value for {name!r} in --config")
 
 
 def _merge_config(args: argparse.Namespace, options: dict) -> dict:
@@ -329,7 +329,7 @@ def _cmd_simulate(args, run):
     traj = integrate(run.flow, run.settings, run.events)
     f = derivatives(run.flow)
     lines = [CSV_HEADER]
-    for state, obs in traj.samples:
+    for state, obs in zip(traj.samples, traj.observables):
         cells = (
             state.t, state.x, state.y, state.xp, state.yp,
             obs.tau, obs.sigma_sq, obs.scalar_curv, obs.ham_residual,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 from .background import CurvatureSign
 from .integrate import (
-    BLOW_UP_EVENT,
     REACHED_HORIZON,
+    STEP_SIZE_COLLAPSE,
     TRIGGER_VELOCITY_FLOOR,
     EventSpec,
     IntegratorSettings,
@@ -193,26 +193,23 @@ def classify(
     return _classification(config, traj, horizon)
 
 
+def _verdict(term: Termination) -> str:
+    return VERDICT_COMPLETE if term.kind == REACHED_HORIZON else VERDICT_RECOLLAPSE
+
+
 def _classification(
     config: FlowConfig, traj: Trajectory, horizon: float
 ) -> Classification:
     term = traj.termination
-    low_confidence = _near_threshold(config)
-    if term.kind == REACHED_HORIZON:
-        verdict, t_blowup = VERDICT_COMPLETE, None
-    elif term.kind == BLOW_UP_EVENT:
-        verdict, t_blowup = VERDICT_RECOLLAPSE, term.t_event
-    else:
-        verdict, t_blowup = VERDICT_RECOLLAPSE, term.t_last
-        low_confidence = True
+    collapsed = term.kind == STEP_SIZE_COLLAPSE
     return Classification(
-        verdict=verdict,
-        t_blowup=t_blowup,
+        verdict=_verdict(term),
+        t_blowup=term.t_last if collapsed else term.t_event,
         horizon=horizon,
         max_constraint_residual=traj.max_ham_residual,
         max_first_integral_residual=traj.max_first_integral_residual,
         termination=term,
-        low_confidence=low_confidence,
+        low_confidence=collapsed or _near_threshold(config),
     )
 
 
@@ -287,11 +284,10 @@ def _probe_verdict(
         )
         term = raised.termination
         if term.trigger != TRIGGER_VELOCITY_FLOOR:
-            return _classification(config, raised, settings.t_max).verdict
+            return _verdict(term)
         if term.t_event + bound < settings.t_max:
             return VERDICT_RECOLLAPSE
-    traj = integrate(config, settings, events)
-    return _classification(config, traj, settings.t_max).verdict
+    return _verdict(integrate(config, settings, events).termination)
 
 
 def bisect_critical(
@@ -381,7 +377,7 @@ def _decay_rate(traj: Trajectory) -> float | None:
     # still above rounding noise.
     usable = [
         (state.t, math.log(abs(state.xp - state.yp)))
-        for state, _ in traj.samples
+        for state in traj.samples
         if state.t > 0.0 and abs(state.xp - state.yp) > DECAY_FIT_FLOOR
     ]
     if len(usable) < 4:
@@ -434,7 +430,7 @@ def _limit(
             f"trajectory did not reach the horizon: {traj.termination}"
         )
 
-    diffs = [state.x - state.y for state, _ in traj.samples]
+    diffs = [state.x - state.y for state in traj.samples]
     value = diffs[-1]
     tail = diffs[-max(2, len(diffs) // 5) :]
     tail_variation = max(tail) - min(tail)
@@ -477,7 +473,7 @@ def hamiltonian_audit(
 
     series: list[tuple[float, float]] = []
     branch = None
-    for state, obs in traj.samples:
+    for state, obs in zip(traj.samples, traj.observables):
         tau = obs.tau
         gap = (tau / n - 1.0) * (tau / n + 1.0)
         sample_branch = "H-" if gap > 0.0 else ("H+" if gap < 0.0 else None)

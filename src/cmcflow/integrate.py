@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .products import (
     BlowUpOverflow,
@@ -174,26 +175,32 @@ class Termination:
 class Trajectory:
     """Sampled integration output plus conservation monitors.
 
-    Samples are strictly monotone in t (increasing for forward runs,
-    decreasing for backward runs) and immutable once returned.
+    Samples are the recorded states, strictly monotone in t (increasing for
+    forward runs, decreasing for backward runs) and immutable once returned.
     ``max_first_integral_residual`` is taken over every accepted step
-    endpoint, not just output samples; ``max_ham_residual`` over the
-    emitted samples.
+    endpoint, not just output samples.  ``observables``, the geometry of
+    each sample, is built at its first read, once per trajectory;
+    ``max_ham_residual`` is taken over it and skips NaNs, as a NaN never
+    compares greater and the first sample, the initial data, is finite.
     """
 
     config: FlowConfig
-    samples: list[tuple[FlowState, Observables]]
+    samples: tuple[FlowState, ...]
     termination: Termination
     max_first_integral_residual: float
-    max_ham_residual: float
     n_accepted: int
     n_rejected: int
 
-    def states(self) -> list[FlowState]:
-        return [state for state, _ in self.samples]
+    @cached_property
+    def observables(self) -> list[Observables]:
+        return [observables(self.config, state) for state in self.samples]
+
+    @property
+    def max_ham_residual(self) -> float:
+        return max(abs(obs.ham_residual) for obs in self.observables)
 
     def final_state(self) -> FlowState:
-        return self.samples[-1][0]
+        return self.samples[-1]
 
 
 def _event_functions(events: EventSpec, direction: float):
@@ -214,36 +221,33 @@ def _event_functions(events: EventSpec, direction: float):
 
 
 class _Recorder:
-    """Output samples of one run.
+    """Output samples of one run, recorded as states.
 
     ``emit`` keeps a sample only if it lies strictly beyond the previous one
     in the stepping direction, so samples stay strictly monotone in t.
     Every run ends in ``finish``, which emits the terminal state (the
     horizon, the located event, or the last accepted state before an
-    overflow or a step-size collapse) and builds the :class:`Trajectory`,
-    whose largest constraint residual skips NaNs: the first sample is finite.
+    overflow or a step-size collapse) and builds the :class:`Trajectory`.
     """
 
     def __init__(self, config: FlowConfig, direction: float):
         self.config = config
         self.direction = direction
-        self.samples: list[tuple[FlowState, Observables]] = []
+        self.samples: list[FlowState] = []
 
     def emit(self, ts, us):
         samples = self.samples
-        if samples and not self.direction * (ts - samples[-1][0].t) > 0.0:
+        if samples and not self.direction * (ts - samples[-1].t) > 0.0:
             return
-        state = FlowState(ts, us[0], us[1], us[2], us[3])
-        samples.append((state, observables(self.config, state)))
+        samples.append(FlowState(ts, us[0], us[1], us[2], us[3]))
 
     def finish(self, t, u, termination, max_fir, n_accepted, n_rejected):
         self.emit(t, u)
         return Trajectory(
             config=self.config,
-            samples=self.samples,
+            samples=tuple(self.samples),
             termination=termination,
             max_first_integral_residual=max_fir,
-            max_ham_residual=max(abs(obs.ham_residual) for _, obs in self.samples),
             n_accepted=n_accepted,
             n_rejected=n_rejected,
         )

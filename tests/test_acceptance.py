@@ -81,7 +81,7 @@ def negative_classifications():
 def test_criterion_01_desitter_recovery(closed_form_runs):
     worst = 0.0
     for key in ("n2pos", "n4pos"):
-        for state in closed_form_runs[key].states():
+        for state in closed_form_runs[key].samples:
             worst = max(worst, abs(state.x - math.log(math.cosh(state.t))))
     report(1, "de-Sitter recovery n in {2,4}", worst <= 1e-8,
            f"max |x - log cosh t| = {worst:.3e} <= 1e-8")
@@ -91,7 +91,7 @@ def test_criterion_02_negative_background_recovery(closed_form_runs):
     c = math.asinh(1.0)
     worst = max(
         abs(state.x - math.log(math.sinh(state.t + c)))
-        for state in closed_form_runs["n4neg"].states()
+        for state in closed_form_runs["n4neg"].samples
     )
     report(2, "negative background recovery", worst <= 1e-8,
            f"max |x - log sinh(t + asinh 1)| = {worst:.3e} <= 1e-8")
@@ -196,7 +196,7 @@ def test_criterion_09_limit_extraction():
 def test_criterion_10_boundary_case():
     config = FlowConfig(m=2, sign=POS, s=1.5)
     traj = integrate(config, IntegratorSettings(t_max=30.0))
-    worst = max(abs(state.y) for state in traj.states())
+    worst = max(abs(state.y) for state in traj.samples)
     report(10, "boundary coupling keeps y = 0", worst <= 1e-8,
            f"max |y| = {worst:.3e} <= 1e-8 over [0, 30]")
 
@@ -224,8 +224,8 @@ def test_criterion_12_rescaled_fixed_point():
 
 def test_criterion_13_oracle_agreement():
     config = FlowConfig(m=2, sign=POS, s=1.2)
-    adaptive = integrate(config, IntegratorSettings(t_max=20.0)).states()
-    oracle = integrate_oracle(config, 1e-4, 20.0).states()
+    adaptive = integrate(config, IntegratorSettings(t_max=20.0)).samples
+    oracle = integrate_oracle(config, 1e-4, 20.0).samples
     assert len(adaptive) == len(oracle)
     dev = 0.0
     for a, o in zip(adaptive, oracle):

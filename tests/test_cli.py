@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -126,7 +127,7 @@ class TestSimulate:
         config = FlowConfig(m=2, sign=CurvatureSign.NEGATIVE, s=1.0)
         traj = integrate(config, IntegratorSettings(t_max=0.3))
         past = FlowState(t=0.35, x=0.0, y=OVERFLOW_FLOOR - 1.0, xp=0.1, yp=0.1)
-        traj.samples.append((past, observables(config, past)))
+        traj = replace(traj, samples=traj.samples + (past,))
         monkeypatch.setattr(cli, "integrate", lambda *args: traj)
         out = tmp_path / "past.csv"
         rc, _, _ = run(capsys, SIM_ARGS + ["--out", str(out)])

@@ -142,6 +142,20 @@ class TestConfigValues:
         assert err == f"error: bad value for {key!r} in --config\n"
         assert out == ""
 
+    # A string is no number, whatever it spells; nor is an integer beyond
+    # the float range.
+    @pytest.mark.parametrize("key, value", [
+        ("n", "4"), ("s", "1.3"), ("rel_tol", " 1e-9 "), ("y_floor", "-20"),
+        pytest.param("s", 10**400, id="s-int-beyond-float"),
+    ])
+    def test_numeric_option_rejects_non_number(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"n": 4, "s": 1.0, "curvature": "positive",
+                                      key: value})
+        rc, out, err = run(capsys, ["classify", "--horizon", "5", "--config", cfg])
+        assert rc == 2
+        assert err == f"error: bad value for {key!r} in --config\n"
+        assert out == ""
+
     @pytest.mark.parametrize("value", [4.7, True])
     @pytest.mark.parametrize("argv", [
         ["classify", "--horizon", "10", "--s", "1"], BISECT, SWEEP,

@@ -68,6 +68,7 @@ class TestClassify:
         assert cls.verdict == VERDICT_RECOLLAPSE
         assert cls.t_blowup is not None and cls.t_blowup < 50.0
         assert cls.termination.kind == "BlowUpEvent"
+        assert cls.t_blowup == cls.termination.t_event
 
     def test_complete_at_symmetric_coupling(self):
         cls = classify(config(s=1.0), 50.0)
@@ -90,6 +91,7 @@ class TestClassify:
         assert cls.verdict == VERDICT_RECOLLAPSE
         assert cls.low_confidence
         assert cls.termination.kind == "StepSizeCollapse"
+        assert cls.t_blowup == cls.termination.t_last
 
     def test_classification_monotone_in_coupling(self):
         # on each side of s = 1 the verdict flips exactly once over a grid
@@ -223,7 +225,7 @@ class TestBisect:
         runs = [integrate(FlowConfig(m=2, sign=POS, s=s),
                           IntegratorSettings(t_max=10.0))
                 for s in (1e292, 1.7e308)]
-        assert runs[0].states() == runs[1].states()
+        assert runs[0].samples == runs[1].samples
         assert runs[0].termination == runs[1].termination
         with pytest.raises(BracketError):
             bisect_critical(4, POS, 1e292, 1.7e308, math.ulp(1.7e308), 10.0)
@@ -349,7 +351,7 @@ class TestMirrorSymmetry:
             return
         assert cls_a.t_blowup is cls_b.t_blowup is None
         assert len(a.samples) == len(b.samples)
-        for p, q in zip(a.states(), b.states()):
+        for p, q in zip(a.samples, b.samples):
             assert p.t == q.t
             assert max(abs(p.x - q.y), abs(p.y - q.x),
                        abs(p.xp - q.yp), abs(p.yp - q.xp)) <= MIRROR_STATE_TOL

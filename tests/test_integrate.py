@@ -10,14 +10,18 @@ from hypothesis import given, strategies as st
 
 from cmcflow import experiments
 from cmcflow.background import CurvatureSign
+from cmcflow.cli import main
 from cmcflow.experiments import (
     RECOLLAPSE_V0,
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
     _probe_verdict,
+    bisect_critical,
     classify,
     in_completeness_region,
+    limit_Cs,
     recollapse_time_bound,
+    sweep,
     thresholds,
 )
 from cmcflow.integrate import (
@@ -86,20 +90,20 @@ class TestClosedForms:
         traj = integrate(config, IntegratorSettings(t_max=10.0))
         assert traj.termination.kind == REACHED_HORIZON
         err = max(
-            abs(st.x - math.log(math.cosh(st.t))) for st in traj.states()
+            abs(st.x - math.log(math.cosh(st.t))) for st in traj.samples
         )
         assert err <= 1e-8
         # the two factors stay identical bitwise under the symmetric
         # coupling, so the tracefree part vanishes identically
-        assert all(st.x == st.y for st in traj.states())
-        assert all(obs.sigma_sq == 0.0 for _, obs in traj.samples)
+        assert all(st.x == st.y for st in traj.samples)
+        assert all(obs.sigma_sq == 0.0 for obs in traj.observables)
 
     def test_negative_background_recovery(self):
         config = FlowConfig(m=2, sign=NEG, s=1.0)
         traj = integrate(config, IntegratorSettings(t_max=10.0))
         c = math.asinh(1.0)
         err = max(
-            abs(st.x - math.log(math.sinh(st.t + c))) for st in traj.states()
+            abs(st.x - math.log(math.sinh(st.t + c))) for st in traj.samples
         )
         assert err <= 1e-8
 
@@ -113,14 +117,15 @@ class TestClosedForms:
     def test_boundary_coupling_keeps_second_factor_flat(self):
         config = FlowConfig(m=2, sign=POS, s=1.5)
         traj = integrate_oracle(config, 1e-3, 30.0)
-        assert max(abs(st.y) for st in traj.states()) <= 1e-8
+        assert max(abs(st.y) for st in traj.samples) <= 1e-8
 
 
 class TestSampling:
     def test_samples_on_output_grid(self):
         config = FlowConfig(m=2, sign=POS, s=1.2)
         traj = integrate(config, IntegratorSettings(t_max=3.0, output_dt=0.25))
-        ts = [st.t for st in traj.states()]
+        assert isinstance(traj.samples, tuple)
+        ts = [st.t for st in traj.samples]
         assert ts[0] == 0.0
         assert ts[-1] == 3.0
         for k, t in enumerate(ts[:-1]):
@@ -129,7 +134,7 @@ class TestSampling:
     def test_strictly_increasing_and_termination_consistent(self):
         config = FlowConfig(m=2, sign=POS, s=3.0)
         for traj in (integrate(config), integrate_oracle(config, 1e-3, 50.0)):
-            ts = [st.t for st in traj.states()]
+            ts = [st.t for st in traj.samples]
             assert all(b > a for a, b in zip(ts, ts[1:]))
             assert traj.termination.kind == BLOW_UP_EVENT
             assert ts[-1] == traj.termination.t_event
@@ -137,7 +142,7 @@ class TestSampling:
     def test_horizon_not_on_grid_still_sampled(self):
         config = FlowConfig(m=2, sign=POS, s=1.0)
         traj = integrate(config, IntegratorSettings(t_max=1.03, output_dt=0.5))
-        ts = [st.t for st in traj.states()]
+        ts = [st.t for st in traj.samples]
         assert ts == [0.0, 0.5, 1.0, 1.03]
 
     # The oracle samples every round(0.1 / dt) steps, which lands on the 0.1
@@ -148,7 +153,7 @@ class TestSampling:
     )
     def test_oracle_samples_every_k_steps(self, dt, k, spacing):
         traj = integrate_oracle(FlowConfig(m=2, sign=POS, s=1.2), dt, 1.0)
-        ts = [st.t for st in traj.states()]
+        ts = [st.t for st in traj.samples]
         assert ts[-1] == 1.0
         assert ts[:-1] == [(j * k) * dt for j in range(len(ts) - 1)]
         assert len(ts) - 1 == math.ceil(math.ceil(1.0 / dt) / k)
@@ -216,7 +221,7 @@ class TestEvents:
         assert traj.termination.kind == BLOW_UP_EVENT
         assert traj.termination.trigger == "velocity_floor"
         assert traj.termination.t_event == 1.25
-        assert traj.samples[-1][1].h_red == math.inf
+        assert traj.observables[-1].h_red == math.inf
 
 
 class TestStepSizeCollapse:
@@ -266,8 +271,8 @@ class TestBackward:
     def test_state_symmetry_on_grid(self):
         config = FlowConfig(m=3, sign=POS, s=1.1)
         settings = IntegratorSettings(t_max=8.0)
-        fwd = {st.t: st for st in integrate(config, settings).states()}
-        bwd = backward_integrate(config, settings).states()
+        fwd = {st.t: st for st in integrate(config, settings).samples}
+        bwd = backward_integrate(config, settings).samples
         matched = 0
         for st in bwd:
             if -st.t in fwd:
@@ -286,7 +291,7 @@ class TestQualitativeBehavior:
         config = FlowConfig(m=2, sign=POS, s=3.0)
         traj = integrate(config)
         assert traj.termination.kind == BLOW_UP_EVENT
-        for st in traj.states():
+        for st in traj.samples:
             if st.t > 0.0:
                 assert st.xp > 0.0
                 assert st.yp < 0.0
@@ -295,7 +300,7 @@ class TestQualitativeBehavior:
         config = FlowConfig(m=2, sign=POS, s=1.3)
         traj = integrate(config, IntegratorSettings(t_max=30.0))
         assert traj.termination.kind == REACHED_HORIZON
-        for st in traj.states():
+        for st in traj.samples:
             if st.t > 0.0:
                 assert st.xp > 0.0 and st.yp > 0.0
                 assert 0.0 < st.xp + st.yp < 4.0
@@ -305,11 +310,11 @@ class TestQualitativeBehavior:
         # products start at tau = 0
         config = FlowConfig(m=2, sign=NEG, s=1.7)
         traj = integrate(config, IntegratorSettings(t_max=30.0))
-        for _, obs in traj.samples:
+        for obs in traj.observables:
             assert obs.tau < -4.0
         config = FlowConfig(m=2, sign=POS, s=1.2)
         traj = integrate(config, IntegratorSettings(t_max=5.0))
-        assert traj.samples[0][1].tau == 0.0
+        assert traj.observables[0].tau == 0.0
 
     def test_minimal_dimension_symmetric_coupling_complete(self):
         traj = integrate(FlowConfig(m=1, sign=POS, s=1.0))
@@ -323,7 +328,8 @@ class TestDeterminismAndConvergence:
         a = integrate(config, settings)
         b = integrate(config, settings)
         assert len(a.samples) == len(b.samples)
-        for (sa, oa), (sb, ob) in zip(a.samples, b.samples):
+        pairs = zip(a.samples, b.samples, a.observables, b.observables)
+        for sa, sb, oa, ob in pairs:
             assert (sa.t, sa.x, sa.y, sa.xp, sa.yp) == (
                 sb.t, sb.x, sb.y, sb.xp, sb.yp
             )
@@ -336,7 +342,7 @@ class TestDeterminismAndConvergence:
         oracle = integrate_oracle(config, 1e-4, 20.0)
         assert len(adaptive.samples) == len(oracle.samples)
         dev = 0.0
-        for a, o in zip(adaptive.states(), oracle.states()):
+        for a, o in zip(adaptive.samples, oracle.samples):
             assert abs(a.t - o.t) <= 1e-9
             dev = max(
                 dev,
@@ -347,14 +353,14 @@ class TestDeterminismAndConvergence:
 
     def test_halving_tolerance_never_increases_deviation(self):
         config = FlowConfig(m=2, sign=POS, s=1.2)
-        oracle = integrate_oracle(config, 1e-3, 10.0).states()
+        oracle = integrate_oracle(config, 1e-3, 10.0).samples
 
         def deviation(rel_tol):
             settings = IntegratorSettings(
                 rel_tol=rel_tol, abs_tol=1e-14, max_step=0.5, t_max=10.0
             )
             dev = 0.0
-            for a, o in zip(integrate(config, settings).states(), oracle):
+            for a, o in zip(integrate(config, settings).samples, oracle):
                 dev = max(
                     dev,
                     abs(a.x - o.x), abs(a.y - o.y),
@@ -375,6 +381,57 @@ class TestDeterminismAndConvergence:
             traj = integrate(config, IntegratorSettings(t_max=50.0))
             assert traj.termination.kind == REACHED_HORIZON
             assert traj.max_first_integral_residual <= 1e-7
+
+
+class TestGeometryBuiltOnRead:
+    """The steppers record states; ``observables`` runs at the first read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        module = importlib.import_module("cmcflow.integrate")
+        real = module.observables
+        states = []
+
+        def counting_observables(config, state):
+            states.append(state)
+            return real(config, state)
+
+        monkeypatch.setattr(module, "observables", counting_observables)
+        return states
+
+    def test_read_twice_builds_once(self, built):
+        traj = integrate(FlowConfig(m=2, sign=POS, s=1.2),
+                         IntegratorSettings(t_max=2.0))
+        assert built == []
+        first = traj.observables
+        assert traj.observables is first
+        assert traj.max_ham_residual == max(abs(o.ham_residual) for o in first)
+        assert built == list(traj.samples)
+
+    def test_bisection_builds_none(self, built):
+        bisect_critical(4, POS, 1.4, 1.6, 1e-3, 30.0)
+        assert built == []
+
+    def test_limit_builds_none(self, built):
+        limit_Cs(FlowConfig(m=2, sign=NEG, s=1.3), 10.0)
+        assert built == []
+
+    def test_sweep_row_builds_its_dp5_samples_only(self, built):
+        # The verdict's constraint residual reads the DP5 run's geometry;
+        # the limit and its oracle run read states only.
+        [row] = sweep(4, NEG, [1.3], 10.0)
+        assert row.limit is not None
+        dp5 = integrate(FlowConfig(m=2, sign=NEG, s=1.3),
+                        IntegratorSettings(t_max=10.0))
+        assert built == list(dp5.samples)
+
+    def test_simulate_builds_one_per_csv_row(self, built, capsys):
+        # The CSV and the manifest's largest residual share one list.
+        rc = main(["simulate", "--n", "4", "--s", "1", "--curvature",
+                   "negative", "--t-max", "5"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rc == 0
+        assert len(built) == len(rows) == 51
 
 
 class TestOracleCounters:
@@ -524,7 +581,7 @@ def _samples_digest(traj):
     """
     digest = hashlib.sha256()
     f = derivatives(traj.config)
-    for state, obs in traj.samples:
+    for state, obs in zip(traj.samples, traj.observables):
         _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
         fir = first_integral_residual(state.xp, state.yp, xpp, ypp)
         *head, h_red = astuple(obs)
@@ -625,7 +682,7 @@ class TestCompletenessCertificate:
                 boundary.append((n, s))
             full = integrate(config, settings)
             entered = any(
-                in_completeness_region(config, state) for state in full.states()
+                in_completeness_region(config, state) for state in full.samples
             )
             # Once in R, no blow-up trigger or overflow can end the run.
             if entered:
