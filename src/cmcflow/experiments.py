@@ -63,6 +63,11 @@ CERTIFICATE_MARGIN = 1e-9
 # short (0.201 at n = 4), so few probes near the horizon fall back.
 RECOLLAPSE_V0 = -3.0
 
+# Relative band around escape_rate(n) in which the rate fitted to three
+# recollapse probes must lie before bisect_critical places probes by the
+# escape-time law.
+RATE_AGREEMENT = 0.1
+
 # Default step of the RK4 cross-check in limit_Cs and sweep; limit_Cs
 # states its measured error.
 ORACLE_DT = 4e-3
@@ -252,8 +257,8 @@ def recollapse_time_bound(config: FlowConfig, v0: float) -> float | None:
 
 def _probe_verdict(
     config: FlowConfig, settings: IntegratorSettings, events: EventSpec | None
-) -> str:
-    """Verdict of one bisection probe at horizon settings.t_max.
+) -> tuple[str, float | None]:
+    """Verdict of one bisection probe at horizon settings.t_max, and its escape time.
 
     A probe is decided by one of three things, and each gives the verdict of
     the full run:
@@ -270,24 +275,122 @@ def _probe_verdict(
       t + recollapse_time_bound < t_max, the solution blows up inside the
       horizon: Recollapse.
     * The full run, with the caller's events, in every other case.
+
+    The escape time is the time t at which the raised floor fired, or None
+    when the head run or another ending of the raised run decided the probe.
     """
     head_settings = replace(settings, t_max=min(settings.t_max, settings.max_step))
     head = integrate(config, head_settings, events)
     if (head.termination.kind == REACHED_HORIZON
             and in_completeness_region(config, head.final_state())):
-        return VERDICT_COMPLETE
+        return VERDICT_COMPLETE, None
     events = events or EventSpec()
     bound = recollapse_time_bound(config, RECOLLAPSE_V0)
+    t_escape = None
     if bound is not None and events.velocity_floor < RECOLLAPSE_V0:
         raised = integrate(
             config, settings, replace(events, velocity_floor=RECOLLAPSE_V0)
         )
         term = raised.termination
         if term.trigger != TRIGGER_VELOCITY_FLOOR:
-            return _verdict(term)
-        if term.t_event + bound < settings.t_max:
-            return VERDICT_RECOLLAPSE
-    return _verdict(integrate(config, settings, events).termination)
+            return _verdict(term), None
+        t_escape = term.t_event
+        if t_escape + bound < settings.t_max:
+            return VERDICT_RECOLLAPSE, t_escape
+    return _verdict(integrate(config, settings, events).termination), t_escape
+
+
+def escape_rate(n: int) -> float:
+    """Rate lambda_n at which a run near a threshold leaves the boundary solution.
+
+    Near the upper threshold the run follows the boundary solution y = 0
+    (near the lower one its mirror x = 0) and leaves it along the growing
+    mode of y'' + (n/sqrt 2) y' - 2n y = 0, whose rate is
+    lambda_n = (-n/sqrt 2 + sqrt(n^2/2 + 8n))/2.  A probe at distance
+    |s - s*| from the threshold therefore escapes at
+    t_esc = C - ln|s - s*| / lambda_n, up to terms that vanish with
+    |s - s*|.
+    """
+    return 0.5 * (-n / math.sqrt(2.0) + math.sqrt(0.5 * n * n + 8.0 * n))
+
+
+def _rate_agrees(escapes: list[tuple[float, float]], rate: float) -> bool:
+    """Whether the rate fitted to three escapes lies within RATE_AGREEMENT of rate.
+
+    For s - s* = A e^(-lambda t) at t1 < t2 < t3, the ratio
+    (s1 - s2)/(s2 - s3) equals (e^(lambda d1) - 1)/(1 - e^(-lambda d2))
+    with d1 = t2 - t1 and d2 = t3 - t2, which increases strictly with
+    lambda.  So the fitted lambda lies in the band iff the ratio lies
+    between its values at the band's ends.
+    """
+    (t1, s1), (t2, s2), (t3, s3) = escapes
+    d1, d2 = t2 - t1, t3 - t2
+    if not (d1 > 0.0 and d2 > 0.0 and (s1 - s2) * (s2 - s3) > 0.0):
+        return False
+
+    def ratio(lam):
+        return math.expm1(lam * d1) / -math.expm1(-lam * d2)
+
+    return (ratio(rate * (1.0 - RATE_AGREEMENT))
+            <= (s1 - s2) / (s2 - s3)
+            <= ratio(rate * (1.0 + RATE_AGREEMENT)))
+
+
+def _threshold_estimate(
+    escapes: list[tuple[float, float]], rate: float, tol: float, deadline: float
+) -> float | None:
+    """s* extrapolated from the escape times of the three latest recollapses.
+
+    The escape-time law s - s* = A e^(-lambda t) + B e^(-2 lambda t), with
+    lambda from escape_rate, is fitted to the three (t_esc, s) with the
+    latest escape times and read at e^(-lambda t) = 0.  None with fewer
+    points, when the rate fitted to them disagrees with lambda
+    (_rate_agrees), and when the law puts the escape at distance tol from
+    the estimate at or after deadline: there the horizon, not the escape,
+    decides the verdicts, and the threshold they close on is not s*.
+    """
+    latest = sorted(escapes)[-3:]
+    if len(latest) < 3 or not _rate_agrees(latest, rate):
+        return None
+    t3, s3 = latest[-1]
+    (e1, s1), (e2, s2), (e3, _) = [
+        (math.exp(-rate * (t - t3)), s) for t, s in latest
+    ]
+    if not e1 > e2 > e3:  # escape times too close to tell apart
+        return None
+    # Neville's scheme at e = 0.
+    p12 = (e1 * s2 - e2 * s1) / (e1 - e2)
+    p23 = (e2 * s3 - e3 * s2) / (e2 - e3)
+    estimate = (e1 * p23 - e3 * p12) / (e1 - e3)
+    gap = abs(s3 - estimate)
+    if gap > tol and t3 + math.log(gap / tol) / rate >= deadline:
+        return None
+    return estimate
+
+
+def _placed_probe(
+    estimate: float | None, known: list[float], lo: float, hi: float, tol: float
+) -> float:
+    """Where to probe the node (lo, hi), whose midpoint lies inside known.
+
+    With an estimate of s* strictly inside known, the probe is the end, on
+    the midpoint's side, of the bracket in which bisection of (lo, hi)
+    would end if s* were the estimate.  That end is itself a point of
+    bisection's tree, and if its verdict is the one the estimate predicts,
+    the midpoint takes the same verdict.  Otherwise the probe is the
+    midpoint.
+    """
+    mid = 0.5 * (lo + hi)
+    if estimate is None or not known[0] < estimate < known[1]:
+        return mid
+    cell_lo, cell_hi = lo, hi
+    while cell_hi - cell_lo > tol:
+        cell_mid = 0.5 * (cell_lo + cell_hi)
+        if estimate < cell_mid:
+            cell_hi = cell_mid
+        else:
+            cell_lo = cell_mid
+    return cell_hi if estimate < mid else cell_lo
 
 
 def bisect_critical(
@@ -314,6 +417,20 @@ def bisect_critical(
     approach to the velocity floor (:func:`_probe_verdict`); the result is
     that of full-horizon probes.
 
+    The search walks bisection's own tree: the bracket (lo, hi) halves at
+    its midpoint 0.5 * (lo + hi), and ``iterations`` counts the halvings,
+    not the probe runs.  A midpoint at or below the furthest probe with
+    verdict_lo takes verdict_lo without a run, and one at or above the
+    nearest probe with verdict_hi takes verdict_hi.  Only an unresolved
+    midpoint costs a probe.  Once the escape times of three recollapse
+    probes follow the law of :func:`escape_rate`, the probe goes to the end
+    of the final bracket around the extrapolated threshold
+    (:func:`_placed_probe`); otherwise, and right after a placed probe that
+    left the midpoint unresolved, it goes to the midpoint.  So a halving
+    costs at most two probes, and whenever the verdict is monotone in s
+    over the bracket, the bracket, ``iterations`` and both verdicts are
+    exactly those of midpoint bisection.
+
     Both ends must be finite and tol at least math.ulp(s_hi), the spacing
     of doubles at s_hi, which no two neighbouring doubles in the bracket
     exceed.  So every midpoint lies strictly inside its bracket, and the
@@ -334,10 +451,18 @@ def bisect_critical(
         )
 
     run_settings = _settings_for(horizon, settings)
+    rate = escape_rate(n)
+    # A probe recollapses within the horizon if it escapes before deadline.
+    deadline = horizon - recollapse_time_bound(
+        FlowConfig(m=n // 2, sign=sign, s=s_lo), RECOLLAPSE_V0)
+    escapes = []  # (t_esc, s) of the recollapse probes
 
     def verdict_at(s):
         config = FlowConfig(m=n // 2, sign=sign, s=s)
-        return _probe_verdict(config, run_settings, events)
+        verdict, t_escape = _probe_verdict(config, run_settings, events)
+        if verdict == VERDICT_RECOLLAPSE and t_escape is not None:
+            escapes.append((t_escape, s))
+        return verdict
 
     verdict_lo = verdict_at(s_lo)
     verdict_hi = verdict_at(s_hi)
@@ -346,15 +471,29 @@ def bisect_critical(
             f"both endpoints classify as {verdict_lo} at horizon {horizon}"
         )
 
+    # known: the furthest probe with verdict_lo and the nearest with
+    # verdict_hi.  A midpoint outside them takes their verdict unprobed.
+    known = [s_lo, s_hi]
     iterations = 0
     lo, hi = s_lo, s_hi
+    placed = False
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if verdict_at(mid) == verdict_lo:
+        if mid <= known[0]:
             lo = mid
-        else:
+        elif mid >= known[1]:
             hi = mid
+        else:
+            # A placed probe that leaves the midpoint unresolved is followed
+            # by the midpoint, so a halving costs at most two probes.
+            s = mid if placed else _placed_probe(
+                _threshold_estimate(escapes, rate, tol, deadline),
+                known, lo, hi, tol)
+            placed = s != mid
+            known[0 if verdict_at(s) == verdict_lo else 1] = s
+            continue
         iterations += 1
+        placed = False
     return BisectionResult(
         bracket=(lo, hi),
         iterations=iterations,

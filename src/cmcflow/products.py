@@ -162,14 +162,6 @@ def derivatives(config: FlowConfig):
     return f
 
 
-def rhs(config: FlowConfig, state: FlowState) -> tuple[float, float]:
-    """Accelerations (x'', y'') of the product system at one state."""
-    _, _, xpp, ypp = derivatives(config)(
-        state.t, (state.x, state.y, state.xp, state.yp)
-    )
-    return xpp, ypp
-
-
 def first_integral_residual(xp: float, yp: float, xpp: float, ypp: float) -> float:
     """Defect of the conserved combination x'' + y'' + x'^2 + y'^2 - 2."""
     return xpp + ypp + xp * xp + yp * yp - 2.0

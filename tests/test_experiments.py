@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -114,6 +115,29 @@ class TestClassify:
         assert min(complete_s) > max(recollapse_s)
 
 
+class TestVelocitySigns:
+    # Lemma: for positive curvature and t > 0, x' has the sign of n - kx
+    # and y' that of n - ky.  At a zero of x' with kx > n, x < 0 and
+    # x'' = n - kx e^(-2x) < 0; with kx < n, x > 0 and x'' > 0.  The
+    # completeness region R of the bisection probes rests on it.
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from((4, 6, 8)), upper=st.booleans(),
+           above=st.booleans(),
+           distance=st.floats(min_value=1e-6, max_value=0.2))
+    def test_velocities_have_the_signs_of_n_minus_k(
+        self, n, upper, above, distance
+    ):
+        threshold = thresholds(n)[upper]
+        s = threshold * (1.0 + distance if above else 1.0 - distance)
+        cfg = FlowConfig(m=n // 2, sign=POS, s=s)
+        traj = integrate(cfg, IntegratorSettings(t_max=20.0, output_dt=0.01))
+        later = [state for state in traj.samples if state.t > 0.0]
+        assert later
+        for state in later:
+            assert (state.xp > 0.0, state.xp < 0.0) == (n > cfg.kx, n < cfg.kx)
+            assert (state.yp > 0.0, state.yp < 0.0) == (n > cfg.ky, n < cfg.ky)
+
+
 class TestBisect:
     def test_upper_threshold(self):
         res = bisect_critical(4, POS, 1.4, 1.6, 1e-3, 30.0)
@@ -207,7 +231,7 @@ class TestBisect:
                 assert bracket[0] < s < bracket[1]
                 complete = s < s_star
                 bracket[0 if complete else 1] = s
-            return VERDICT_COMPLETE if complete else VERDICT_RECOLLAPSE
+            return (VERDICT_COMPLETE if complete else VERDICT_RECOLLAPSE), None
 
         with mock.patch.object(experiments, "_probe_verdict", verdict):
             res = bisect_critical(4, POS, s_lo, s_hi, tol, 30.0)
@@ -216,6 +240,84 @@ class TestBisect:
         assert res.iterations == len(probes) - 2
         assert s_lo <= lo < hi <= s_hi
         assert hi - lo <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(s_lo=st.floats(min_value=0.6, max_value=3.0),
+           width=st.floats(min_value=1e-9, max_value=1.0),
+           fraction=st.floats(min_value=0.0, max_value=1.0,
+                              exclude_min=True, exclude_max=True),
+           depth=st.integers(min_value=1, max_value=52),
+           upper=st.booleans(),
+           offset=st.floats(min_value=-2.0, max_value=5.0),
+           rate_factor=st.sampled_from([1.0, 0.97, 1.05, 0.8, 1.3, None]),
+           random=st.randoms(use_true_random=False))
+    def test_placed_probes_give_the_midpoint_bisection(
+        self, s_lo, width, fraction, depth, upper, offset, rate_factor, random
+    ):
+        # Probes stubbed by a step at s_star, itself on the complete side.
+        # Recollapse probes escape at offset - ln|s - s_star| / lambda, with
+        # lambda inside and outside the band the estimate needs, or (factor
+        # None) at random times with the rate check off, where placed probes
+        # miss often.
+        s_hi = s_lo + width
+        s_star = s_lo + fraction * width
+        assume(s_lo < s_star < s_hi)
+        tol = max(width * 2.0 ** -depth, math.ulp(s_hi))
+        rate = (rate_factor or 1.0) * experiments.escape_rate(4)
+
+        def recollapses(s):
+            return s > s_star if upper else s < s_star
+
+        def t_escape(s):
+            if rate_factor is None:
+                return random.uniform(0.0, 20.0)
+            return offset - math.log(abs(s - s_star)) / rate
+
+        known = [s_lo, s_hi]
+        probes = []
+        per_node = Counter()
+
+        def node():
+            # The first midpoint the known verdicts leave open.
+            lo, hi = s_lo, s_hi
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if mid <= known[0]:
+                    lo = mid
+                elif mid >= known[1]:
+                    hi = mid
+                else:
+                    break
+            return lo, hi
+
+        def verdict(config, settings, events):
+            s = config.s
+            if len(probes) >= 2:  # past the two ends
+                assert known[0] < s < known[1]
+                per_node[node()] += 1
+            probes.append(s)
+            known[0 if recollapses(s) == recollapses(s_lo) else 1] = s
+            if recollapses(s):
+                return VERDICT_RECOLLAPSE, t_escape(s)
+            return VERDICT_COMPLETE, None
+
+        agreement = math.inf if rate_factor is None else experiments.RATE_AGREEMENT
+        with mock.patch.object(experiments, "RATE_AGREEMENT", agreement), \
+                mock.patch.object(experiments, "_probe_verdict", verdict):
+            res = bisect_critical(4, POS, s_lo, s_hi, tol, 1e6)
+
+        lo, hi = s_lo, s_hi
+        iterations = 0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if recollapses(mid) == recollapses(s_lo):
+                lo = mid
+            else:
+                hi = mid
+            iterations += 1
+        assert (res.bracket, res.iterations) == ((lo, hi), iterations)
+        # A placed probe that misses is followed by the midpoint.
+        assert max(per_node.values(), default=0) <= 2
 
     def test_ends_past_the_sum_overflow_classify_alike(self):
         # lo + hi overflows only if both ends lie above about 1e292.  There
@@ -271,6 +373,35 @@ class TestBisect:
         assert (res.bracket[0].hex(), res.bracket[1].hex(), res.iterations,
                 res.verdict_lo, res.verdict_hi) == expected
 
+    @pytest.mark.parametrize("factor", [0.5, 1.5])
+    @pytest.mark.parametrize("agreement", [experiments.RATE_AGREEMENT, math.inf])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_wrong_escape_rate_keeps_the_bracket(
+        self, monkeypatch, name, agreement, factor
+    ):
+        # A wrong lambda fails the rate check, so every probe is a midpoint.
+        # With the check off, placed probes go astray, yet every halving
+        # still costs at most two probes.
+        rate = experiments.escape_rate
+        monkeypatch.setattr(experiments, "escape_rate",
+                            lambda n: factor * rate(n))
+        monkeypatch.setattr(experiments, "RATE_AGREEMENT", agreement)
+        probe = experiments._probe_verdict
+        probes = []
+
+        def counted(config, settings, events):
+            probes.append(config.s)
+            return probe(config, settings, events)
+
+        monkeypatch.setattr(experiments, "_probe_verdict", counted)
+        (n, lo, hi, tol), expected = self.GOLDEN[name]
+        res = bisect_critical(n, POS, lo, hi, tol, 80.0)
+        assert (res.bracket[0].hex(), res.bracket[1].hex(), res.iterations,
+                res.verdict_lo, res.verdict_hi) == expected
+        assert len(probes) <= 2 * (res.iterations + 2)
+        if agreement < math.inf:
+            assert len(probes) == res.iterations + 2
+
     # At a short horizon the bracket closes on the coupling whose blow-up
     # time is the horizon, so late probes reach the raised velocity floor
     # too late for the recollapse certificate and fall back to the full run.
@@ -281,8 +412,11 @@ class TestBisect:
         self, monkeypatch, n, s_lo, s_hi, horizon
     ):
         full_runs = []
+        head_runs = []
 
         def counted(config, settings, events=None):
+            if settings.t_max < horizon:
+                head_runs.append(config.s)
             if settings.t_max == horizon and (
                     events is None or events.velocity_floor != RECOLLAPSE_V0):
                 full_runs.append(config.s)
@@ -307,6 +441,9 @@ class TestBisect:
                 hi = mid
             iterations += 1
         assert (res.bracket, res.iterations) == ((lo, hi), iterations)
+        # Here the horizon, not the escape-time law, sets the threshold, so
+        # no probe is placed by the law: one probe per end and per halving.
+        assert len(head_runs) == iterations + 2
 
     def test_midpoints_approach_threshold_with_horizon(self):
         for lo, hi, target in [(1.4, 1.6, 1.5), (0.6, 0.9, 0.75)]:

@@ -690,7 +690,7 @@ class TestCompletenessCertificate:
             elif full.termination.kind == REACHED_HORIZON:
                 never_entered.append((n, s))
             # The bisection probe gives the verdict of the full run.
-            verdict = _probe_verdict(config, settings, None)
+            verdict, _ = _probe_verdict(config, settings, None)
             assert verdict == classify(config, _CERT_HORIZON).verdict, (n, s)
         # Only the boundary solutions, at both thresholds of n = 4, 6, 8,
         # stay complete outside R.
@@ -755,7 +755,7 @@ def _record_runs(monkeypatch, config, settings, events=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "integrate", recording)
-        verdict = _probe_verdict(config, settings, events)
+        verdict, _ = _probe_verdict(config, settings, events)
     return seen, verdict
 
 
@@ -828,6 +828,24 @@ class TestRecollapseCertificate:
         horizon = t_v0 + bound + 1e-3
         seen = _record_runs(monkeypatch, config, IntegratorSettings(t_max=horizon))
         assert seen == ([(0.03, -100.0), (horizon, -3.0)], VERDICT_RECOLLAPSE)
+
+    def test_escape_time_is_the_raised_floor_time(self):
+        config = FlowConfig(m=2, sign=POS, s=2.0)
+        settings = IntegratorSettings(t_max=40.0)
+        t_v0 = integrate(config, settings,
+                         EventSpec(velocity_floor=RECOLLAPSE_V0)
+                         ).termination.t_event
+        assert _probe_verdict(config, settings, None) == (VERDICT_RECOLLAPSE, t_v0)
+        # A run the full horizon decides keeps its escape time.
+        horizon = 0.5 * (t_v0 + T_BLOWUP_S2)
+        assert _probe_verdict(config, IntegratorSettings(t_max=horizon), None) == (
+            VERDICT_COMPLETE, t_v0)
+        # None when the head run (s = 1.3), another ending of the raised run
+        # (the boundary solution s = 1.5) or no certificate (negative
+        # curvature) decides.
+        for sign, s in [(POS, 1.3), (POS, 1.5), (NEG, 2.0)]:
+            config = FlowConfig(m=2, sign=sign, s=s)
+            assert _probe_verdict(config, settings, None)[1] is None
 
     @pytest.mark.parametrize("velocity_floor", [-3.0, -2.5, -2.0])
     def test_caller_floor_at_or_above_v0_skips_the_certificate(
