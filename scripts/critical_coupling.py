@@ -57,7 +57,7 @@ def main() -> int:
             print(f"  horizon {horizon:>6.1f}: bracket "
                   f"[{res.bracket[0]:.8f}, {res.bracket[1]:.8f}]  "
                   f"mid {mid:.8f}  |mid-analytic| {abs(mid - analytic):.2e}  "
-                  f"({res.iterations} probes)")
+                  f"({res.iterations} halvings)")
     return 0
 
 

@@ -78,7 +78,11 @@ class RegimeError(ValueError):
 
 
 class GaugeRangeError(ValueError):
-    """A trajectory left the gauge range of the audited Hamiltonian branch."""
+    """A trajectory left the gauge range of the audited Hamiltonian branch.
+
+    A reduced Hamiltonian past the double range (inf or nan) counts as
+    leaving it: no verdict can be read from such a value.
+    """
 
 
 class BracketError(ValueError):
@@ -601,11 +605,12 @@ def hamiltonian_audit(
 
     The branch is fixed by the initial sample (tau^2 - n^2 > 0 selects the
     expanding-gauge branch, < 0 the reversed one) and every later sample
-    must stay on it; the first offender aborts with GaugeRangeError.  The
-    verdict is decided on the t > 0 portion: Constant when the relative
-    variation stays below CONSTANT_REL_TOL, otherwise one-sided
-    monotonicity up to MONOTONE_REL_SLACK of the value scale, otherwise
-    NonMonotone.  ``delta_total`` keeps the measured sign of the change.
+    must stay on it with a finite value; the first offender aborts with
+    GaugeRangeError.  The verdict is decided on the t > 0 portion: Constant
+    when the relative variation stays below CONSTANT_REL_TOL, otherwise
+    one-sided monotonicity up to MONOTONE_REL_SLACK of the value scale,
+    otherwise NonMonotone.  ``delta_total`` keeps the measured sign of the
+    change.
     """
     traj = integrate(config, _settings_for(horizon, settings), events)
     n = config.n
@@ -622,6 +627,11 @@ def hamiltonian_audit(
             raise GaugeRangeError(
                 f"sample at t={state.t} left the {branch} gauge range "
                 f"(tau={tau}, n={n})"
+            )
+        if not math.isfinite(obs.h_red):
+            raise GaugeRangeError(
+                f"sample at t={state.t} has h_red={obs.h_red}, past the "
+                f"double range"
             )
         series.append((state.t, obs.h_red))
 

@@ -4,9 +4,11 @@ The primary integrator is an embedded Dormand-Prince 5(4) pair with
 proportional-integral step-size control, the standard quartic continuous
 extension for dense output, and event location by bisection on the dense
 output.  A classical fixed-step fourth-order Runge-Kutta scheme is kept as
-an independent cross-check; it shares nothing with the adaptive path
-beyond the right-hand side, the first-integral formula and the recording of
-output samples.
+an independent cross-check.  It shares with the adaptive path only the
+right-hand side, the first-integral formula, the blow-up triggers
+(``_event_functions``) with their location tolerance ``_EVENT_T_TOL``, the
+horizon rule and ``output_dt`` of ``IntegratorSettings``, and ``_finish``,
+where every run ends and its ``Trajectory`` is built.
 
 Termination is a three-way taxonomy:
 
@@ -171,7 +173,7 @@ class Termination:
     t_last: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Sampled integration output plus conservation monitors.
 
@@ -220,37 +222,23 @@ def _event_functions(events: EventSpec, direction: float):
     return ((TRIGGER_Y_FLOOR, g_y), (TRIGGER_VELOCITY_FLOOR, g_v))
 
 
-class _Recorder:
-    """Output samples of one run, recorded as states.
-
-    ``emit`` keeps a sample only if it lies strictly beyond the previous one
-    in the stepping direction, so samples stay strictly monotone in t.
-    Every run ends in ``finish``, which emits the terminal state (the
-    horizon, the located event, or the last accepted state before an
-    overflow or a step-size collapse) and builds the :class:`Trajectory`.
-    """
-
-    def __init__(self, config: FlowConfig, direction: float):
-        self.config = config
-        self.direction = direction
-        self.samples: list[FlowState] = []
-
-    def emit(self, ts, us):
-        samples = self.samples
-        if samples and not self.direction * (ts - samples[-1].t) > 0.0:
-            return
-        samples.append(FlowState(ts, us[0], us[1], us[2], us[3]))
-
-    def finish(self, t, u, termination, max_fir, n_accepted, n_rejected):
-        self.emit(t, u)
-        return Trajectory(
-            config=self.config,
-            samples=tuple(self.samples),
-            termination=termination,
-            max_first_integral_residual=max_fir,
-            n_accepted=n_accepted,
-            n_rejected=n_rejected,
-        )
+def _finish(config, samples, direction, t, u, termination, max_fir,
+            n_accepted, n_rejected) -> Trajectory:
+    # Every run ends here.  Grid samples and oracle step starts are strictly
+    # monotone in t.  The terminal state (the horizon, the located event, or
+    # the last accepted state before an overflow or a step-size collapse)
+    # can only repeat the last of them, on a grid point or an oracle step
+    # start, so it is kept only if it lies beyond it.
+    if direction * (t - samples[-1].t) > 0.0:
+        samples.append(FlowState(t, *u))
+    return Trajectory(
+        config=config,
+        samples=tuple(samples),
+        termination=termination,
+        max_first_integral_residual=max_fir,
+        n_accepted=n_accepted,
+        n_rejected=n_rejected,
+    )
 
 
 def _run_adaptive(
@@ -266,12 +254,9 @@ def _run_adaptive(
     t_end = direction * settings.t_max
     event_fns = _event_functions(events, direction)
 
-    recorder = _Recorder(config, direction)
-    emit = recorder.emit
-
     k1 = f(t, u)
     max_fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
-    emit(t, u)
+    samples = [FlowState(t, *u)]
     n_accepted = 0
     n_rejected = 0
 
@@ -430,7 +415,7 @@ def _run_adaptive(
                 tg = direction * (next_k * output_dt)
                 if direction * (tg - t_stop) > 0.0:
                     break
-                emit(tg, dense((tg - t) / h))
+                samples.append(FlowState(tg, *dense((tg - t) / h)))
                 next_k += 1
 
             if hit_theta is not None:
@@ -475,7 +460,8 @@ def _run_adaptive(
             termination = Termination(STEP_SIZE_COLLAPSE, t_last=t)
             break
 
-    return recorder.finish(t, u, termination, max_fir, n_accepted, n_rejected)
+    return _finish(config, samples, direction, t, u, termination, max_fir,
+                   n_accepted, n_rejected)
 
 
 def integrate(
@@ -553,8 +539,7 @@ def integrate_oracle(
     u = (state0.x, state0.y, state0.xp, state0.yp)
     t = 0.0
 
-    recorder = _Recorder(config, 1.0)
-    emit = recorder.emit
+    samples = []
 
     # ka is the slope at the step start; the caller has already evaluated it
     # for the first-integral residual, and partial steps restart from it.
@@ -591,12 +576,12 @@ def integrate_oracle(
 
     n_steps = 0
     max_fir = 0.0
-    k_emit = max(1, int(round(settings.output_dt / dt)))
+    k_sample = max(1, int(round(settings.output_dt / dt)))
 
     while t < t_max:
         h = dt if t + dt <= t_max else t_max - t
-        if n_steps % k_emit == 0:
-            emit(t, u)
+        if n_steps % k_sample == 0:
+            samples.append(FlowState(t, *u))
         try:
             k1 = f(t, u)
             fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
@@ -647,4 +632,4 @@ def integrate_oracle(
         except (BlowUpOverflow, OverflowError):
             pass
 
-    return recorder.finish(t, u, termination, max_fir, n_steps, 0)
+    return _finish(config, samples, 1.0, t, u, termination, max_fir, n_steps, 0)

@@ -275,6 +275,9 @@ class TestExitCodes:
              "--hi", "3.0", "--tol", "1e-3", "--horizon", "30"],
             ["hamiltonian", "--n", "4", "--s", "3", "--curvature", "positive",
              "--horizon", "50"],
+            # h_red passes the double range near t = 88.6: no verdict
+            ["hamiltonian", "--n", "8", "--s", "1.3", "--curvature",
+             "negative", "--horizon", "100"],
             ["background", "--n", "3", "--curvature", "negative", "--t", "-1"],
             # The library checks the curvature before the bracket.
             ["bisect", "--n", "4", "--curvature", "negative", "--lo", "1.6",

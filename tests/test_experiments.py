@@ -16,6 +16,7 @@ from cmcflow.experiments import (
     AUDIT_CONSTANT,
     AUDIT_NON_DECREASING,
     AUDIT_NON_INCREASING,
+    AUDIT_NON_MONOTONE,
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
     ORACLE_DT,
@@ -32,8 +33,15 @@ from cmcflow.experiments import (
     sweep,
     thresholds,
 )
-from cmcflow.integrate import IntegratorSettings, integrate, integrate_oracle
-from cmcflow.products import FlowConfig
+from cmcflow.integrate import (
+    REACHED_HORIZON,
+    IntegratorSettings,
+    Termination,
+    Trajectory,
+    integrate,
+    integrate_oracle,
+)
+from cmcflow.products import FlowConfig, FlowState
 
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
@@ -402,6 +410,27 @@ class TestBisect:
         if agreement < math.inf:
             assert len(probes) == res.iterations + 2
 
+    # Each threshold of n = 4, 6, 8 inside a bracket whose ends lie 0.01 to
+    # 0.08 away from it.
+    SETTINGS_SOLVES = {
+        "n4-upper": (4, 1.45, 1.53), "n4-lower": (4, 0.72, 0.76),
+        "n6-upper": (6, 1.24, 1.30), "n6-lower": (6, 0.80, 0.87),
+        "n8-upper": (8, 1.10, 1.19), "n8-lower": (8, 0.86, 0.95),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS_SOLVES))
+    def test_result_does_not_depend_on_integrator_settings(self, name):
+        n, lo, hi = self.SETTINGS_SOLVES[name]
+        results = {
+            bisect_critical(n, POS, lo, hi, 1e-6, 80.0, settings)
+            for settings in [
+                *(IntegratorSettings(rel_tol=r)
+                  for r in (1e-12, 1e-10, 1e-8, 1e-6)),
+                IntegratorSettings(max_step=0.3),
+            ]
+        }
+        assert len(results) == 1
+
     # At a short horizon the bracket closes on the coupling whose blow-up
     # time is the horizon, so late probes reach the raised velocity floor
     # too late for the recollapse certificate and fall back to the full run.
@@ -627,6 +656,34 @@ class TestHamiltonianAudit:
         with pytest.raises(GaugeRangeError):
             hamiltonian_audit(config(s=3.0), 50.0)
 
+    def test_h_red_past_double_range_gives_no_verdict(self):
+        # e^(m(x+y)) passes the double range near t = 88.6; an infinite
+        # series would pass the constancy test, as inf <= 1e-6 * inf
+        with pytest.raises(GaugeRangeError, match="past the double range"):
+            hamiltonian_audit(config(m=4, sign=NEG, s=1.3), 100.0)
+
+    def test_rise_then_fall_is_non_monotone(self, monkeypatch):
+        # x = y = 0 and x' = y' = v put every sample on the H- branch with
+        # h_red increasing in v; the t > 0 values rise, then fall
+        cfg = config()
+        samples = tuple(
+            FlowState(t, 0.0, 0.0, v, v)
+            for t, v in ((0.0, 2.2), (0.1, 2.2), (0.2, 3.0), (0.3, 2.5))
+        )
+        traj = Trajectory(
+            config=cfg,
+            samples=samples,
+            termination=Termination(REACHED_HORIZON),
+            max_first_integral_residual=0.0,
+            n_accepted=3,
+            n_rejected=0,
+        )
+        monkeypatch.setattr(experiments, "integrate", lambda *args: traj)
+        audit = hamiltonian_audit(cfg, 0.3)
+        assert audit.branch == "H-"
+        assert audit.verdict == AUDIT_NON_MONOTONE
+        assert audit.delta_total > 0.0
+
     def test_volume_weights_enter(self):
         audit = hamiltonian_audit(
             config(sign=NEG, s=1.0, vol_m=2.0, vol_n=3.0), 5.0
@@ -724,6 +781,19 @@ class TestCriticalCouplingScript:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--n 2 has no critical coupling" in err
+
+    def test_rows_count_halvings(self, monkeypatch, capsys):
+        # iterations counts bracket halvings: 0.45 and 0.3125 wide brackets
+        # each take 19 to close below 1e-6
+        script = load_script("critical_coupling")
+        monkeypatch.setattr(sys, "argv", [
+            "critical_coupling.py", "--n", "4", "--tol", "1e-6",
+            "--horizons", "80"])
+        assert script.main() == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if "horizon" in line]
+        assert len(rows) == 2
+        assert all(row.endswith("(19 halvings)") for row in rows)
 
     def test_library_error_is_a_usage_error(self, monkeypatch, capsys):
         script = load_script("critical_coupling")
