@@ -20,7 +20,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--tol", type=float, default=1e-4)
-    ap.add_argument("--horizons", type=float, nargs="*",
+    ap.add_argument("--horizons", type=float, nargs="+",
                     default=[30.0, 50.0, 80.0])
     args = ap.parse_args()
     try:

@@ -35,15 +35,19 @@ def main() -> int:
         # coupling_grid names its arguments; report them as this script's flags
         flags = {"s_min": "--s-min", "s_max": "--s-max", "steps": "--points"}
         ap.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
+    # The sweep runs before anything is printed, so a horizon the library
+    # rejects ends the script with a usage error and no partial table.
+    try:
+        rows = sweep(args.n, CurvatureSign.POSITIVE, grid, args.horizon,
+                     with_limits=not args.no_limits)
+    except ValueError as exc:
+        ap.error(re.sub(r"\bt_max\b", "--horizon", str(exc)))
     print(f"n = {args.n}: analytic completeness interval "
           f"[{lower:.6f}, {upper if upper is not None else 'undefined (n=2)'}]")
     # the limit is shown both gauge-free, as lim (x - y), and as the
     # volume ratio of the two factors at unit base volumes
     print(f"{'s':>10}  {'verdict':<22} {'t_blowup':>12}  {'lim (x-y)':>12}  "
           f"{'vol ratio':>12}")
-
-    rows = sweep(args.n, CurvatureSign.POSITIVE, grid, args.horizon,
-                 with_limits=not args.no_limits)
     for row in rows:
         if row.error:
             print(f"{row.s:>10.5f}  {row.error}")

@@ -27,7 +27,7 @@ from .integrate import (
     integrate,
     integrate_oracle,
 )
-from .products import FlowConfig, FlowState
+from .products import FlowConfig, FlowState, derivatives, initial_state
 
 VERDICT_COMPLETE = "CompleteWithinHorizon"
 VERDICT_RECOLLAPSE = "Recollapse"
@@ -267,10 +267,10 @@ def _probe_verdict(
     A probe is decided by one of three things, and each gives the verdict of
     the full run:
 
-    * Region R.  A head run integrates to min(t_max, max_step); if it gets
-      there in R, the solution is complete.  The signs of x' and y' are those
-      of n - kx and n - ky for all time, so a probe that ever enters R is in
-      it after the head, unless a curvature term lies within the margin of n.
+    * Region R, without a run.  From rest, x' and y' keep the signs of the
+      initial accelerations n - kx and n - ky, so the solution is in R for
+      all small t > 0 iff the rest state with velocity (n - kx, n - ky) is.
+      A term within the margin of n is left to the runs below; they agree.
     * The recollapse certificate.  Otherwise, for positive curvature and a
       velocity floor below RECOLLAPSE_V0, the full run is made with only the
       velocity floor raised to RECOLLAPSE_V0.  Events only end a run, so up
@@ -281,12 +281,12 @@ def _probe_verdict(
     * The full run, with the caller's events, in every other case.
 
     The escape time is the time t at which the raised floor fired, or None
-    when the head run or another ending of the raised run decided the probe.
+    when region R or another ending of the raised run decided the probe.
     """
-    head_settings = replace(settings, t_max=min(settings.t_max, settings.max_step))
-    head = integrate(config, head_settings, events)
-    if (head.termination.kind == REACHED_HORIZON
-            and in_completeness_region(config, head.final_state())):
+    rest = initial_state(config)
+    u = (rest.x, rest.y, rest.xp, rest.yp)
+    _, _, xpp, ypp = derivatives(config)(rest.t, u)
+    if in_completeness_region(config, replace(rest, xp=xpp, yp=ypp)):
         return VERDICT_COMPLETE, None
     events = events or EventSpec()
     bound = recollapse_time_bound(config, RECOLLAPSE_V0)
@@ -414,8 +414,8 @@ def bisect_critical(
     curvature only: the negative family is complete for every coupling, so
     there is no threshold to find.
 
-    A probe in the completeness region R after its first max_step is
-    complete without the rest of the horizon, and a probe whose x' + y'
+    A probe whose initial acceleration points into the completeness
+    region R is complete without a run, and a probe whose x' + y'
     falls to RECOLLAPSE_V0 early enough that :func:`recollapse_time_bound`
     puts its blow-up inside the horizon recollapses without the last
     approach to the velocity floor (:func:`_probe_verdict`); the result is
@@ -690,13 +690,15 @@ def sweep(
     Each row integrates once; the verdict and the limit read that one
     trajectory.  Rows outside the convergent interval get no limit; a failed
     limit is reported in the row's ``error``, next to its classification.
+    An invalid n or horizon raises ValueError before any row.
     """
     thresholds(n)  # raises ValueError unless n is even and >= 2
+    run_settings = _settings_for(horizon, settings)
 
     def row(s: float) -> SweepRow:
         try:
             config = FlowConfig(m=n // 2, sign=sign, s=s)
-            traj = integrate(config, _settings_for(horizon, settings), events)
+            traj = integrate(config, run_settings, events)
             cls = _classification(config, traj, horizon)
         except Exception as exc:  # per-row diagnostics, never abort the sweep
             return SweepRow(s=s, classification=None, limit=None,

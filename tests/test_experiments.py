@@ -441,17 +441,20 @@ class TestBisect:
         self, monkeypatch, n, s_lo, s_hi, horizon
     ):
         full_runs = []
-        head_runs = []
+        probes = []
+        probe = experiments._probe_verdict
 
         def counted(config, settings, events=None):
-            if settings.t_max < horizon:
-                head_runs.append(config.s)
-            if settings.t_max == horizon and (
-                    events is None or events.velocity_floor != RECOLLAPSE_V0):
+            if events is None or events.velocity_floor != RECOLLAPSE_V0:
                 full_runs.append(config.s)
             return integrate(config, settings, events)
 
+        def counted_probe(config, settings, events):
+            probes.append(config.s)
+            return probe(config, settings, events)
+
         monkeypatch.setattr(experiments, "integrate", counted)
+        monkeypatch.setattr(experiments, "_probe_verdict", counted_probe)
         res = bisect_critical(n, POS, s_lo, s_hi, 1e-6, horizon)
         monkeypatch.undo()
         assert full_runs
@@ -472,7 +475,7 @@ class TestBisect:
         assert (res.bracket, res.iterations) == ((lo, hi), iterations)
         # Here the horizon, not the escape-time law, sets the threshold, so
         # no probe is placed by the law: one probe per end and per halving.
-        assert len(head_runs) == iterations + 2
+        assert len(probes) == iterations + 2
 
     def test_midpoints_approach_threshold_with_horizon(self):
         for lo, hi, target in [(1.4, 1.6, 1.5), (0.6, 0.9, 0.75)]:
@@ -731,6 +734,16 @@ class TestSweep:
         assert rows[0].classification is None
         assert rows[1].classification.verdict == VERDICT_COMPLETE
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_horizon_raises_before_any_row(self, monkeypatch, horizon):
+        def no_run(*args):
+            raise AssertionError("integrated with a bad horizon")
+
+        monkeypatch.setattr(experiments, "integrate", no_run)
+        with pytest.raises(ValueError) as exc:
+            sweep(4, POS, [1.0, 2.0], horizon)
+        assert str(exc.value) == "t_max must be positive and finite"
+
     @pytest.mark.parametrize("s, oracle_calls", [(1.3, 1), (2.0, 0)])
     def test_one_integration_per_row(self, monkeypatch, s, oracle_calls):
         calls = {"integrate": 0, "integrate_oracle": 0}
@@ -810,6 +823,58 @@ class TestCriticalCouplingScript:
             "error: --tol must be at least 2.220446049250313e-16, the spacing "
             "of doubles at the upper end of the start bracket\n")
 
+    def test_horizons_need_a_value(self, monkeypatch, capsys):
+        script = load_script("critical_coupling")
+        monkeypatch.setattr(sys, "argv", [
+            "critical_coupling.py", "--n", "4", "--horizons"])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(
+            "error: argument --horizons: expected at least one argument\n")
+
+
+class TestHamiltonianMonotonicityScript:
+    @pytest.mark.parametrize("horizon", ["-1", "0", "inf", "nan"])
+    def test_bad_horizon_is_a_usage_error(self, monkeypatch, capsys, horizon):
+        script = load_script("hamiltonian_monotonicity")
+        monkeypatch.setattr(sys, "argv", [
+            "hamiltonian_monotonicity.py", "--horizon", horizon])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage:")
+        assert err.endswith("error: --horizon must be positive and finite\n")
+
+    def test_every_case_prints(self, monkeypatch, capsys):
+        script = load_script("hamiltonian_monotonicity")
+        monkeypatch.setattr(sys, "argv", [
+            "hamiltonian_monotonicity.py", "--horizon", "4"])
+        assert script.main() == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == len(script.CASES)
+        assert not any("Error" in row for row in rows)
+
+    def test_gauge_range_error_is_reported_in_its_row(self, monkeypatch, capsys):
+        # At horizon 20 the positive s = 1.2 run reaches tau = -n and leaves
+        # the H+ branch; the case after it still prints.
+        script = load_script("hamiltonian_monotonicity")
+        monkeypatch.setattr(script, "CASES", [(POS, 1.2), (NEG, 1.3)])
+        monkeypatch.setattr(sys, "argv", [
+            "hamiltonian_monotonicity.py", "--horizon", "20"])
+        assert script.main() == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        failed, printed = out.splitlines()[1:]
+        assert failed == (
+            "positive     1.20 GaugeRangeError: sample at t=18.8 left the H+ "
+            "gauge range (tau=-4.0, n=4)")
+        assert printed.startswith("negative     1.30      H- ")
+
 
 class TestCouplingGrid:
     def test_ends_and_spacing(self):
@@ -851,6 +916,22 @@ class TestCouplingGrid:
         assert out == ""
         assert err.startswith("usage:")
         assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("horizon", ["inf", "-1"])
+    def test_threshold_table_rejects_bad_horizon(self, monkeypatch, capsys,
+                                                 horizon):
+        script = load_script("threshold_table")
+        monkeypatch.setattr(sys, "argv", [
+            "threshold_table.py", "--n", "4", "--points", "3",
+            "--horizon", horizon, "--no-limits",
+        ])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage:")
+        assert err.endswith("error: --horizon must be positive and finite\n")
 
     def test_cli_and_threshold_table_evaluate_the_same_couplings(
         self, monkeypatch, capsys

@@ -3,7 +3,7 @@
 import hashlib
 import importlib
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -697,6 +697,28 @@ class TestCompletenessCertificate:
         assert never_entered == boundary
         assert len(boundary) == 6
 
+    def test_initial_acceleration_decides_entry_into_region(self, monkeypatch):
+        # From rest, x' and y' keep the signs of n - kx and n - ky
+        # (TestVelocitySigns in test_experiments.py), so the run enters R
+        # exactly when the rest state moved along its initial acceleration
+        # is in R.  A probe then makes no run.
+        settings = IntegratorSettings(t_max=_CERT_HORIZON)
+        for n, s in _CERT_GRID:
+            config = FlowConfig(m=n // 2, sign=POS, s=s)
+            rest = initial_state(config)
+            _, _, xpp, ypp = derivatives(config)(
+                0.0, (rest.x, rest.y, rest.xp, rest.yp))
+            assert (xpp, ypp) == (n - config.kx, n - config.ky)
+            closed_form = in_completeness_region(
+                config, replace(rest, xp=xpp, yp=ypp))
+            full = integrate(config, settings)
+            entered = any(
+                in_completeness_region(config, state) for state in full.samples
+            )
+            assert closed_form == entered, (n, s)
+            runs, _ = _record_runs(monkeypatch, config, settings)
+            assert (runs == []) == closed_form, (n, s)
+
     @pytest.mark.parametrize("xp, yp", [(0.0, 0.5), (-0.5, 0.5),
                                         (0.5, 0.0), (0.5, -0.5)])
     def test_region_needs_both_velocities_positive(self, xp, yp):
@@ -731,11 +753,11 @@ class TestCompletenessCertificate:
 
     # (t_max, velocity_floor) of each run; the caller's floor is -100.
     @pytest.mark.parametrize("sign, s, horizon, runs", [
-        (POS, 1.3, 40.0, [(0.03, -100.0)]),             # in R after the head
-        (POS, 2.0, 40.0, [(0.03, -100.0), (40.0, -3.0)]),   # certified blow-up
-        (POS, 1.5, 40.0, [(0.03, -100.0), (40.0, -3.0)]),   # boundary, complete
-        (POS, 1.3, 0.02, [(0.02, -100.0)]),             # horizon below max_step
-        (NEG, 2.0, 8.0, [(0.03, -100.0), (8.0, -100.0)]),   # no certificate
+        (POS, 1.3, 40.0, []),                   # initial acceleration in R
+        (POS, 2.0, 40.0, [(40.0, -3.0)]),       # certified blow-up
+        (POS, 1.5, 40.0, [(40.0, -3.0)]),       # boundary, complete
+        (POS, 1.3, 0.02, []),                   # horizon below max_step
+        (NEG, 2.0, 8.0, [(8.0, -100.0)]),       # no certificate
     ])
     def test_probe_runs_the_horizon_only_outside_the_region(
         self, monkeypatch, sign, s, horizon, runs
@@ -822,12 +844,12 @@ class TestRecollapseCertificate:
         ]:
             seen = _record_runs(monkeypatch, config,
                                 IntegratorSettings(t_max=horizon))
-            runs = [(0.03, -100.0), (horizon, -3.0), (horizon, -100.0)]
+            runs = [(horizon, -3.0), (horizon, -100.0)]
             assert seen == (runs, verdict)
             assert classify(config, horizon).verdict == verdict
         horizon = t_v0 + bound + 1e-3
         seen = _record_runs(monkeypatch, config, IntegratorSettings(t_max=horizon))
-        assert seen == ([(0.03, -100.0), (horizon, -3.0)], VERDICT_RECOLLAPSE)
+        assert seen == ([(horizon, -3.0)], VERDICT_RECOLLAPSE)
 
     def test_escape_time_is_the_raised_floor_time(self):
         config = FlowConfig(m=2, sign=POS, s=2.0)
@@ -840,7 +862,7 @@ class TestRecollapseCertificate:
         horizon = 0.5 * (t_v0 + T_BLOWUP_S2)
         assert _probe_verdict(config, IntegratorSettings(t_max=horizon), None) == (
             VERDICT_COMPLETE, t_v0)
-        # None when the head run (s = 1.3), another ending of the raised run
+        # None when region R (s = 1.3), another ending of the raised run
         # (the boundary solution s = 1.5) or no certificate (negative
         # curvature) decides.
         for sign, s in [(POS, 1.3), (POS, 1.5), (NEG, 2.0)]:
@@ -855,5 +877,5 @@ class TestRecollapseCertificate:
         events = EventSpec(velocity_floor=velocity_floor)
         seen = _record_runs(monkeypatch, config,
                             IntegratorSettings(t_max=40.0), events)
-        runs = [(0.03, velocity_floor), (40.0, velocity_floor)]
+        runs = [(40.0, velocity_floor)]
         assert seen == (runs, VERDICT_RECOLLAPSE)
