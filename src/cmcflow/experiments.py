@@ -68,9 +68,9 @@ RECOLLAPSE_V0 = -3.0
 # escape-time law.
 RATE_AGREEMENT = 0.1
 
-# Default step of the RK4 cross-check in limit_Cs and sweep; limit_Cs
-# states its measured error.
-ORACLE_DT = 4e-3
+# Default finer step of the RK4 cross-check pair in limit_Cs and sweep (the
+# coarser run steps by twice this); limit_Cs states its measured error.
+ORACLE_DT = 8e-3
 
 
 class RegimeError(ValueError):
@@ -122,12 +122,16 @@ class LimitEstimate:
     ``decay_rate`` is the fitted exponential rate of |x' - y'| (negative in
     the convergent regime); it is None when the difference mode sits at
     rounding level throughout, as happens for the symmetric coupling s = 1.
+    ``cross_check_delta`` is the distance from ``value`` to the
+    Richardson-paired RK4 value, and ``oracle_error_estimate`` the pair's own
+    error bar (:func:`limit_Cs`).
     """
 
     value: float
     tail_variation: float
     decay_rate: float | None
     cross_check_delta: float
+    oracle_error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,17 @@ def _require_finite(**ends: float) -> None:
     for name, value in ends.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_oracle_dt(oracle_dt: float) -> None:
+    # Both steps of the oracle pair, oracle_dt and 2 * oracle_dt, must be
+    # positive and finite; the doubled step is both iff oracle_dt is and
+    # doubling does not overflow.
+    if not 0.0 < 2.0 * oracle_dt < math.inf:
+        raise ValueError(
+            f"oracle_dt must be positive with 2 * oracle_dt finite, "
+            f"got {oracle_dt}"
+        )
 
 
 def _near_threshold(config: FlowConfig) -> bool:
@@ -539,12 +554,35 @@ def limit_Cs(
 
     Valid in the convergent regime only: negative products for any
     coupling, positive products strictly between the thresholds.  The value
-    is cross-checked against an independent fixed-step RK4 integration, of
-    step ORACLE_DT = 4e-3 by default.  That oracle's error in x - y is at
-    most 1.3e-10 at horizon 50 (measured on 64 limit rows against a step of
-    2.5e-4), far inside the 1e-6 bound that cross_check_delta must meet.
-    A smaller step buys little: at 1e-3 rounding already sets the error.
+    is cross-checked against an independent fixed-step RK4 pair: two runs,
+    at the finer step oracle_dt (ORACLE_DT = 8e-3 by default) and at
+    2 * oracle_dt, end at L_a and L_b in x - y.  RK4's global error is
+    C h^4 + O(h^5), so the paired value L_a + (L_a - L_b)/15 cancels the
+    h^4 term (global Richardson extrapolation), and
+    ``cross_check_delta`` is the distance from ``value`` to it.
+    ``oracle_error_estimate`` = |L_a - L_b|/15 estimates the error of the
+    finer run alone; the pair is more accurate than that run, so the
+    estimate is a conservative error bar for the paired value.
+
+    Measured at horizon 50 on the 64 limit rows of the benchmark's seed-1
+    sweep-limits operations, against a single run of step 2.5e-4, the
+    worst error in x - y is:
+
+    ====================  =====  ===========
+    oracle                steps  worst error
+    ====================  =====  ===========
+    single run, 4e-3      12500  1.27e-10
+    pair 8e-3 / 1.6e-2     9375  5.75e-11
+    pair 1e-2 / 2e-2       7500  1.73e-10
+    ====================  =====  ===========
+
+    and ``oracle_error_estimate`` reaches at most 2.25e-9.  Both lie far
+    inside the 1e-6 bound that cross_check_delta must meet.  oracle_dt must
+    be positive, with 2 * oracle_dt finite; otherwise ValueError is raised
+    before any run.  A run of the pair that stops short of the horizon
+    raises RegimeError, which names its step.
     """
+    _require_oracle_dt(oracle_dt)
     if not _convergent(config):
         raise RegimeError(
             f"coupling s={config.s} is outside the open convergent "
@@ -578,21 +616,31 @@ def _limit(
     tail = diffs[-max(2, len(diffs) // 5) :]
     tail_variation = max(tail) - min(tail)
 
-    oracle = integrate_oracle(config, oracle_dt, horizon, events)
-    if oracle.termination.kind != REACHED_HORIZON:
-        raise RegimeError(
-            f"oracle integration did not reach the horizon: "
-            f"{oracle.termination}"
-        )
-    o_final = oracle.final_state()
-    cross_check_delta = abs(value - (o_final.x - o_final.y))
+    fine = _oracle_limit(config, oracle_dt, horizon, events)
+    coarse = _oracle_limit(config, 2.0 * oracle_dt, horizon, events)
+    paired = fine + (fine - coarse) / 15.0
 
     return LimitEstimate(
         value=value,
         tail_variation=tail_variation,
         decay_rate=_decay_rate(traj),
-        cross_check_delta=cross_check_delta,
+        cross_check_delta=abs(value - paired),
+        oracle_error_estimate=abs(fine - coarse) / 15.0,
     )
+
+
+def _oracle_limit(
+    config: FlowConfig, dt: float, horizon: float, events: EventSpec | None
+) -> float:
+    """x - y at the horizon from one RK4 oracle run of step dt."""
+    oracle = integrate_oracle(config, dt, horizon, events)
+    if oracle.termination.kind != REACHED_HORIZON:
+        raise RegimeError(
+            f"oracle integration did not reach the horizon (dt={dt}): "
+            f"{oracle.termination}"
+        )
+    end = oracle.final_state()
+    return end.x - end.y
 
 
 def hamiltonian_audit(
@@ -690,10 +738,12 @@ def sweep(
     Each row integrates once; the verdict and the limit read that one
     trajectory.  Rows outside the convergent interval get no limit; a failed
     limit is reported in the row's ``error``, next to its classification.
-    An invalid n or horizon raises ValueError before any row.
+    An invalid n, horizon or oracle_dt (see :func:`limit_Cs`) raises
+    ValueError before any row.
     """
     thresholds(n)  # raises ValueError unless n is even and >= 2
     run_settings = _settings_for(horizon, settings)
+    _require_oracle_dt(oracle_dt)
 
     def row(s: float) -> SweepRow:
         try:

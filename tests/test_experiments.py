@@ -56,6 +56,13 @@ def config(m=2, sign=POS, s=1.0, **kw):
     return FlowConfig(m=m, sign=sign, s=s, **kw)
 
 
+def _oracle_pair_ends(sign):
+    """x - y at horizon 40, s = 1.3, from oracle runs at ORACLE_DT and twice it."""
+    ends = (integrate_oracle(config(sign=sign, s=1.3), dt, 40.0).final_state()
+            for dt in (ORACLE_DT, 2.0 * ORACLE_DT))
+    return tuple(end.x - end.y for end in ends)
+
+
 class TestThresholds:
     def test_values(self):
         assert thresholds(4) == (0.75, 1.5)
@@ -601,19 +608,45 @@ class TestLimit:
 
     @pytest.mark.parametrize("sign, frozen", [(POS, CS_POS_13), (NEG, CS_NEG_13)])
     def test_default_oracle_step_meets_frozen_limits(self, sign, frozen):
-        # The worst oracle error measured at ORACLE_DT over the benchmark's
-        # limit rows at horizon 50 is 1.3e-10 in x - y.
-        end = integrate_oracle(config(sign=sign, s=1.3), ORACLE_DT, 40.0).final_state()
-        assert end.t == 40.0
-        assert abs((end.x - end.y) - frozen) <= 1e-9
+        # Measured: the paired value is 1.95e-11 (positive) and 4.9e-12
+        # (negative) from the frozen limit, and the error bar is 8.3e-10
+        # and 1.2e-10.
+        fine, coarse = _oracle_pair_ends(sign)
+        paired_error = abs(fine + (fine - coarse) / 15.0 - frozen)
+        assert paired_error <= 1e-10
+        est = limit_Cs(config(sign=sign, s=1.3), 40.0)
+        assert est.oracle_error_estimate >= paired_error
 
     @pytest.mark.parametrize("sign", [POS, NEG])
     def test_limit_and_sweep_share_the_oracle_step(self, sign):
         est = limit_Cs(config(sign=sign, s=1.3), 40.0)
         (row,) = sweep(4, sign, [1.3], 40.0)
         assert row.limit == est
-        end = integrate_oracle(config(sign=sign, s=1.3), ORACLE_DT, 40.0).final_state()
-        assert est.cross_check_delta == abs(est.value - (end.x - end.y))
+        fine, coarse = _oracle_pair_ends(sign)
+        assert est.cross_check_delta == abs(
+            est.value - (fine + (fine - coarse) / 15.0))
+        assert est.oracle_error_estimate == abs(fine - coarse) / 15.0
+
+    def test_failed_coarse_oracle_run_is_named(self):
+        # The run at oracle_dt = 0.25 reaches the horizon; the one at 0.5
+        # leaves the double range and stops on its y floor.
+        with pytest.raises(RegimeError, match=(
+                r"^oracle integration did not reach the horizon \(dt=0\.5\)")):
+            limit_Cs(config(sign=NEG, s=5.0), 8.0, oracle_dt=0.25)
+
+    @pytest.mark.parametrize("oracle_dt", [math.inf, math.nan, 0.0, -1e-2, 1e308])
+    def test_bad_oracle_step_raises_before_any_run(self, monkeypatch, oracle_dt):
+        # 1e308 is finite, but the coarse run's step 2e308 is not.
+        def no_run(*args):
+            raise AssertionError("integrated with a bad oracle step")
+
+        monkeypatch.setattr(experiments, "integrate", no_run)
+        monkeypatch.setattr(experiments, "integrate_oracle", no_run)
+        match = "^oracle_dt must be positive with 2 \\* oracle_dt finite"
+        with pytest.raises(ValueError, match=match):
+            limit_Cs(config(sign=NEG, s=1.3), 5.0, oracle_dt=oracle_dt)
+        with pytest.raises(ValueError, match=match):
+            sweep(4, NEG, [0.6, 1.3], 5.0, oracle_dt=oracle_dt)
 
     def test_continuity_in_coupling(self):
         base = limit_Cs(config(s=1.2), 40.0, oracle_dt=1e-2).value
@@ -744,15 +777,16 @@ class TestSweep:
             sweep(4, POS, [1.0, 2.0], horizon)
         assert str(exc.value) == "t_max must be positive and finite"
 
-    @pytest.mark.parametrize("s, oracle_calls", [(1.3, 1), (2.0, 0)])
-    def test_one_integration_per_row(self, monkeypatch, s, oracle_calls):
-        calls = {"integrate": 0, "integrate_oracle": 0}
+    @pytest.mark.parametrize("s, oracle_dts", [(1.3, [1e-2, 2e-2]), (2.0, [])])
+    def test_one_integration_per_row(self, monkeypatch, s, oracle_dts):
+        # The limit's oracle pair runs at oracle_dt and at 2 * oracle_dt.
+        calls = {"integrate": [], "integrate_oracle": []}
 
         def counted(name):
             fn = getattr(experiments, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(args)
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(experiments, name, wrapper)
@@ -760,11 +794,12 @@ class TestSweep:
         counted("integrate")
         counted("integrate_oracle")
         (row,) = sweep(4, POS, [s], 20.0, oracle_dt=1e-2)
-        assert calls == {"integrate": 1, "integrate_oracle": oracle_calls}
+        assert len(calls["integrate"]) == 1
+        assert [args[1] for args in calls["integrate_oracle"]] == oracle_dts
 
         monkeypatch.undo()
         assert row.classification == classify(config(s=s), 20.0)
-        if oracle_calls:
+        if oracle_dts:
             assert row.limit == limit_Cs(config(s=s), 20.0, 1e-2)
         else:
             assert row.classification.verdict == VERDICT_RECOLLAPSE
