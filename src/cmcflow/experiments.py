@@ -658,7 +658,8 @@ def hamiltonian_audit(
     when the relative variation stays below CONSTANT_REL_TOL, otherwise
     one-sided monotonicity up to MONOTONE_REL_SLACK of the value scale,
     otherwise NonMonotone.  ``delta_total`` keeps the measured sign of the
-    change.
+    change.  A run that ends before any sample past t = 0 has no verdict
+    and raises ValueError naming its termination.
     """
     traj = integrate(config, _settings_for(horizon, settings), events)
     n = config.n
@@ -683,8 +684,10 @@ def hamiltonian_audit(
             )
         series.append((state.t, obs.h_red))
 
-    expanding = [(t, v) for t, v in series if t > 0.0]
-    values = [v for _, v in expanding]
+    values = [v for t, v in series if t > 0.0]
+    if not values:
+        raise ValueError(f"the run ended at t=0 ({traj.termination.kind}) "
+                         f"before any sample past t = 0")
     scale = max(abs(v) for v in values)
     spread = max(values) - min(values)
     if scale == 0.0 or spread <= CONSTANT_REL_TOL * scale:

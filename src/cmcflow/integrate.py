@@ -19,13 +19,14 @@ Termination is a three-way taxonomy:
   This is reported as its own outcome, never silently reclassified.
 
 Integrations are single-threaded and deterministic: identical inputs
-produce bit-identical trajectories.
+produce bit-identical trajectories.  Time runs forward only; a backward
+run is the forward run reflected by construction (``backward_integrate``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .products import (
@@ -205,31 +206,25 @@ class Trajectory:
         return self.samples[-1]
 
 
-def _event_functions(events: EventSpec, direction: float):
-    # Each g is positive while safe and crosses <= 0 at the trigger.  Under
-    # time reversal the velocities flip sign, so the backward velocity
-    # trigger fires at x' + y' >= -velocity_floor.
+def _event_functions(events: EventSpec):
+    # Each g is positive while safe and crosses <= 0 at the trigger.
     def g_y(u):
         return u[1] - events.y_floor
 
-    if direction > 0:
-        def g_v(u):
-            return (u[2] + u[3]) - events.velocity_floor
-    else:
-        def g_v(u):
-            return -(u[2] + u[3]) - events.velocity_floor
+    def g_v(u):
+        return (u[2] + u[3]) - events.velocity_floor
 
     return ((TRIGGER_Y_FLOOR, g_y), (TRIGGER_VELOCITY_FLOOR, g_v))
 
 
-def _finish(config, samples, direction, t, u, termination, max_fir,
+def _finish(config, samples, t, u, termination, max_fir,
             n_accepted, n_rejected) -> Trajectory:
     # Every run ends here.  Grid samples and oracle step starts are strictly
-    # monotone in t.  The terminal state (the horizon, the located event, or
-    # the last accepted state before an overflow or a step-size collapse)
+    # increasing in t.  The terminal state (the horizon, the located event,
+    # or the last accepted state before an overflow or a step-size collapse)
     # can only repeat the last of them, on a grid point or an oracle step
     # start, so it is kept only if it lies beyond it.
-    if direction * (t - samples[-1].t) > 0.0:
+    if t > samples[-1].t:
         samples.append(FlowState(t, *u))
     return Trajectory(
         config=config,
@@ -241,18 +236,27 @@ def _finish(config, samples, direction, t, u, termination, max_fir,
     )
 
 
-def _run_adaptive(
+def integrate(
     config: FlowConfig,
-    settings: IntegratorSettings,
-    events: EventSpec,
-    direction: float,
+    settings: IntegratorSettings | None = None,
+    events: EventSpec | None = None,
 ) -> Trajectory:
+    """Integrate the product system forward from its constrained initial data.
+
+    Samples are placed on the output_dt grid by dense-output interpolation,
+    with the initial state always included.  The run ends by recording its
+    terminal state: the state at t_max, at the located event, or at the last
+    accepted step before an overflow or a step-size collapse.  Blow-up
+    triggers are located on the dense output to within 1e-10 in t.
+    """
+    settings = settings or IntegratorSettings()
+    events = events or EventSpec()
     f = derivatives(config)
     state0 = initial_state(config)
     u = (state0.x, state0.y, state0.xp, state0.yp)
     t = 0.0
-    t_end = direction * settings.t_max
-    event_fns = _event_functions(events, direction)
+    t_end = settings.t_max
+    event_fns = _event_functions(events)
 
     k1 = f(t, u)
     max_fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
@@ -265,9 +269,7 @@ def _run_adaptive(
     max_step = settings.max_step
     output_dt = settings.output_dt
     next_k = 1
-    h = direction * max(
-        settings.min_step, min(_INITIAL_STEP, max_step, settings.t_max)
-    )
+    h = max(settings.min_step, min(_INITIAL_STEP, max_step, settings.t_max))
     facold = 1e-4
 
     # The stages are written out per component (suffix _i is component i of
@@ -275,7 +277,7 @@ def _run_adaptive(
     # tableau row, so the arithmetic is that of the vector formulas.
     while True:
         last_step = False
-        if direction * (t + h - t_end) >= 0.0:
+        if t + h >= t_end:
             h = t_end - t
             last_step = True
 
@@ -400,7 +402,7 @@ def _run_adaptive(
             for name, g in event_fns:
                 if g(unew) <= 0.0:
                     lo, hi = 0.0, 1.0
-                    while abs(h) * (hi - lo) > _EVENT_T_TOL:
+                    while h * (hi - lo) > _EVENT_T_TOL:
                         mid = 0.5 * (lo + hi)
                         if g(dense(mid)) <= 0.0:
                             hi = mid
@@ -412,8 +414,8 @@ def _run_adaptive(
 
             t_stop = t + hit_theta * h if hit_theta is not None else t_new
             while True:
-                tg = direction * (next_k * output_dt)
-                if direction * (tg - t_stop) > 0.0:
+                tg = next_k * output_dt
+                if tg > t_stop:
                     break
                 samples.append(FlowState(tg, *dense((tg - t) / h)))
                 next_k += 1
@@ -449,37 +451,19 @@ def _run_adaptive(
             fac = max(1.0 / _MAX_GROW, min(_MAX_SHRINK, fac / _SAFETY))
             h = h / fac
             facold = max(err_norm, 1e-4)
-            if abs(h) > max_step:
-                h = direction * max_step
+            if h > max_step:
+                h = max_step
         else:
             fac11 = err_norm**_EXPO1
             h = h / min(_MAX_SHRINK, fac11 / _SAFETY)
             n_rejected += 1
 
-        if abs(h) < settings.min_step:
+        if h < settings.min_step:
             termination = Termination(STEP_SIZE_COLLAPSE, t_last=t)
             break
 
-    return _finish(config, samples, direction, t, u, termination, max_fir,
+    return _finish(config, samples, t, u, termination, max_fir,
                    n_accepted, n_rejected)
-
-
-def integrate(
-    config: FlowConfig,
-    settings: IntegratorSettings | None = None,
-    events: EventSpec | None = None,
-) -> Trajectory:
-    """Integrate the product system forward from its constrained initial data.
-
-    Samples are placed on the output_dt grid by dense-output interpolation,
-    with the initial state always included.  The run ends by recording its
-    terminal state: the state at t_max, at the located event, or at the last
-    accepted step before an overflow or a step-size collapse.  Blow-up
-    triggers are located on the dense output to within 1e-10 in t.
-    """
-    return _run_adaptive(
-        config, settings or IntegratorSettings(), events or EventSpec(), 1.0
-    )
 
 
 def backward_integrate(
@@ -490,17 +474,30 @@ def backward_integrate(
     """Integrate toward negative t; positive-curvature products only.
 
     The positive-curvature initial data is velocity-free, making the
-    solution time-symmetric: x(-t) = x(t), y(-t) = y(t).  Negative-curvature
-    initial data carries nonzero velocities and is rejected.  Samples run in
-    stepping order, i.e. strictly decreasing t.
+    solution time-symmetric: x(-t) = x(t), y(-t) = y(t); negative-curvature
+    data is rejected.  The run is the forward run reflected by construction:
+    every sample past the first becomes (-t, x, y, 0.0 - x', 0.0 - y'), in
+    stepping order (strictly decreasing t), and the event or collapse time
+    is negated.  ``0.0 - v`` keeps a zero velocity at +0.0, as a stepper
+    taking negative steps keeps it (x' = 0 at s = (n - 1)/n).
     """
     if config.sign is not CurvatureSign.POSITIVE:
         raise TimeSymmetryError(
             "backward integration needs time-symmetric initial data; the "
             "negative-curvature family starts with nonzero velocities"
         )
-    return _run_adaptive(
-        config, settings or IntegratorSettings(), events or EventSpec(), -1.0
+    forward = integrate(config, settings, events)
+    first, *later = forward.samples
+    term = forward.termination
+    return replace(
+        forward,
+        samples=(first, *(FlowState(-st.t, st.x, st.y, 0.0 - st.xp, 0.0 - st.yp)
+                          for st in later)),
+        termination=replace(
+            term,
+            t_event=None if term.t_event is None else 0.0 - term.t_event,
+            t_last=None if term.t_last is None else 0.0 - term.t_last,
+        ),
     )
 
 
@@ -527,13 +524,13 @@ def integrate_oracle(
     ``n_accepted`` counts the steps completed, as for :func:`integrate`;
     the partial step to an event is not counted.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     settings = IntegratorSettings(t_max=t_max)
     if events is None:
         events = EventSpec()
     f = derivatives(config)
-    event_fns = _event_functions(events, 1.0)
+    event_fns = _event_functions(events)
 
     state0 = initial_state(config)
     u = (state0.x, state0.y, state0.xp, state0.yp)
@@ -632,4 +629,4 @@ def integrate_oracle(
         except (BlowUpOverflow, OverflowError):
             pass
 
-    return _finish(config, samples, 1.0, t, u, termination, max_fir, n_steps, 0)
+    return _finish(config, samples, t, u, termination, max_fir, n_steps, 0)

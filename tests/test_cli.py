@@ -261,6 +261,9 @@ class TestExitCodes:
             ["unknown-command"],
             ["bisect", "--n", "4", "--curvature", "positive", "--lo", "0.4",
              "--hi", "0.9", "--tol", "1e-3", "--horizon", "30"],
+            # The run collapses at t = 0: no sample for a verdict.
+            ["hamiltonian", "--n", "4", "--s", "1.3", "--curvature",
+             "negative", "--horizon", "8", "--min-step", "0.02"],
         ],
     )
     def test_invalid_flags_exit_two(self, capsys, argv):
@@ -318,6 +321,10 @@ class TestUsageMessages:
              "need --lo < --hi, got [1.6, 1.4]"),
             (["classify", "--n", "3", "--s", "1", "--curvature", "positive",
               "--horizon", "30"], "--n must be an even integer >= 2, got 3"),
+            (["hamiltonian", "--n", "4", "--s", "1.3", "--curvature",
+              "negative", "--horizon", "8", "--min-step", "0.02"],
+             "the run ended at t=0 (StepSizeCollapse) before any sample "
+             "past t = 0"),
         ],
     )
     def test_exit_two_with_message(self, capsys, argv, message):

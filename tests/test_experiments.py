@@ -698,6 +698,15 @@ class TestHamiltonianAudit:
         with pytest.raises(GaugeRangeError, match="past the double range"):
             hamiltonian_audit(config(m=4, sign=NEG, s=1.3), 100.0)
 
+    def test_run_with_no_sample_past_the_start_gives_no_verdict(self):
+        # The first step is below min_step, so the run collapses at t = 0
+        # and leaves only the initial sample.
+        with pytest.raises(ValueError, match=(
+                r"the run ended at t=0 \(StepSizeCollapse\) before any "
+                r"sample past t = 0")):
+            hamiltonian_audit(config(sign=NEG, s=1.3), 8.0,
+                              IntegratorSettings(min_step=0.02))
+
     def test_rise_then_fall_is_non_monotone(self, monkeypatch):
         # x = y = 0 and x' = y' = v put every sample on the H- branch with
         # h_red increasing in v; the t > 0 values rise, then fall

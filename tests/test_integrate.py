@@ -28,7 +28,9 @@ from cmcflow.integrate import (
     BLOW_UP_EVENT,
     REACHED_HORIZON,
     STEP_SIZE_COLLAPSE,
+    TRIGGER_OVERFLOW,
     TRIGGER_VELOCITY_FLOOR,
+    TRIGGER_Y_FLOOR,
     EventSpec,
     IntegratorSettings,
     TimeSymmetryError,
@@ -73,8 +75,11 @@ class TestValidation:
             integrate_oracle(FlowConfig(m=2, sign=POS, s=1.0), 1e-3, math.inf)
 
     def test_oracle_step_must_be_positive(self):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            integrate_oracle(FlowConfig(m=2, sign=POS, s=1.0), 0.0, 5.0)
+        # An infinite step would cross the whole horizon in one step.
+        for dt in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match="dt must be positive and finite"):
+                integrate_oracle(FlowConfig(m=2, sign=NEG, s=1.3), dt, 5.0)
 
     def test_events(self):
         with pytest.raises(ValueError):
@@ -282,6 +287,62 @@ class TestBackward:
                 assert abs(st.xp + mirror.xp) <= 1e-8
                 matched += 1
         assert matched >= 50
+
+    @pytest.mark.parametrize(
+        "m, s, settings, events, kind, trigger",
+        [
+            # The lower threshold (n - 1)/n: x' vanishes on every sample.
+            (2, 0.75, IntegratorSettings(t_max=3.0), None,
+             REACHED_HORIZON, None),
+            (3, 5.0 / 6.0, IntegratorSettings(t_max=3.0), None,
+             REACHED_HORIZON, None),
+            (1, 1.3, IntegratorSettings(t_max=3.0), None,
+             REACHED_HORIZON, None),
+            # Horizons off the output grid.
+            (2, 1.3, IntegratorSettings(t_max=7.3), None,
+             REACHED_HORIZON, None),
+            (3, 1.1, IntegratorSettings(t_max=1.05, output_dt=0.07), None,
+             REACHED_HORIZON, None),
+            (2, 2.0, None, None, BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR),
+            (2, 3.0, None, EventSpec(y_floor=-1.0),
+             BLOW_UP_EVENT, TRIGGER_Y_FLOOR),
+            (2, 3.0, IntegratorSettings(rel_tol=1e-2, abs_tol=1e-2), None,
+             BLOW_UP_EVENT, TRIGGER_OVERFLOW),
+            (2, 3.0, IntegratorSettings(t_max=5.0),
+             EventSpec(y_floor=-1e12, velocity_floor=-1e300),
+             STEP_SIZE_COLLAPSE, None),
+            # The first step is below min_step: the run collapses at t = 0.
+            (2, 1.3, IntegratorSettings(t_max=8.0, min_step=0.02), None,
+             STEP_SIZE_COLLAPSE, None),
+        ],
+    )
+    def test_is_the_bitwise_reflection_of_the_forward_run(
+            self, m, s, settings, events, kind, trigger):
+        # Past the first sample t and the velocities change sign; a zero
+        # velocity stays +0.0, as 0.0 - v leaves it and -v would not.
+        config = FlowConfig(m=m, sign=POS, s=s)
+        fwd = integrate(config, settings, events)
+        bwd = backward_integrate(config, settings, events)
+        assert (bwd.termination.kind, bwd.termination.trigger) == (kind,
+                                                                    trigger)
+
+        def bits(*values):
+            return [None if v is None else float.hex(v) for v in values]
+
+        first, *later = fwd.samples
+        assert [bits(*astuple(st)) for st in bwd.samples] == [
+            bits(*astuple(first)),
+            *(bits(-st.t, st.x, st.y, 0.0 - st.xp, 0.0 - st.yp)
+              for st in later),
+        ]
+        term = fwd.termination
+        assert bits(bwd.termination.t_event, bwd.termination.t_last) == bits(
+            None if term.t_event is None else 0.0 - term.t_event,
+            None if term.t_last is None else 0.0 - term.t_last,
+        )
+        assert (bits(bwd.max_first_integral_residual), bwd.n_accepted,
+                bwd.n_rejected) == (bits(fwd.max_first_integral_residual),
+                                    fwd.n_accepted, fwd.n_rejected)
 
 
 class TestQualitativeBehavior:
@@ -631,7 +692,7 @@ class TestGoldenBits:
 
 
 # Every valid floor is negative (-inf included); the initial data has y = 0
-# and x' + y' in {0, 2 sqrt 2}, and backward runs start velocity-free.
+# and x' + y' in {0, 2 sqrt 2}.
 _floors = st.floats(max_value=-math.ulp(0.0), allow_nan=False)
 
 
@@ -649,10 +710,8 @@ class TestInitialStateIsSafe:
         events = EventSpec(y_floor=y_floor, velocity_floor=velocity_floor)
         state0 = initial_state(config)
         u = (state0.x, state0.y, state0.xp, state0.yp)
-        directions = (1.0, -1.0) if sign is POS else (1.0,)
-        for direction in directions:
-            for name, g in _event_functions(events, direction):
-                assert g(u) > 0.0, (name, direction)
+        for name, g in _event_functions(events):
+            assert g(u) > 0.0, name
 
 
 # Couplings 0.51, 0.57, ..., 1.95 plus both analytic thresholds of each n.
