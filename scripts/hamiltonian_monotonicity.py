@@ -3,10 +3,11 @@
 
 On the expanding branch the volume-weighted Hamiltonian is monotone and is
 constant exactly on the homothetic backgrounds (coupling 1).  The audit
-reports the verdict at the constancy resolution 1e-6 together with the
-measured sign of the total change.  A case whose run leaves the gauge range
-of its branch is reported in its row, and the script then exits 4, as
-``cmcflow hamiltonian`` does.
+reads the verdict from the sign of d/dt log h_red = tau |Sigma|^2 /
+(tau^2/n - n) and reports it with the measured total change, which past
+horizons around 10 is dominated by rounding.  A case whose run leaves the
+gauge range of its branch is reported in its row, and the script then
+exits 4, as ``cmcflow hamiltonian`` does.
 
     python3 scripts/hamiltonian_monotonicity.py --horizon 8
 """

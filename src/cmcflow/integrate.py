@@ -115,8 +115,9 @@ class IntegratorSettings:
     controller would grow the step until the local error sits at the
     tolerance floor, slowly bleeding the conserved quantities.  Capping the
     step keeps the local error proportional to the decaying mode instead,
-    which is what holds the reduced-Hamiltonian drift below 1e-6 relative
-    over audit-length horizons.
+    which is what holds a reported reduced-Hamiltonian series within 1e-6
+    relative over audit-length horizons (5e-8 on the n = 4 backgrounds at
+    horizon 8, 4e-5 with a cap of 0.1).  The audit's verdict does not use it.
 
     The horizon t_max must be positive and finite: the steppers run until
     they reach it or a blow-up trigger fires, so an infinite horizon on a

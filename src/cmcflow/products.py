@@ -233,13 +233,14 @@ def limit_volume_ratio(config: FlowConfig, x_minus_y_limit: float) -> float:
         = (a/b)^m * (2s-1)^(m/2) * vol_m / vol_n,
 
     so the gauge-free limit L = lim (x - y) maps to
-    e^(mL) * (2s-1)^(m/2) * vol_m / vol_n.
+    e^(mL) * (2s-1)^(m/2) * vol_m / vol_n.  A ratio past the double range
+    saturates to inf.
     """
     if not math.isfinite(x_minus_y_limit):
         raise ValueError("x - y limit must be finite")
     m = config.m
     return (
-        math.exp(m * x_minus_y_limit)
+        _exp_or_inf(m * x_minus_y_limit)
         * (2.0 * config.s - 1.0) ** (0.5 * m)
         * config.vol_m
         / config.vol_n

@@ -708,12 +708,14 @@ class TestHamiltonianAudit:
                               IntegratorSettings(min_step=0.02))
 
     def test_rise_then_fall_is_non_monotone(self, monkeypatch):
-        # x = y = 0 and x' = y' = v put every sample on the H- branch with
-        # h_red increasing in v; the t > 0 values rise, then fall
+        # x = y = 0 with |x' + y'| < 2 puts every sample on the H+ branch,
+        # and x' != y' keeps |Sigma|^2 > 0; tau changes sign after t = 0.1,
+        # so the identity's sign does too: h_red falls, then rises
         cfg = config()
         samples = tuple(
-            FlowState(t, 0.0, 0.0, v, v)
-            for t, v in ((0.0, 2.2), (0.1, 2.2), (0.2, 3.0), (0.3, 2.5))
+            FlowState(t, 0.0, 0.0, xp, yp)
+            for t, xp, yp in ((0.0, 0.0, 0.0), (0.1, -0.5, -0.3),
+                              (0.2, 0.3, 0.5), (0.3, 0.5, 0.3))
         )
         traj = Trajectory(
             config=cfg,
@@ -725,9 +727,60 @@ class TestHamiltonianAudit:
         )
         monkeypatch.setattr(experiments, "integrate", lambda *args: traj)
         audit = hamiltonian_audit(cfg, 0.3)
-        assert audit.branch == "H-"
+        assert audit.branch == "H+"
         assert audit.verdict == AUDIT_NON_MONOTONE
-        assert audit.delta_total > 0.0
+
+    def test_verdict_holds_at_every_horizon_and_setting(self):
+        # The verdict may not depend on the horizon or on integrator
+        # settings in their documented ranges; runs that leave the gauge
+        # range late (tau rounds onto -n) give no verdict at all.
+        cases = (
+            (NEG, 1.0, AUDIT_CONSTANT),
+            (NEG, 1.3, AUDIT_NON_INCREASING),
+            (POS, 1.0, AUDIT_CONSTANT),
+            (POS, 1.1, AUDIT_NON_DECREASING),
+        )
+        for sign, s, expected in cases:
+            verdicts = Counter()
+            for horizon in (8.0, 12.0, 20.0, 30.0, 50.0):
+                for max_step in (0.03, 0.1, 1.0):
+                    for rel_tol in (1e-10, 1e-12):
+                        run = IntegratorSettings(max_step=max_step,
+                                                 rel_tol=rel_tol)
+                        try:
+                            audit = hamiltonian_audit(
+                                config(sign=sign, s=s), horizon, run)
+                        except GaugeRangeError:
+                            continue
+                        verdicts[audit.verdict] += 1
+            assert set(verdicts) == {expected}, (sign, s, verdicts)
+
+    @pytest.mark.parametrize("m, sign, s", [
+        (2, NEG, 1.3), (2, POS, 1.1), (3, NEG, 1.3), (3, POS, 1.1),
+    ])
+    def test_verdict_is_the_sign_of_the_log_derivative(self, m, sign, s):
+        # Centred differences of log h_red on a fine, tightly integrated
+        # series match d/dt log h_red = tau |Sigma|^2 / (tau^2/n - n), whose
+        # sign the verdict reads.
+        dt = 1e-3
+        cfg = config(m=m, sign=sign, s=s)
+        run = IntegratorSettings(output_dt=dt, rel_tol=1e-12, abs_tol=1e-14,
+                                 t_max=2.0)
+        audit = hamiltonian_audit(cfg, 2.0, run)
+        traj = integrate(cfg, run)
+        assert [t for t, _ in audit.series] == [
+            state.t for state in traj.samples]
+        n = cfg.n
+        for t in (0.2, 0.5, 1.0, 1.5):
+            i = round(t / dt)
+            (t0, h0), (t1, h1) = audit.series[i - 1], audit.series[i + 1]
+            measured = (math.log(h1) - math.log(h0)) / (t1 - t0)
+            obs = traj.observables[i]
+            rate = obs.tau * obs.sigma_sq / (obs.tau ** 2 / n - n)
+            assert measured == pytest.approx(rate, rel=1e-4), t
+            assert (rate > 0.0) == (sign is POS)
+        assert audit.verdict == (
+            AUDIT_NON_DECREASING if sign is POS else AUDIT_NON_INCREASING)
 
     def test_volume_weights_enter(self):
         audit = hamiltonian_audit(

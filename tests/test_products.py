@@ -254,6 +254,11 @@ class TestLimitVolumeRatio:
             math.exp(2.0 * L) * 1.6, rel=1e-13
         )
 
+    def test_saturates_past_double_range(self):
+        # e^(2 * 400) is past the double range; a finite limit is valid input
+        config = FlowConfig(m=2, sign=POS, s=1.3)
+        assert limit_volume_ratio(config, 400.0) == math.inf
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             limit_volume_ratio(FlowConfig(m=2, sign=POS, s=1.3), math.inf)
