@@ -63,8 +63,8 @@ def main() -> int:
             continue
         expanding = [(t, h) for t, h in audit.series if t > 0.0]
         print(f"{sign.value:<10} {s:>6.2f} {audit.branch:>7} "
-              f"{audit.verdict:<24} {expanding[0][1]:>14.8f} "
-              f"{expanding[-1][1]:>14.8f} {audit.delta_total:>+14.6e}")
+              f"{audit.verdict:<24} {expanding[0][1]:>14.8g} "
+              f"{expanding[-1][1]:>14.8g} {audit.delta_total:>+14.6e}")
     return 4 if failed else 0
 
 

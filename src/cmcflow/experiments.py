@@ -63,6 +63,15 @@ RATE_AGREEMENT = 0.1
 # coarser run steps by twice this); limit_Cs states its measured error.
 ORACLE_DT = 8e-3
 
+# The RK4 pair runs only to this time and predicts x - y at a later horizon
+# from the e^(-2t) tail law, once the extrapolated limit
+# L_ext = (x - y) + (x' - y')/2 has moved less than ORACLE_SETTLE_TOL over
+# the run's last ORACLE_SETTLE_SAMPLES samples (0.96 in t at the default
+# step); otherwise the pair runs to the horizon.  See limit_Cs.
+ORACLE_SETTLE_T = 12.0
+ORACLE_SETTLE_TOL = 1e-13
+ORACLE_SETTLE_SAMPLES = 11
+
 
 class RegimeError(ValueError):
     """Limit extraction requested outside the convergent regime."""
@@ -549,31 +558,45 @@ def limit_Cs(
     coupling, positive products strictly between the thresholds.  The value
     is cross-checked against an independent fixed-step RK4 pair: two runs,
     at the finer step oracle_dt (ORACLE_DT = 8e-3 by default) and at
-    2 * oracle_dt, end at L_a and L_b in x - y.  RK4's global error is
-    C h^4 + O(h^5), so the paired value L_a + (L_a - L_b)/15 cancels the
-    h^4 term (global Richardson extrapolation), and
+    2 * oracle_dt, give L_a and L_b, their x - y at the horizon.  RK4's
+    global error is C h^4 + O(h^5), so the paired value L_a + (L_a - L_b)/15
+    cancels the h^4 term (global Richardson extrapolation), and
     ``cross_check_delta`` is the distance from ``value`` to it.
     ``oracle_error_estimate`` = |L_a - L_b|/15 estimates the error of the
     finer run alone; the pair is more accurate than that run, so the
     estimate is a conservative error bar for the paired value.
 
+    In this regime x - y = L + A e^(-2t) + O(e^(-4t)), so
+    L_ext = (x - y) + (x' - y')/2 carries only the e^(-4t) remainder.  The
+    pair therefore runs only to t_s = min(horizon, ORACLE_SETTLE_T), and
+    each run predicts its x - y at the horizon T from its end state as
+    L_ext - ((x' - y')/2) e^(-2(T - t_s)).  A run counts as settled when
+    L_ext moved less than ORACLE_SETTLE_TOL over its last
+    ORACLE_SETTLE_SAMPLES samples; if either run has not, as within about
+    1e-3 of a threshold, the pair runs to the horizon instead.  At a
+    horizon up to ORACLE_SETTLE_T the runs end at the horizon and their
+    end values are used as they are.  ``value`` is always the raw x - y of
+    the trajectory at the horizon.
+
     Measured at horizon 50 on the 64 limit rows of the benchmark's seed-1
     sweep-limits operations, against a single run of step 2.5e-4, the
     worst error in x - y is:
 
-    ====================  =====  ===========
-    oracle                steps  worst error
-    ====================  =====  ===========
-    single run, 4e-3      12500  1.27e-10
-    pair 8e-3 / 1.6e-2     9375  5.75e-11
-    pair 1e-2 / 2e-2       7500  1.73e-10
-    ====================  =====  ===========
+    ===============================  =====  ===========
+    oracle                           steps  worst error
+    ===============================  =====  ===========
+    single run, 4e-3                 12500  1.27e-10
+    pair 8e-3 / 1.6e-2 to T = 50      9375  5.75e-11
+    pair 8e-3 / 1.6e-2 to t_s = 12    2250  5.79e-11
+    pair 1e-2 / 2e-2 to T = 50        7500  1.73e-10
+    ===============================  =====  ===========
 
-    and ``oracle_error_estimate`` reaches at most 2.25e-9.  Both lie far
-    inside the 1e-6 bound that cross_check_delta must meet.  oracle_dt must
-    be positive, with 2 * oracle_dt finite; otherwise ValueError is raised
-    before any run.  A run of the pair that stops short of the horizon
-    raises RegimeError, which names its step.
+    Every one of those rows settles by t = 12, and ``oracle_error_estimate``
+    reaches at most 2.25e-9.  Both lie far inside the 1e-6 bound that
+    cross_check_delta must meet.  oracle_dt must be positive, with
+    2 * oracle_dt finite; otherwise ValueError is raised before any run.  A
+    run of the pair that stops short of its end time raises RegimeError,
+    which names its step.
     """
     _require_oracle_dt(oracle_dt)
     if not _convergent(config):
@@ -609,8 +632,9 @@ def _limit(
     tail = diffs[-max(2, len(diffs) // 5) :]
     tail_variation = max(tail) - min(tail)
 
-    fine = _oracle_limit(config, oracle_dt, horizon, events)
-    coarse = _oracle_limit(config, 2.0 * oracle_dt, horizon, events)
+    fine, coarse = _oracle_pair(
+        config, oracle_dt, horizon, min(horizon, ORACLE_SETTLE_T), events
+    ) or _oracle_pair(config, oracle_dt, horizon, horizon, events)
     paired = fine + (fine - coarse) / 15.0
 
     return LimitEstimate(
@@ -622,18 +646,54 @@ def _limit(
     )
 
 
+def _oracle_pair(
+    config: FlowConfig,
+    oracle_dt: float,
+    horizon: float,
+    t_stop: float,
+    events: EventSpec | None,
+) -> tuple[float, float] | None:
+    """x - y at the horizon from RK4 runs of step oracle_dt and twice it.
+
+    The runs stop at t_stop; None if either has not settled there.
+    """
+    fine = _oracle_limit(config, oracle_dt, horizon, t_stop, events)
+    if fine is None:
+        return None
+    coarse = _oracle_limit(config, 2.0 * oracle_dt, horizon, t_stop, events)
+    return None if coarse is None else (fine, coarse)
+
+
 def _oracle_limit(
-    config: FlowConfig, dt: float, horizon: float, events: EventSpec | None
-) -> float:
-    """x - y at the horizon from one RK4 oracle run of step dt."""
-    oracle = integrate_oracle(config, dt, horizon, events)
+    config: FlowConfig,
+    dt: float,
+    horizon: float,
+    t_stop: float,
+    events: EventSpec | None,
+) -> float | None:
+    """x - y at the horizon from one RK4 oracle run of step dt to t_stop.
+
+    At t_stop = horizon this is the run's end value.  Before it, the value is
+    predicted from the tail law x - y = L + A e^(-2t) + O(e^(-4t)), or None
+    if L_ext has not settled.
+    """
+    oracle = integrate_oracle(config, dt, t_stop, events)
     if oracle.termination.kind != REACHED_HORIZON:
         raise RegimeError(
             f"oracle integration did not reach the horizon (dt={dt}): "
             f"{oracle.termination}"
         )
     end = oracle.final_state()
-    return end.x - end.y
+    if t_stop == horizon:
+        return end.x - end.y
+    recent = [
+        state.x - state.y + 0.5 * (state.xp - state.yp)
+        for state in oracle.samples[-ORACLE_SETTLE_SAMPLES:]
+    ]
+    if not max(recent) - min(recent) < ORACLE_SETTLE_TOL:
+        return None
+    half_w = 0.5 * (end.xp - end.yp)
+    return recent[-1] - half_w * math.exp(-2.0 * (horizon - end.t))
 
 
 def hamiltonian_audit(

@@ -239,9 +239,20 @@ def limit_volume_ratio(config: FlowConfig, x_minus_y_limit: float) -> float:
     if not math.isfinite(x_minus_y_limit):
         raise ValueError("x - y limit must be finite")
     m = config.m
-    return (
-        _exp_or_inf(m * x_minus_y_limit)
-        * (2.0 * config.s - 1.0) ** (0.5 * m)
-        * config.vol_m
-        / config.vol_n
-    )
+    try:
+        return (
+            _exp_or_inf(m * x_minus_y_limit)
+            * (2.0 * config.s - 1.0) ** (0.5 * m)
+            * config.vol_m
+            / config.vol_n
+        )
+    except OverflowError:
+        # (2s-1)^(m/2) is past the double range; e^(mL) may still bring the
+        # product back inside it, so the two are joined in the exponent.
+        return (
+            _exp_or_inf(
+                m * x_minus_y_limit + 0.5 * m * math.log(2.0 * config.s - 1.0)
+            )
+            * config.vol_m
+            / config.vol_n
+        )

@@ -259,6 +259,17 @@ class TestLimitVolumeRatio:
         config = FlowConfig(m=2, sign=POS, s=1.3)
         assert limit_volume_ratio(config, 400.0) == math.inf
 
+    def test_power_past_double_range(self):
+        # (2s - 1)^(m/2) = (2e200)^2 overflows, though the input is finite;
+        # the ratio saturates, unless e^(mL) brings it back into range
+        config = FlowConfig(m=4, sign=POS, s=1e200)
+        assert limit_volume_ratio(config, 0.0) == math.inf
+        assert limit_volume_ratio(config, -1000.0) == 0.0
+        # e^(-800) (2e200)^2 = 4 e^(400 ln 10 - 800)
+        assert limit_volume_ratio(config, -200.0) == pytest.approx(
+            4.0 * math.exp(400.0 * math.log(10.0) - 800.0), rel=1e-12
+        )
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             limit_volume_ratio(FlowConfig(m=2, sign=POS, s=1.3), math.inf)
