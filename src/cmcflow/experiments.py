@@ -54,11 +54,6 @@ CERTIFICATE_MARGIN = 1e-9
 # short (0.201 at n = 4), so few probes near the horizon fall back.
 RECOLLAPSE_V0 = -3.0
 
-# Relative band around escape_rate(n) in which the rate fitted to three
-# recollapse probes must lie before bisect_critical places probes by the
-# escape-time law.
-RATE_AGREEMENT = 0.1
-
 # Default finer step of the RK4 cross-check pair in limit_Cs and sweep (the
 # coarser run steps by twice this); limit_Cs states its measured error.
 ORACLE_DT = 8e-3
@@ -335,28 +330,6 @@ def escape_rate(n: int) -> float:
     return 0.5 * (-n / math.sqrt(2.0) + math.sqrt(0.5 * n * n + 8.0 * n))
 
 
-def _rate_agrees(escapes: list[tuple[float, float]], rate: float) -> bool:
-    """Whether the rate fitted to three escapes lies within RATE_AGREEMENT of rate.
-
-    For s - s* = A e^(-lambda t) at t1 < t2 < t3, the ratio
-    (s1 - s2)/(s2 - s3) equals (e^(lambda d1) - 1)/(1 - e^(-lambda d2))
-    with d1 = t2 - t1 and d2 = t3 - t2, which increases strictly with
-    lambda.  So the fitted lambda lies in the band iff the ratio lies
-    between its values at the band's ends.
-    """
-    (t1, s1), (t2, s2), (t3, s3) = escapes
-    d1, d2 = t2 - t1, t3 - t2
-    if not (d1 > 0.0 and d2 > 0.0 and (s1 - s2) * (s2 - s3) > 0.0):
-        return False
-
-    def ratio(lam):
-        return math.expm1(lam * d1) / -math.expm1(-lam * d2)
-
-    return (ratio(rate * (1.0 - RATE_AGREEMENT))
-            <= (s1 - s2) / (s2 - s3)
-            <= ratio(rate * (1.0 + RATE_AGREEMENT)))
-
-
 def _threshold_estimate(
     escapes: list[tuple[float, float]], rate: float, tol: float, deadline: float
 ) -> float | None:
@@ -365,13 +338,15 @@ def _threshold_estimate(
     The escape-time law s - s* = A e^(-lambda t) + B e^(-2 lambda t), with
     lambda from escape_rate, is fitted to the three (t_esc, s) with the
     latest escape times and read at e^(-lambda t) = 0.  None with fewer
-    points, when the rate fitted to them disagrees with lambda
-    (_rate_agrees), and when the law puts the escape at distance tol from
-    the estimate at or after deadline: there the horizon, not the escape,
-    decides the verdicts, and the threshold they close on is not s*.
+    points or with escape times too close to tell apart, and when the law
+    puts the escape at distance tol from the estimate at or after
+    deadline: there the horizon, not the escape, decides the verdicts, and
+    the threshold they close on is not s*.  The points are not tested
+    against the law: an estimate can only place a probe, and a poor one
+    costs a probe, never a verdict (bisect_critical).
     """
     latest = sorted(escapes)[-3:]
-    if len(latest) < 3 or not _rate_agrees(latest, rate):
+    if len(latest) < 3:
         return None
     t3, s3 = latest[-1]
     (e1, s1), (e2, s2), (e3, _) = [
@@ -443,14 +418,15 @@ def bisect_critical(
     not the probe runs.  A midpoint at or below the furthest probe with
     verdict_lo takes verdict_lo without a run, and one at or above the
     nearest probe with verdict_hi takes verdict_hi.  Only an unresolved
-    midpoint costs a probe.  Once the escape times of three recollapse
-    probes follow the law of :func:`escape_rate`, the probe goes to the end
-    of the final bracket around the extrapolated threshold
-    (:func:`_placed_probe`); otherwise, and right after a placed probe that
-    left the midpoint unresolved, it goes to the midpoint.  So a halving
-    costs at most two probes, and whenever the verdict is monotone in s
-    over the bracket, the bracket, ``iterations`` and both verdicts are
-    exactly those of midpoint bisection.
+    midpoint costs a probe.  Once three recollapse probes have escaped at
+    distinct times, the law of :func:`escape_rate` extrapolates the
+    threshold from them, and the probe goes to the end of the final bracket
+    around that estimate (:func:`_placed_probe`); otherwise, and right
+    after a placed probe that left the midpoint unresolved, it goes to the
+    midpoint.  So a halving costs at most two probes, and whenever the
+    verdict is monotone in s over the bracket, the bracket, ``iterations``
+    and both verdicts are exactly those of midpoint bisection: a poor
+    estimate costs probes, never a different result.
 
     Both ends must be finite and tol at least math.ulp(s_hi), the spacing
     of doubles at s_hi, which no two neighbouring doubles in the bracket
@@ -731,12 +707,12 @@ def hamiltonian_audit(
             branch = sample_branch
         if sample_branch != branch or obs.h_red is None:
             raise GaugeRangeError(
-                f"sample at t={state.t} left the {branch} gauge range "
+                f"sample at t={state.t:.12g} left the {branch} gauge range "
                 f"(tau={tau}, n={n})"
             )
         if not math.isfinite(obs.h_red):
             raise GaugeRangeError(
-                f"sample at t={state.t} has h_red={obs.h_red}, past the "
+                f"sample at t={state.t:.12g} has h_red={obs.h_red}, past the "
                 f"double range"
             )
         series.append((state.t, obs.h_red))

@@ -292,6 +292,16 @@ class TestExitCodes:
         assert rc == 4
         assert err.startswith("error:")
 
+    def test_gauge_exit_names_the_grid_time(self, capsys):
+        # The run leaves the H+ branch at the grid time 19.4, computed as
+        # 194 * 0.1 = 19.400000000000002.
+        rc, out, err = run(capsys, [
+            "hamiltonian", "--n", "4", "--s", "1.4", "--curvature",
+            "positive", "--horizon", "30"])
+        assert (rc, out) == (4, "")
+        assert err == ("error: sample at t=19.4 left the H+ gauge range "
+                       "(tau=-4.0, n=4)\n")
+
 
 def sweep_argv(s_min, s_max, steps):
     return ["sweep", "--n", "4", "--curvature", "positive", "--s-min", s_min,

@@ -76,6 +76,19 @@ def _predicted_pair_ends(sign, horizon=40.0):
     return tuple(pair)
 
 
+def _count_probes(monkeypatch):
+    """The couplings of every bisection probe from here on, in order."""
+    probe = experiments._probe_verdict
+    probes = []
+
+    def counted(config, settings, events):
+        probes.append(config.s)
+        return probe(config, settings, events)
+
+    monkeypatch.setattr(experiments, "_probe_verdict", counted)
+    return probes
+
+
 class TestThresholds:
     def test_values(self):
         assert thresholds(4) == (0.75, 1.5)
@@ -284,9 +297,8 @@ class TestBisect:
     ):
         # Probes stubbed by a step at s_star, itself on the complete side.
         # Recollapse probes escape at offset - ln|s - s_star| / lambda, with
-        # lambda inside and outside the band the estimate needs, or (factor
-        # None) at random times with the rate check off, where placed probes
-        # miss often.
+        # lambda near and far from escape_rate, or (factor None) at random
+        # times, where placed probes miss often.
         s_hi = s_lo + width
         s_star = s_lo + fraction * width
         assume(s_lo < s_star < s_hi)
@@ -329,9 +341,7 @@ class TestBisect:
                 return VERDICT_RECOLLAPSE, t_escape(s)
             return VERDICT_COMPLETE, None
 
-        agreement = math.inf if rate_factor is None else experiments.RATE_AGREEMENT
-        with mock.patch.object(experiments, "RATE_AGREEMENT", agreement), \
-                mock.patch.object(experiments, "_probe_verdict", verdict):
+        with mock.patch.object(experiments, "_probe_verdict", verdict):
             res = bisect_critical(4, POS, s_lo, s_hi, tol, 1e6)
 
         lo, hi = s_lo, s_hi
@@ -401,34 +411,35 @@ class TestBisect:
         assert (res.bracket[0].hex(), res.bracket[1].hex(), res.iterations,
                 res.verdict_lo, res.verdict_hi) == expected
 
-    @pytest.mark.parametrize("factor", [0.5, 1.5])
-    @pytest.mark.parametrize("agreement", [experiments.RATE_AGREEMENT, math.inf])
+    # Probes of each golden solve at horizon 80, both ends included, as
+    # measured with the escape-time law placing them.
+    GOLDEN_PROBES = {
+        "n4-lower": 10, "n4-upper": 7, "n4-upper-fine": 9,
+        "n6-lower": 9, "n6-upper": 7,
+        "n8-lower": 7, "n8-upper": 10,
+    }
+
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_wrong_escape_rate_keeps_the_bracket(
-        self, monkeypatch, name, agreement, factor
-    ):
-        # A wrong lambda fails the rate check, so every probe is a midpoint.
-        # With the check off, placed probes go astray, yet every halving
-        # still costs at most two probes.
+    def test_golden_probe_counts(self, monkeypatch, name):
+        probes = _count_probes(monkeypatch)
+        (n, lo, hi, tol), _ = self.GOLDEN[name]
+        bisect_critical(n, POS, lo, hi, tol, 80.0)
+        assert len(probes) <= self.GOLDEN_PROBES[name]
+
+    @pytest.mark.parametrize("factor", [0.5, 1.5])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_wrong_escape_rate_keeps_the_bracket(self, monkeypatch, name, factor):
+        # With a wrong lambda placed probes go astray, yet the result is
+        # the golden one and every halving still costs at most two probes.
         rate = experiments.escape_rate
         monkeypatch.setattr(experiments, "escape_rate",
                             lambda n: factor * rate(n))
-        monkeypatch.setattr(experiments, "RATE_AGREEMENT", agreement)
-        probe = experiments._probe_verdict
-        probes = []
-
-        def counted(config, settings, events):
-            probes.append(config.s)
-            return probe(config, settings, events)
-
-        monkeypatch.setattr(experiments, "_probe_verdict", counted)
+        probes = _count_probes(monkeypatch)
         (n, lo, hi, tol), expected = self.GOLDEN[name]
         res = bisect_critical(n, POS, lo, hi, tol, 80.0)
         assert (res.bracket[0].hex(), res.bracket[1].hex(), res.iterations,
                 res.verdict_lo, res.verdict_hi) == expected
         assert len(probes) <= 2 * (res.iterations + 2)
-        if agreement < math.inf:
-            assert len(probes) == res.iterations + 2
 
     # Each threshold of n = 4, 6, 8 inside a bracket whose ends lie 0.01 to
     # 0.08 away from it.
@@ -684,6 +695,30 @@ class TestLimit:
         paired = fine + (fine - coarse) / 15.0
         assert abs(abs(est.value - paired) - est.cross_check_delta) <= 1e-11
         assert abs(abs(fine - coarse) / 15.0 - est.oracle_error_estimate) <= 1e-11
+
+    @pytest.mark.parametrize("spike, settled", [(-11, False), (-12, True)])
+    def test_settle_window_is_the_last_eleven_samples(
+        self, monkeypatch, spike, settled
+    ):
+        # A synthetic oracle run to t = 12 whose L_ext = (x - y) + (x' - y')/2
+        # is 1.25 at every sample but one, which is 1e-12 off: inside the
+        # settle window the pair is unsettled, outside it the tail law
+        # predicts x - y at the horizon.
+        times = [0.5 * k for k in range(25)]
+        samples = tuple(
+            FlowState(t, 1.0 + (1e-12 if k == len(times) + spike else 0.0),
+                      0.0, 0.5, 0.0)
+            for k, t in enumerate(times))
+        cfg = config(s=1.3)
+        traj = Trajectory(config=cfg, samples=samples,
+                          termination=Termination(REACHED_HORIZON),
+                          max_first_integral_residual=0.0,
+                          n_accepted=len(times), n_rejected=0)
+        monkeypatch.setattr(experiments, "integrate_oracle",
+                            lambda *args: traj)
+        value = experiments._oracle_limit(cfg, ORACLE_DT, 14.0, 12.0, None)
+        expected = 1.25 - 0.25 * math.exp(-2.0 * (14.0 - 12.0))
+        assert value == (expected if settled else None)
 
     def test_failed_coarse_oracle_run_is_named(self):
         # The run at oracle_dt = 0.25 reaches the horizon; the one at 0.5
@@ -1048,6 +1083,20 @@ class TestHamiltonianMonotonicityScript:
             "positive     1.20 GaugeRangeError: sample at t=18.8 left the H+ "
             "gauge range (tau=-4.0, n=4)")
         assert printed.startswith("negative     1.30      H- ")
+
+    def test_late_gauge_exit_names_the_grid_time(self, monkeypatch, capsys):
+        # At horizon 30 the positive s = 1.4 run leaves the H+ branch at the
+        # grid time 19.4, computed as 194 * 0.1 = 19.400000000000002; the
+        # row names the grid time.
+        script = load_script("hamiltonian_monotonicity")
+        monkeypatch.setattr(script, "CASES", [(POS, 1.4)])
+        monkeypatch.setattr(sys, "argv", [
+            "hamiltonian_monotonicity.py", "--horizon", "30"])
+        assert script.main() == 4
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        assert row == (
+            "positive     1.40 GaugeRangeError: sample at t=19.4 left the H+ "
+            "gauge range (tau=-4.0, n=4)")
 
 
 class TestCouplingGrid:
