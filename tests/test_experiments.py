@@ -426,11 +426,12 @@ class TestBisect:
         bisect_critical(n, POS, lo, hi, tol, 80.0)
         assert len(probes) <= self.GOLDEN_PROBES[name]
 
-    @pytest.mark.parametrize("factor", [0.5, 1.5])
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 1.5])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wrong_escape_rate_keeps_the_bracket(self, monkeypatch, name, factor):
-        # With a wrong lambda placed probes go astray, yet the result is
-        # the golden one and every halving still costs at most two probes.
+        # With a wrong lambda, 10% off or far off, placed probes go astray,
+        # yet the result is the golden one and every halving still costs at
+        # most two probes.
         rate = experiments.escape_rate
         monkeypatch.setattr(experiments, "escape_rate",
                             lambda n: factor * rate(n))
