@@ -12,9 +12,9 @@ Output contracts:
   floats serialized to 17 significant digits.
 
 Exit codes: 0 success (a blow-up is a reported scientific result, not a
-failure), 2 invalid flags or input that breaks a library rule, 3 integrator
-failure (step-size collapse without blow-up, simulate only), 4 precondition
-violation.
+failure), 2 invalid flags, input that breaks a library rule or an ``--out``
+path that cannot be written, 3 integrator failure (step-size collapse
+without blow-up, simulate only), 4 precondition violation.
 
 Every manifest echoes the full numeric configuration including defaulted
 values, so a run can be reproduced without reading source.
@@ -122,14 +122,14 @@ _SETTINGS_OPTS = {
     if field.name != "t_max"
 }
 _EVENT_OPTS = {field.name: (float, field.default) for field in fields(EventSpec)}
-# One trajectory: every option.
+# A command takes only the options that can change its output.  simulate and
+# hamiltonian take every one; classify, bisect and sweep no base volumes,
+# which enter only the reduced Hamiltonian; bisect and sweep no --s, as they
+# scan the coupling; bisect no --output-dt, whose samples no probe reads.
 _RUN_OPTS = {**_FLOW_OPTS, **_SETTINGS_OPTS, **_EVENT_OPTS}
-# A coupling range (bisect, sweep): no --s, and no base volumes, which enter
-# only the reduced Hamiltonian that neither command reads.
-_FAMILY_OPTS = {
-    name: spec for name, spec in _RUN_OPTS.items()
-    if name not in ("s", "vol_m", "vol_n")
-}
+_CLASSIFY_OPTS = {k: v for k, v in _RUN_OPTS.items() if k not in ("vol_m", "vol_n")}
+_FAMILY_OPTS = {k: v for k, v in _CLASSIFY_OPTS.items() if k != "s"}
+_BISECT_OPTS = {k: v for k, v in _FAMILY_OPTS.items() if k != "output_dt"}
 
 
 # The values a flag and its --config key may take, in the order usage and
@@ -243,11 +243,10 @@ def _resolve(args: argparse.Namespace, command: _Command) -> _Run | None:
     sign = CurvatureSign(vals["curvature"])
     flow = None
     if "s" in vals:
-        shape = {name: vals[name] for name in ("s", "vol_m", "vol_n")}
+        shape = {name: vals[name] for name in ("s", "vol_m", "vol_n") if name in vals}
         flow = FlowConfig(m=n // 2, sign=sign, **shape)
-    settings = IntegratorSettings(
-        t_max=own[command.horizon], **{name: vals[name] for name in _SETTINGS_OPTS}
-    )
+    tuning = {name: vals[name] for name in _SETTINGS_OPTS if name in vals}
+    settings = IntegratorSettings(t_max=own[command.horizon], **tuning)
     events = EventSpec(**{name: vals[name] for name in _EVENT_OPTS})
     return _Run(n, sign, flow, settings, events)
 
@@ -305,6 +304,15 @@ def _classification(cls) -> tuple[dict, dict]:
     return result, diagnostics
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write one --out file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -344,8 +352,7 @@ def _cmd_simulate(args, run):
     }
     csv_text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+        _write_out(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     return result, None
@@ -433,11 +440,11 @@ _COMMANDS = {
         {"t_max": float, "out": str}, horizon="t_max",
     ),
     "classify": _Command(
-        "recollapse vs completeness verdict", _cmd_classify, _RUN_OPTS,
+        "recollapse vs completeness verdict", _cmd_classify, _CLASSIFY_OPTS,
         {"horizon": float},
     ),
     "bisect": _Command(
-        "bisect the critical coupling", _cmd_bisect, _FAMILY_OPTS,
+        "bisect the critical coupling", _cmd_bisect, _BISECT_OPTS,
         {"lo": float, "hi": float, "tol": float, "horizon": float},
         preconditions=(BracketError, PreconditionError),
     ),
@@ -530,10 +537,10 @@ def main(argv=None) -> int:
     # block and goes next to the CSV file.
     manifest["result"] = result
     if args.out:
-        with open(
-            args.out + ".manifest.json", "w", encoding="utf-8", newline=""
-        ) as fh:
-            fh.write(_dumps17(manifest) + "\n")
+        try:
+            _write_out(args.out + ".manifest.json", _dumps17(manifest) + "\n")
+        except UsageError as exc:
+            return _fail(EXIT_USAGE, str(exc))
     if result["termination"]["kind"] == STEP_SIZE_COLLAPSE:
         return EXIT_INTEGRATOR
     return EXIT_OK

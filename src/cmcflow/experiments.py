@@ -54,8 +54,8 @@ CERTIFICATE_MARGIN = 1e-9
 # short (0.201 at n = 4), so few probes near the horizon fall back.
 RECOLLAPSE_V0 = -3.0
 
-# Default finer step of the RK4 cross-check pair in limit_Cs and sweep (the
-# coarser run steps by twice this); limit_Cs states its measured error.
+# Finer step of the RK4 cross-check pair in limit_Cs and sweep (the coarser
+# run steps by twice this); limit_Cs states its measured error.
 ORACLE_DT = 8e-3
 
 # The RK4 pair runs only to this time and predicts x - y at a later horizon
@@ -171,17 +171,6 @@ def _require_finite(**ends: float) -> None:
     for name, value in ends.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_oracle_dt(oracle_dt: float) -> None:
-    # Both steps of the oracle pair, oracle_dt and 2 * oracle_dt, must be
-    # positive and finite; the doubled step is both iff oracle_dt is and
-    # doubling does not overflow.
-    if not 0.0 < 2.0 * oracle_dt < math.inf:
-        raise ValueError(
-            f"oracle_dt must be positive with 2 * oracle_dt finite, "
-            f"got {oracle_dt}"
-        )
 
 
 def _near_threshold(config: FlowConfig) -> bool:
@@ -524,23 +513,32 @@ def _decay_rate(traj: Trajectory) -> float | None:
 def limit_Cs(
     config: FlowConfig,
     horizon: float,
-    oracle_dt: float = ORACLE_DT,
     settings: IntegratorSettings | None = None,
     events: EventSpec | None = None,
 ) -> LimitEstimate:
     """Estimate lim (x - y) by reading off the trajectory at the horizon.
 
     Valid in the convergent regime only: negative products for any
-    coupling, positive products strictly between the thresholds.  The value
-    is cross-checked against an independent fixed-step RK4 pair: two runs,
-    at the finer step oracle_dt (ORACLE_DT = 8e-3 by default) and at
-    2 * oracle_dt, give L_a and L_b, their x - y at the horizon.  RK4's
+    coupling, positive products strictly between the thresholds.  The
+    caller's settings and events govern the run whose x - y at the horizon
+    is ``value``.  That value is cross-checked against an independent
+    fixed-step RK4 pair: two runs, at the finer step ORACLE_DT = 8e-3 and
+    at 2 * ORACLE_DT, give L_a and L_b, their x - y at the horizon.  RK4's
     global error is C h^4 + O(h^5), so the paired value L_a + (L_a - L_b)/15
     cancels the h^4 term (global Richardson extrapolation), and
     ``cross_check_delta`` is the distance from ``value`` to it.
     ``oracle_error_estimate`` = |L_a - L_b|/15 estimates the error of the
     finer run alone; the pair is more accurate than that run, so the
     estimate is a conservative error bar for the paired value.
+
+    The pair runs with the default blow-up floors of
+    :func:`integrate_oracle`, since in this regime no floor can fire: x'
+    and y' stay positive for t > 0, so y >= 0 and x' + y' >= 0, while every
+    floor is negative.  For negative curvature the run starts in the
+    quadrant {x' > 0, y' > 0}, which is forward-invariant because
+    x'' = n + kx e^(-2x) > 0 on x' = 0, and likewise for y.  For positive
+    curvature strictly inside the interval the run enters the completeness
+    region R (:func:`in_completeness_region`) at t = 0+.
 
     In this regime x - y = L + A e^(-2t) + O(e^(-4t)), so
     L_ext = (x - y) + (x' - y')/2 carries only the e^(-4t) remainder.  The
@@ -569,19 +567,16 @@ def limit_Cs(
 
     Every one of those rows settles by t = 12, and ``oracle_error_estimate``
     reaches at most 2.25e-9.  Both lie far inside the 1e-6 bound that
-    cross_check_delta must meet.  oracle_dt must be positive, with
-    2 * oracle_dt finite; otherwise ValueError is raised before any run.  A
-    run of the pair that stops short of its end time raises RegimeError,
-    which names its step.
+    cross_check_delta must meet.  A run of the pair that stops short of its
+    end time raises RegimeError, which names its step.
     """
-    _require_oracle_dt(oracle_dt)
     if not _convergent(config):
         raise RegimeError(
             f"coupling s={config.s} is outside the open convergent "
             f"interval {thresholds(config.n)} for n={config.n}"
         )
     traj = integrate(config, _settings_for(horizon, settings), events)
-    return _limit(config, traj, horizon, oracle_dt, events)
+    return _limit(config, traj, horizon)
 
 
 def _convergent(config: FlowConfig) -> bool:
@@ -591,13 +586,7 @@ def _convergent(config: FlowConfig) -> bool:
     return config.s > lower and (upper is None or config.s < upper)
 
 
-def _limit(
-    config: FlowConfig,
-    traj: Trajectory,
-    horizon: float,
-    oracle_dt: float,
-    events: EventSpec | None,
-) -> LimitEstimate:
+def _limit(config: FlowConfig, traj: Trajectory, horizon: float) -> LimitEstimate:
     if traj.termination.kind != REACHED_HORIZON:
         raise RegimeError(
             f"trajectory did not reach the horizon: {traj.termination}"
@@ -609,8 +598,8 @@ def _limit(
     tail_variation = max(tail) - min(tail)
 
     fine, coarse = _oracle_pair(
-        config, oracle_dt, horizon, min(horizon, ORACLE_SETTLE_T), events
-    ) or _oracle_pair(config, oracle_dt, horizon, horizon, events)
+        config, horizon, min(horizon, ORACLE_SETTLE_T)
+    ) or _oracle_pair(config, horizon, horizon)
     paired = fine + (fine - coarse) / 15.0
 
     return LimitEstimate(
@@ -623,29 +612,21 @@ def _limit(
 
 
 def _oracle_pair(
-    config: FlowConfig,
-    oracle_dt: float,
-    horizon: float,
-    t_stop: float,
-    events: EventSpec | None,
+    config: FlowConfig, horizon: float, t_stop: float
 ) -> tuple[float, float] | None:
-    """x - y at the horizon from RK4 runs of step oracle_dt and twice it.
+    """x - y at the horizon from RK4 runs of step ORACLE_DT and twice it.
 
     The runs stop at t_stop; None if either has not settled there.
     """
-    fine = _oracle_limit(config, oracle_dt, horizon, t_stop, events)
+    fine = _oracle_limit(config, ORACLE_DT, horizon, t_stop)
     if fine is None:
         return None
-    coarse = _oracle_limit(config, 2.0 * oracle_dt, horizon, t_stop, events)
+    coarse = _oracle_limit(config, 2.0 * ORACLE_DT, horizon, t_stop)
     return None if coarse is None else (fine, coarse)
 
 
 def _oracle_limit(
-    config: FlowConfig,
-    dt: float,
-    horizon: float,
-    t_stop: float,
-    events: EventSpec | None,
+    config: FlowConfig, dt: float, horizon: float, t_stop: float
 ) -> float | None:
     """x - y at the horizon from one RK4 oracle run of step dt to t_stop.
 
@@ -653,7 +634,7 @@ def _oracle_limit(
     predicted from the tail law x - y = L + A e^(-2t) + O(e^(-4t)), or None
     if L_ext has not settled.
     """
-    oracle = integrate_oracle(config, dt, t_stop, events)
+    oracle = integrate_oracle(config, dt, t_stop)
     if oracle.termination.kind != REACHED_HORIZON:
         raise RegimeError(
             f"oracle integration did not reach the horizon (dt={dt}): "
@@ -763,7 +744,6 @@ def sweep(
     s_grid: list[float],
     horizon: float,
     with_limits: bool = True,
-    oracle_dt: float = ORACLE_DT,
     settings: IntegratorSettings | None = None,
     events: EventSpec | None = None,
 ) -> list[SweepRow]:
@@ -773,12 +753,12 @@ def sweep(
     Each row integrates once; the verdict and the limit read that one
     trajectory.  Rows outside the convergent interval get no limit; a failed
     limit is reported in the row's ``error``, next to its classification.
-    An invalid n, horizon or oracle_dt (see :func:`limit_Cs`) raises
-    ValueError before any row.
+    The caller's settings and events govern each row's run; the limit's
+    RK4 pair is the fixed one of :func:`limit_Cs`.  An invalid n or horizon
+    raises ValueError before any row.
     """
     thresholds(n)  # raises ValueError unless n is even and >= 2
     run_settings = _settings_for(horizon, settings)
-    _require_oracle_dt(oracle_dt)
 
     def row(s: float) -> SweepRow:
         try:
@@ -791,7 +771,7 @@ def sweep(
         limit = error = None
         if with_limits and cls.verdict == VERDICT_COMPLETE and _convergent(config):
             try:
-                limit = _limit(config, traj, horizon, oracle_dt, events)
+                limit = _limit(config, traj, horizon)
             except RegimeError as exc:
                 error = f"{type(exc).__name__}: {exc}"
         return SweepRow(s=s, classification=cls, limit=limit, error=error)

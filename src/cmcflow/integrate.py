@@ -121,7 +121,9 @@ class IntegratorSettings:
 
     The horizon t_max must be positive and finite: the steppers run until
     they reach it or a blow-up trigger fires, so an infinite horizon on a
-    complete trajectory would never return.
+    complete trajectory would never return.  So must both tolerances: at
+    rel_tol = inf a component that stays at exactly 0 gets the error scale
+    abs_tol + inf * 0 = nan, and every step is rejected.
     """
 
     rel_tol: float = 1e-10
@@ -132,8 +134,8 @@ class IntegratorSettings:
     output_dt: float = 0.1
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not 0.0 < self.min_step < self.max_step:
             raise ValueError("need 0 < min_step < max_step")
         if not 0.0 < self.t_max < math.inf:

@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from cmcflow import experiments
 from cmcflow.background import CurvatureSign, rescaled_background_residual
 from cmcflow.cli import main as cli_main
 from cmcflow.experiments import (
@@ -178,11 +179,13 @@ def test_criterion_08_reduced_hamiltonian():
            f"{neg_mono.delta_total:+.3e}")
 
 
-def test_criterion_09_limit_extraction():
+def test_criterion_09_limit_extraction(monkeypatch):
+    # The cross-check against a fine reference pair of step 1e-4.
+    monkeypatch.setattr(experiments, "ORACLE_DT", 1e-4)
     details = []
     ok = True
     for sign, name in ((POS, "positive"), (NEG, "negative")):
-        est = limit_Cs(FlowConfig(m=2, sign=sign, s=1.3), 40.0, oracle_dt=1e-4)
+        est = limit_Cs(FlowConfig(m=2, sign=sign, s=1.3), 40.0)
         ok = ok and est.tail_variation <= 1e-6
         ok = ok and est.decay_rate is not None and est.decay_rate < 0.0
         ok = ok and est.cross_check_delta <= 1e-6

@@ -118,6 +118,22 @@ class TestSimulate:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("out, blocked", [
+        ("run.csv", "run.csv"),
+        ("run.csv", "run.csv.manifest.json"),
+        ("missing/run.csv", None),
+    ])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, out, blocked):
+        # A directory where the CSV or its manifest goes, or a missing
+        # parent directory: one error line and exit 2, no traceback.
+        if blocked is not None:
+            (tmp_path / blocked).mkdir()
+        path = tmp_path / out
+        rc, stdout, err = run(capsys, SIM_ARGS + ["--out", str(path)])
+        assert (rc, stdout) == (2, "")
+        assert re.fullmatch(r"error: cannot write --out: \[Errno \d+\] .+\n", err)
+        assert str(tmp_path / (blocked or out)) in err
+
     def test_sample_past_the_overflow_floor_has_empty_first_integral(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -335,6 +351,11 @@ class TestUsageMessages:
               "negative", "--horizon", "8", "--min-step", "0.02"],
              "the run ended at t=0 (StepSizeCollapse) before any sample "
              "past t = 0"),
+            # Not a Recollapse: y stays exactly 0 at s = 1.5, and inf * 0
+            # would make its error scale nan.
+            (["classify", "--n", "4", "--s", "1.5", "--curvature", "positive",
+              "--horizon", "5", "--rel-tol", "inf"],
+             "tolerances must be positive and finite"),
         ],
     )
     def test_exit_two_with_message(self, capsys, argv, message):

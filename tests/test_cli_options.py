@@ -16,6 +16,8 @@ SETTINGS_FLAGS = {"--rel-tol", "--abs-tol", "--max-step", "--min-step",
                   "--output-dt", "--y-floor", "--velocity-floor", "--config"}
 RUN_FLAGS = {"--n", "--s", "--curvature", "--vol-m", "--vol-n"} | SETTINGS_FLAGS
 FAMILY_FLAGS = {"--n", "--curvature"} | SETTINGS_FLAGS
+CLASSIFY = ["classify", "--n", "4", "--s", "1", "--curvature", "positive",
+            "--horizon", "5"]
 
 
 def run(capsys, argv):
@@ -45,9 +47,10 @@ def command_flags(name):
     "name, expected",
     [
         ("simulate", RUN_FLAGS | {"--t-max", "--out"}),
-        ("classify", RUN_FLAGS | {"--horizon"}),
+        ("classify", RUN_FLAGS - {"--vol-m", "--vol-n"} | {"--horizon"}),
         ("hamiltonian", RUN_FLAGS | {"--horizon"}),
-        ("bisect", FAMILY_FLAGS | {"--lo", "--hi", "--tol", "--horizon"}),
+        ("bisect", FAMILY_FLAGS - {"--output-dt"}
+         | {"--lo", "--hi", "--tol", "--horizon"}),
         ("sweep", FAMILY_FLAGS | {"--s-min", "--s-max", "--steps", "--horizon",
                                   "--no-limits"}),
         ("background", {"--n", "--curvature", "--t"}),
@@ -117,6 +120,40 @@ class TestRemovedVolumeFlags:
         assert rc == 2
         assert err.startswith("error:")
         assert key in err
+
+
+class TestFlagsThatCannotChangeTheResult:
+    # classify does not report h_red, the only reader of the base volumes,
+    # and no bisection probe reads the samples that output_dt places.
+    BISECT_FLOW = BISECT + ["--n", "4", "--curvature", "positive"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (CLASSIFY, "--vol-m"), (CLASSIFY, "--vol-n"),
+        (BISECT_FLOW, "--output-dt"),
+    ])
+    def test_flag_rejected(self, capsys, argv, flag):
+        rc, out, err = run(capsys, argv + [flag, "0.05"])
+        assert (rc, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 0.05" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (CLASSIFY, "vol_m"), (CLASSIFY, "vol_n"), (BISECT_FLOW, "output_dt"),
+    ])
+    def test_config_key_rejected(self, tmp_path, capsys, argv, key):
+        cfg = write_config(tmp_path, {key: 0.05})
+        rc, out, err = run(capsys, argv + ["--config", cfg])
+        assert (rc, out) == (2, "")
+        assert err == f"error: unknown keys in --config: [{key!r}]\n"
+
+    @pytest.mark.parametrize("argv, section, key, default", [
+        (CLASSIFY, "flow", "vol_m", 1.0), (CLASSIFY, "flow", "vol_n", 1.0),
+        (BISECT_FLOW, "settings", "output_dt", 0.1),
+    ])
+    def test_manifest_echoes_the_default(self, capsys, argv, section, key,
+                                         default):
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert json.loads(out)["manifest"]["config"][section][key] == default
 
 
 class TestConfigValues:

@@ -35,6 +35,7 @@ from cmcflow.experiments import (
 )
 from cmcflow.integrate import (
     REACHED_HORIZON,
+    EventSpec,
     IntegratorSettings,
     Termination,
     Trajectory,
@@ -575,7 +576,7 @@ class TestMirrorSymmetry:
 class TestLimit:
     def test_symmetric_coupling_has_zero_limit(self):
         for sign in (POS, NEG):
-            est = limit_Cs(config(sign=sign, s=1.0), 20.0, oracle_dt=1e-2)
+            est = limit_Cs(config(sign=sign, s=1.0), 20.0)
             assert est.value == 0.0
             assert est.tail_variation <= 1e-12
             assert est.decay_rate is None
@@ -595,8 +596,8 @@ class TestLimit:
 
     def test_swap_symmetry_of_limits(self):
         # couplings s and s/(2s-1) exchange the two factors
-        a = limit_Cs(config(sign=NEG, s=3.0), 30.0, oracle_dt=1e-2)
-        b = limit_Cs(config(sign=NEG, s=0.6), 30.0, oracle_dt=1e-2)
+        a = limit_Cs(config(sign=NEG, s=3.0), 30.0)
+        b = limit_Cs(config(sign=NEG, s=0.6), 30.0)
         assert a.value == pytest.approx(-b.value, abs=1e-9)
 
     def test_regime_errors(self):
@@ -607,11 +608,12 @@ class TestLimit:
         with pytest.raises(RegimeError):
             limit_Cs(config(s=0.7), 30.0)
 
-    def test_oracle_blowup_is_regime_error(self):
+    def test_oracle_blowup_is_regime_error(self, monkeypatch):
         # the oracle at dt 0.5 leaves the double range and stops on its
         # velocity floor; that is reported, not raised as OverflowError
+        monkeypatch.setattr(experiments, "ORACLE_DT", 0.5)
         with pytest.raises(RegimeError, match="oracle integration"):
-            limit_Cs(config(m=3, sign=NEG, s=5.0), 8.0, oracle_dt=0.5)
+            limit_Cs(config(m=3, sign=NEG, s=5.0), 8.0)
 
     def test_run_that_misses_the_horizon_is_regime_error(self):
         # A min_step just below the default max_step collapses the step of a
@@ -628,7 +630,7 @@ class TestLimit:
     def test_decay_rate_is_two(self, n, sign, s):
         # For n >= 4 and s != 1, x - y = L + A e^(-2t) + O(e^(-4t)): the
         # curvature forcing decays like e^(-2t), the free mode like e^(-nt).
-        est = limit_Cs(config(m=n // 2, sign=sign, s=s), 50.0, oracle_dt=1e-2)
+        est = limit_Cs(config(m=n // 2, sign=sign, s=s), 50.0)
         assert abs(est.decay_rate + 2.0) <= 1e-3
 
     @pytest.mark.parametrize("sign, frozen", [(POS, CS_POS_13), (NEG, CS_NEG_13)])
@@ -717,35 +719,22 @@ class TestLimit:
                           n_accepted=len(times), n_rejected=0)
         monkeypatch.setattr(experiments, "integrate_oracle",
                             lambda *args: traj)
-        value = experiments._oracle_limit(cfg, ORACLE_DT, 14.0, 12.0, None)
+        value = experiments._oracle_limit(cfg, ORACLE_DT, 14.0, 12.0)
         expected = 1.25 - 0.25 * math.exp(-2.0 * (14.0 - 12.0))
         assert value == (expected if settled else None)
 
-    def test_failed_coarse_oracle_run_is_named(self):
-        # The run at oracle_dt = 0.25 reaches the horizon; the one at 0.5
+    def test_failed_coarse_oracle_run_is_named(self, monkeypatch):
+        # The run at ORACLE_DT = 0.25 reaches the horizon; the one at 0.5
         # leaves the double range and stops on its y floor.
+        monkeypatch.setattr(experiments, "ORACLE_DT", 0.25)
         with pytest.raises(RegimeError, match=(
                 r"^oracle integration did not reach the horizon \(dt=0\.5\)")):
-            limit_Cs(config(sign=NEG, s=5.0), 8.0, oracle_dt=0.25)
-
-    @pytest.mark.parametrize("oracle_dt", [math.inf, math.nan, 0.0, -1e-2, 1e308])
-    def test_bad_oracle_step_raises_before_any_run(self, monkeypatch, oracle_dt):
-        # 1e308 is finite, but the coarse run's step 2e308 is not.
-        def no_run(*args):
-            raise AssertionError("integrated with a bad oracle step")
-
-        monkeypatch.setattr(experiments, "integrate", no_run)
-        monkeypatch.setattr(experiments, "integrate_oracle", no_run)
-        match = "^oracle_dt must be positive with 2 \\* oracle_dt finite"
-        with pytest.raises(ValueError, match=match):
-            limit_Cs(config(sign=NEG, s=1.3), 5.0, oracle_dt=oracle_dt)
-        with pytest.raises(ValueError, match=match):
-            sweep(4, NEG, [0.6, 1.3], 5.0, oracle_dt=oracle_dt)
+            limit_Cs(config(sign=NEG, s=5.0), 8.0)
 
     def test_continuity_in_coupling(self):
-        base = limit_Cs(config(s=1.2), 40.0, oracle_dt=1e-2).value
-        coarse = limit_Cs(config(s=1.2 + 1e-3), 40.0, oracle_dt=1e-2).value
-        fine = limit_Cs(config(s=1.2 + 1e-4), 40.0, oracle_dt=1e-2).value
+        base = limit_Cs(config(s=1.2), 40.0).value
+        coarse = limit_Cs(config(s=1.2 + 1e-3), 40.0).value
+        fine = limit_Cs(config(s=1.2 + 1e-4), 40.0).value
         assert abs(fine - base) < abs(coarse - base)
         assert abs(fine - base) < 1e-3
 
@@ -896,21 +885,22 @@ class TestSweep:
         ]
 
     def test_negative_all_complete_with_limits(self):
-        rows = sweep(4, NEG, [0.6, 1.0, 3.0], 50.0, oracle_dt=1e-2)
+        rows = sweep(4, NEG, [0.6, 1.0, 3.0], 50.0)
         assert all(r.classification.verdict == VERDICT_COMPLETE for r in rows)
         assert all(r.limit is not None for r in rows)
         assert rows[1].limit.value == 0.0
 
     def test_limits_absent_outside_open_interval(self):
-        rows = sweep(4, POS, [0.75, 1.0, 1.5, 2.0], 30.0, oracle_dt=1e-2)
+        rows = sweep(4, POS, [0.75, 1.0, 1.5, 2.0], 30.0)
         present = [r.limit is not None for r in rows]
         assert present == [False, True, False, False]
         assert [r.error for r in rows] == [None] * 4
 
-    def test_oracle_failure_reported_in_row(self):
+    def test_oracle_failure_reported_in_row(self, monkeypatch):
         # The coarse oracle overflows before the horizon, where limit_Cs
         # raises; the row keeps its verdict and names the failure.
-        (row,) = sweep(6, NEG, [5.0], 8.0, oracle_dt=0.5)
+        monkeypatch.setattr(experiments, "ORACLE_DT", 0.5)
+        (row,) = sweep(6, NEG, [5.0], 8.0)
         assert row.classification.verdict == VERDICT_COMPLETE
         assert row.limit is None
         assert row.error.startswith(
@@ -933,9 +923,10 @@ class TestSweep:
             sweep(4, POS, [1.0, 2.0], horizon)
         assert str(exc.value) == "t_max must be positive and finite"
 
-    @pytest.mark.parametrize("s, oracle_dts", [(1.3, [1e-2, 2e-2]), (2.0, [])])
+    @pytest.mark.parametrize(
+        "s, oracle_dts", [(1.3, [ORACLE_DT, 2.0 * ORACLE_DT]), (2.0, [])])
     def test_one_integration_per_row(self, monkeypatch, s, oracle_dts):
-        # The limit's oracle pair runs at oracle_dt and at 2 * oracle_dt.
+        # The limit's oracle pair runs at ORACLE_DT and at 2 * ORACLE_DT.
         calls = {"integrate": [], "integrate_oracle": []}
 
         def counted(name):
@@ -949,17 +940,31 @@ class TestSweep:
 
         counted("integrate")
         counted("integrate_oracle")
-        (row,) = sweep(4, POS, [s], 20.0, oracle_dt=1e-2)
+        (row,) = sweep(4, POS, [s], 20.0)
         assert len(calls["integrate"]) == 1
         assert [args[1] for args in calls["integrate_oracle"]] == oracle_dts
 
         monkeypatch.undo()
         assert row.classification == classify(config(s=s), 20.0)
         if oracle_dts:
-            assert row.limit == limit_Cs(config(s=s), 20.0, 1e-2)
+            assert row.limit == limit_Cs(config(s=s), 20.0)
         else:
             assert row.classification.verdict == VERDICT_RECOLLAPSE
             assert row.limit is None
+
+    @pytest.mark.parametrize("sign, grid", [
+        (POS, [0.8, 1.0, 1.3, 1.45]), (NEG, [0.6, 1.3, 3.0]),
+    ])
+    @pytest.mark.parametrize("horizon", [14.0, 50.0])
+    def test_floors_cannot_change_convergent_rows(self, sign, grid, horizon):
+        # On a convergent row x' and y' stay positive for t > 0, so y >= 0
+        # and x' + y' >= 0: no negative floor fires, however close to zero,
+        # in the row's run or in the limit's RK4 pair.
+        rows = sweep(4, sign, grid, horizon)
+        assert all(row.limit is not None for row in rows)
+        for floor in (-1e-9, -0.5):
+            events = EventSpec(y_floor=floor, velocity_floor=floor)
+            assert sweep(4, sign, grid, horizon, events=events) == rows
 
     def test_rows_keep_grid_order(self):
         grid = [2.0, 0.8, 1.3]

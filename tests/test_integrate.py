@@ -67,6 +67,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             IntegratorSettings(output_dt=0.0)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-10])
+    def test_tolerances_must_be_positive_and_finite(self, field, value):
+        # At rel_tol = inf a component that stays at exactly 0 gets the
+        # error scale abs_tol + inf * 0 = nan, and every step is rejected.
+        with pytest.raises(ValueError) as exc:
+            IntegratorSettings(**{field: value})
+        assert str(exc.value) == "tolerances must be positive and finite"
+
     def test_infinite_horizon_rejected(self):
         # an infinite horizon on a complete trajectory would never return
         with pytest.raises(ValueError):
