@@ -42,6 +42,7 @@ from .background import (
     scale_factor,
 )
 from .experiments import (
+    RUN_MAX_STEP,
     BracketError,
     GaugeRangeError,
     PreconditionError,
@@ -130,6 +131,9 @@ _RUN_OPTS = {**_FLOW_OPTS, **_SETTINGS_OPTS, **_EVENT_OPTS}
 _CLASSIFY_OPTS = {k: v for k, v in _RUN_OPTS.items() if k not in ("vol_m", "vol_n")}
 _FAMILY_OPTS = {k: v for k, v in _CLASSIFY_OPTS.items() if k != "s"}
 _BISECT_OPTS = {k: v for k, v in _FAMILY_OPTS.items() if k != "output_dt"}
+# classify and sweep report no h_red series, so they take the library's
+# default cap for such runs.
+_CLASSIFY_OPTS["max_step"] = _FAMILY_OPTS["max_step"] = (float, RUN_MAX_STEP)
 
 
 # The values a flag and its --config key may take, in the order usage and

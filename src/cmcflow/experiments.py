@@ -67,6 +67,11 @@ ORACLE_SETTLE_T = 12.0
 ORACLE_SETTLE_TOL = 1e-13
 ORACLE_SETTLE_SAMPLES = 11
 
+# Default step cap of the runs that report no h_red series (classify, sweep
+# and limit_Cs; see IntegratorSettings).  Bisection probes keep 0.03: they
+# take more DP5 steps at this cap.
+RUN_MAX_STEP = 0.3
+
 
 class RegimeError(ValueError):
     """Limit extraction requested outside the convergent regime."""
@@ -182,8 +187,8 @@ def _near_threshold(config: FlowConfig) -> bool:
     return upper is not None and abs(config.s - upper) < NEAR_THRESHOLD
 
 
-def _settings_for(horizon: float, settings: IntegratorSettings | None):
-    base = settings if settings is not None else IntegratorSettings()
+def _settings_for(horizon: float, settings: IntegratorSettings | None, **defaults):
+    base = settings if settings is not None else IntegratorSettings(**defaults)
     return replace(base, t_max=horizon)
 
 
@@ -197,9 +202,10 @@ def classify(
 
     A step-size collapse is read as recollapse evidence but flagged
     low-confidence, as is any verdict within NEAR_THRESHOLD of an analytic
-    threshold.
+    threshold.  Without settings the run's step cap is RUN_MAX_STEP.
     """
-    traj = integrate(config, _settings_for(horizon, settings), events)
+    run_settings = _settings_for(horizon, settings, max_step=RUN_MAX_STEP)
+    traj = integrate(config, run_settings, events)
     return _classification(config, traj, horizon)
 
 
@@ -521,12 +527,13 @@ def limit_Cs(
     Valid in the convergent regime only: negative products for any
     coupling, positive products strictly between the thresholds.  The
     caller's settings and events govern the run whose x - y at the horizon
-    is ``value``.  That value is cross-checked against an independent
-    fixed-step RK4 pair: two runs, at the finer step ORACLE_DT = 8e-3 and
-    at 2 * ORACLE_DT, give L_a and L_b, their x - y at the horizon.  RK4's
-    global error is C h^4 + O(h^5), so the paired value L_a + (L_a - L_b)/15
-    cancels the h^4 term (global Richardson extrapolation), and
-    ``cross_check_delta`` is the distance from ``value`` to it.
+    is ``value``; without settings its step cap is RUN_MAX_STEP.  That
+    value is cross-checked against an independent fixed-step RK4 pair: two
+    runs, at the finer step ORACLE_DT = 8e-3 and at 2 * ORACLE_DT, give
+    L_a and L_b, their x - y at the horizon.  RK4's global error is
+    C h^4 + O(h^5), so the paired value L_a + (L_a - L_b)/15 cancels the
+    h^4 term (global Richardson extrapolation), and ``cross_check_delta``
+    is the distance from ``value`` to it.
     ``oracle_error_estimate`` = |L_a - L_b|/15 estimates the error of the
     finer run alone; the pair is more accurate than that run, so the
     estimate is a conservative error bar for the paired value.
@@ -575,7 +582,8 @@ def limit_Cs(
             f"coupling s={config.s} is outside the open convergent "
             f"interval {thresholds(config.n)} for n={config.n}"
         )
-    traj = integrate(config, _settings_for(horizon, settings), events)
+    run_settings = _settings_for(horizon, settings, max_step=RUN_MAX_STEP)
+    traj = integrate(config, run_settings, events)
     return _limit(config, traj, horizon)
 
 
@@ -753,12 +761,13 @@ def sweep(
     Each row integrates once; the verdict and the limit read that one
     trajectory.  Rows outside the convergent interval get no limit; a failed
     limit is reported in the row's ``error``, next to its classification.
-    The caller's settings and events govern each row's run; the limit's
-    RK4 pair is the fixed one of :func:`limit_Cs`.  An invalid n or horizon
-    raises ValueError before any row.
+    The caller's settings and events govern each row's run (without
+    settings its step cap is RUN_MAX_STEP, as in :func:`classify`); the
+    limit's RK4 pair is the fixed one of :func:`limit_Cs`.  An invalid n
+    or horizon raises ValueError before any row.
     """
     thresholds(n)  # raises ValueError unless n is even and >= 2
-    run_settings = _settings_for(horizon, settings)
+    run_settings = _settings_for(horizon, settings, max_step=RUN_MAX_STEP)
 
     def row(s: float) -> SweepRow:
         try:

@@ -110,14 +110,15 @@ class TimeSymmetryError(ValueError):
 class IntegratorSettings:
     """Tolerances, step bounds, horizon and output sampling interval.
 
-    The default max_step is deliberately small: on late-time trajectories
-    all derivatives beyond the first decay exponentially, and an uncapped
-    controller would grow the step until the local error sits at the
-    tolerance floor, slowly bleeding the conserved quantities.  Capping the
-    step keeps the local error proportional to the decaying mode instead,
-    which is what holds a reported reduced-Hamiltonian series within 1e-6
-    relative over audit-length horizons (5e-8 on the n = 4 backgrounds at
-    horizon 8, 4e-5 with a cap of 0.1).  The audit's verdict does not use it.
+    The default max_step, 0.03, is for runs that report a reduced-Hamiltonian
+    series: on late-time trajectories all derivatives beyond the first decay
+    exponentially, and an uncapped controller would grow the step until the
+    local error sits at the tolerance floor, slowly bleeding the conserved
+    quantities.  Capping the step keeps the local error proportional to the
+    decaying mode instead, which is what holds a reported h_red series within
+    1e-6 relative over audit-length horizons (5e-8 on the n = 4 backgrounds at
+    horizon 8, 4e-5 with a cap of 0.1).  The audit's verdict does not use it,
+    nor do the runs that report no h_red series: see experiments.RUN_MAX_STEP.
 
     The horizon t_max must be positive and finite: the steppers run until
     they reach it or a blow-up trigger fires, so an infinite horizon on a

@@ -2,10 +2,13 @@
 the manifest sections each command echoes."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
+from cmcflow.background import CurvatureSign
 from cmcflow.cli import build_parser, main
+from cmcflow.experiments import coupling_grid, sweep
 
 BISECT = ["bisect", "--lo", "1.4", "--hi", "1.6", "--tol", "1e-3",
           "--horizon", "30"]
@@ -154,6 +157,58 @@ class TestFlagsThatCannotChangeTheResult:
         rc, out, _ = run(capsys, argv)
         assert rc == 0
         assert json.loads(out)["manifest"]["config"][section][key] == default
+
+
+class TestStepCapDefaults:
+    # classify and sweep report no h_red series and default to the library's
+    # wider cap; the other commands keep the dataclass default.
+    BISECT_FLOW = BISECT + ["--n", "4", "--curvature", "positive"]
+    SWEEP_FLOW = SWEEP + ["--n", "4", "--curvature", "negative"]
+    HAMILTONIAN = ["hamiltonian", "--n", "4", "--s", "1", "--curvature",
+                   "negative", "--horizon", "3"]
+
+    @pytest.mark.parametrize("argv, cap", [
+        (CLASSIFY, 0.3), (SWEEP_FLOW, 0.3), (HAMILTONIAN, 0.03),
+        (BISECT_FLOW, 0.03),
+    ])
+    def test_manifest_echoes_the_default_cap(self, capsys, argv, cap):
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert json.loads(out)["manifest"]["config"]["settings"]["max_step"] == cap
+
+    def test_simulate_keeps_the_fine_cap(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        rc, _, _ = run(capsys, ["simulate", "--n", "4", "--s", "1",
+                                "--curvature", "negative", "--t-max", "2",
+                                "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["config"]["settings"]["max_step"] == 0.03
+
+    @pytest.mark.parametrize("argv", [CLASSIFY, SWEEP_FLOW])
+    def test_flag_and_config_override_the_default(self, tmp_path, capsys, argv):
+        rc, out, _ = run(capsys, argv + ["--max-step", "0.03"])
+        assert rc == 0
+        assert json.loads(out)["manifest"]["config"]["settings"]["max_step"] == 0.03
+
+        cfg = write_config(tmp_path, {"max_step": 0.03})
+        rc, out, _ = run(capsys, argv + ["--config", cfg])
+        assert rc == 0
+        assert json.loads(out)["manifest"]["config"]["settings"]["max_step"] == 0.03
+
+        rc, out, _ = run(capsys, argv + ["--config", cfg, "--max-step", "0.05"])
+        assert rc == 0
+        assert json.loads(out)["manifest"]["config"]["settings"]["max_step"] == 0.05
+
+    def test_sweep_rows_are_the_library_default_rows(self, capsys):
+        rc, out, _ = run(capsys, ["sweep", "--n", "4", "--curvature", "negative",
+                                  "--s-min", "0.6", "--s-max", "2", "--steps",
+                                  "3", "--horizon", "20"])
+        assert rc == 0
+        rows = sweep(4, CurvatureSign.NEGATIVE, coupling_grid(0.6, 2.0, 3), 20.0)
+        cli_rows = json.loads(out)["result"]["rows"]
+        assert [row["limit"] for row in cli_rows] == [
+            asdict(row.limit) for row in rows]
 
 
 class TestConfigValues:

@@ -1,9 +1,11 @@
 """Tests for classification, bisection, limit extraction, audits and sweeps."""
 
+import hashlib
 import importlib.util
 import math
 import sys
 from collections import Counter
+from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +23,7 @@ from cmcflow.experiments import (
     VERDICT_RECOLLAPSE,
     ORACLE_DT,
     RECOLLAPSE_V0,
+    RUN_MAX_STEP,
     BracketError,
     GaugeRangeError,
     PreconditionError,
@@ -970,6 +973,75 @@ class TestSweep:
         grid = [2.0, 0.8, 1.3]
         rows = sweep(4, POS, grid, 30.0, with_limits=False)
         assert [r.s for r in rows] == grid
+
+
+# Small grids per region at horizon 50: for positive curvature below,
+# inside and above the completeness interval (0.75, 1.5) for n = 4 and
+# (5/6, 1.25) for n = 6.
+_CAP_GRIDS = {
+    (4, POS): [0.6, 0.7, 0.8, 1.1, 1.45, 1.6, 3.0],
+    (6, POS): [0.6, 0.8, 0.9, 1.0, 1.2, 1.3, 3.0],
+    (4, NEG): [0.6, 1.3, 3.0],
+    (6, NEG): [0.6, 1.3, 3.0],
+}
+# sha256 of repr([astuple(row) for row in rows]) for each grid's sweep at
+# max_step 0.03, the IntegratorSettings default.
+_CAP_003_SHA256 = {
+    (4, POS): "dc00aba18847e1e5fcefc968d4349093fa58f555ca498a966bd6d5c5f3b2626e",
+    (6, POS): "3ba1a70d4f992dce922013be2bac341b6483a50757170427c3ffbea8c5e07a0d",
+    (4, NEG): "0ca94dded9d5326e681d711743d3d87f6ebbc66201ed44778fe8f6bf1ec0b212",
+    (6, NEG): "96a2d4740489cb8cbbacb22bffb31125f00ca01714297a0ad07492d79f931f60",
+}
+
+
+class TestRunStepCap:
+    @pytest.mark.parametrize("n, sign", list(_CAP_GRIDS))
+    def test_default_cap_matches_the_fine_cap(self, n, sign):
+        grid = _CAP_GRIDS[n, sign]
+        fine = sweep(n, sign, grid, 50.0, settings=IntegratorSettings(max_step=0.03))
+        # Explicit settings win over RUN_MAX_STEP, bit for bit.
+        text = repr([astuple(row) for row in fine])
+        assert hashlib.sha256(text.encode()).hexdigest() == _CAP_003_SHA256[n, sign]
+
+        lower, upper = thresholds(n)
+        rows = sweep(n, sign, grid, 50.0)
+        assert [row.s for row in rows] == grid
+        for row, ref in zip(rows, fine):
+            complete = sign is NEG or lower < row.s < upper
+            assert row.error is None and ref.error is None
+            assert row.classification.verdict == ref.classification.verdict == (
+                VERDICT_COMPLETE if complete else VERDICT_RECOLLAPSE)
+            assert (row.limit is None) == (ref.limit is None) == (not complete)
+            if complete:
+                # The bounds of criteria 6 and 7.
+                assert row.classification.max_first_integral_residual <= 1e-7
+                assert row.classification.max_constraint_residual <= 1e-6
+                assert abs(row.limit.value - ref.limit.value) <= 1e-12
+                assert row.limit.cross_check_delta <= 1e-6
+
+    def test_only_runs_without_an_h_red_series_widen_the_cap(self, monkeypatch):
+        caps = []
+        real = experiments.integrate
+
+        def recorded(config, settings, events=None):
+            caps.append(settings.max_step)
+            return real(config, settings, events)
+
+        monkeypatch.setattr(experiments, "integrate", recorded)
+        classify(config(s=1.3), 5.0)
+        limit_Cs(config(s=1.3), 5.0)
+        sweep(4, POS, [1.3], 5.0)
+        assert caps == [RUN_MAX_STEP] * 3
+        caps.clear()
+        hamiltonian_audit(config(sign=NEG, s=1.3), 5.0)
+        bisect_critical(4, POS, 1.4, 1.6, 1e-2, 20.0)
+        assert set(caps) == {IntegratorSettings().max_step} == {0.03}
+        caps.clear()
+        mine = IntegratorSettings(max_step=0.05)
+        classify(config(s=1.3), 5.0, settings=mine)
+        limit_Cs(config(s=1.3), 5.0, settings=mine)
+        sweep(4, POS, [1.3], 5.0, settings=mine)
+        assert caps == [0.05] * 3
 
 
 def load_script(name):

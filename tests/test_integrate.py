@@ -13,6 +13,7 @@ from cmcflow.background import CurvatureSign
 from cmcflow.cli import main
 from cmcflow.experiments import (
     RECOLLAPSE_V0,
+    RUN_MAX_STEP,
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
     _probe_verdict,
@@ -492,7 +493,7 @@ class TestGeometryBuiltOnRead:
         [row] = sweep(4, NEG, [1.3], 10.0)
         assert row.limit is not None
         dp5 = integrate(FlowConfig(m=2, sign=NEG, s=1.3),
-                        IntegratorSettings(t_max=10.0))
+                        IntegratorSettings(max_step=RUN_MAX_STEP, t_max=10.0))
         assert built == list(dp5.samples)
 
     def test_simulate_builds_one_per_csv_row(self, built, capsys):
