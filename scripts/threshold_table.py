@@ -42,8 +42,9 @@ def main() -> int:
                      with_limits=not args.no_limits)
     except ValueError as exc:
         ap.error(re.sub(r"\bt_max\b", "--horizon", str(exc)))
+    upper_text = f"{upper:.6f}" if upper is not None else "undefined (n=2)"
     print(f"n = {args.n}: analytic completeness interval "
-          f"[{lower:.6f}, {upper if upper is not None else 'undefined (n=2)'}]")
+          f"[{lower:.6f}, {upper_text}]")
     # the limit is shown both gauge-free, as lim (x - y), and as the
     # volume ratio of the two factors at unit base volumes
     print(f"{'s':>10}  {'verdict':<22} {'t_blowup':>12}  {'lim (x-y)':>12}  "

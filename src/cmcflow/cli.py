@@ -125,15 +125,14 @@ _SETTINGS_OPTS = {
 _EVENT_OPTS = {field.name: (float, field.default) for field in fields(EventSpec)}
 # A command takes only the options that can change its output.  simulate and
 # hamiltonian take every one; classify, bisect and sweep no base volumes,
-# which enter only the reduced Hamiltonian; bisect and sweep no --s, as they
+# which enter only the reduced Hamiltonian, and, reporting no h_red series,
+# the library's default cap for such runs; bisect and sweep no --s, as they
 # scan the coupling; bisect no --output-dt, whose samples no probe reads.
 _RUN_OPTS = {**_FLOW_OPTS, **_SETTINGS_OPTS, **_EVENT_OPTS}
 _CLASSIFY_OPTS = {k: v for k, v in _RUN_OPTS.items() if k not in ("vol_m", "vol_n")}
+_CLASSIFY_OPTS["max_step"] = (float, RUN_MAX_STEP)
 _FAMILY_OPTS = {k: v for k, v in _CLASSIFY_OPTS.items() if k != "s"}
 _BISECT_OPTS = {k: v for k, v in _FAMILY_OPTS.items() if k != "output_dt"}
-# classify and sweep report no h_red series, so they take the library's
-# default cap for such runs.
-_CLASSIFY_OPTS["max_step"] = _FAMILY_OPTS["max_step"] = (float, RUN_MAX_STEP)
 
 
 # The values a flag and its --config key may take, in the order usage and

@@ -67,9 +67,8 @@ ORACLE_SETTLE_T = 12.0
 ORACLE_SETTLE_TOL = 1e-13
 ORACLE_SETTLE_SAMPLES = 11
 
-# Default step cap of the runs that report no h_red series (classify, sweep
-# and limit_Cs; see IntegratorSettings).  Bisection probes keep 0.03: they
-# take more DP5 steps at this cap.
+# Default step cap of the runs that report no h_red series (classify,
+# bisect_critical, sweep and limit_Cs; see IntegratorSettings).
 RUN_MAX_STEP = 0.3
 
 
@@ -187,8 +186,8 @@ def _near_threshold(config: FlowConfig) -> bool:
     return upper is not None and abs(config.s - upper) < NEAR_THRESHOLD
 
 
-def _settings_for(horizon: float, settings: IntegratorSettings | None, **defaults):
-    base = settings if settings is not None else IntegratorSettings(**defaults)
+def _settings_for(horizon: float, settings: IntegratorSettings | None):
+    base = settings or IntegratorSettings(max_step=RUN_MAX_STEP)
     return replace(base, t_max=horizon)
 
 
@@ -204,7 +203,7 @@ def classify(
     low-confidence, as is any verdict within NEAR_THRESHOLD of an analytic
     threshold.  Without settings the run's step cap is RUN_MAX_STEP.
     """
-    run_settings = _settings_for(horizon, settings, max_step=RUN_MAX_STEP)
+    run_settings = _settings_for(horizon, settings)
     traj = integrate(config, run_settings, events)
     return _classification(config, traj, horizon)
 
@@ -401,12 +400,13 @@ def bisect_critical(
     curvature only: the negative family is complete for every coupling, so
     there is no threshold to find.
 
-    A probe whose initial acceleration points into the completeness
-    region R is complete without a run, and a probe whose x' + y'
-    falls to RECOLLAPSE_V0 early enough that :func:`recollapse_time_bound`
-    puts its blow-up inside the horizon recollapses without the last
-    approach to the velocity floor (:func:`_probe_verdict`); the result is
-    that of full-horizon probes.
+    A probe whose initial acceleration points into the completeness region R
+    is complete without a run, and a probe whose x' + y' falls to
+    RECOLLAPSE_V0 early enough that :func:`recollapse_time_bound` puts its
+    blow-up inside the horizon recollapses without the last approach to the
+    velocity floor (:func:`_probe_verdict`); the result is that of
+    full-horizon probes.  A probe steps at RUN_MAX_STEP without settings, so
+    each end's verdict is :func:`classify`'s at the same settings and horizon.
 
     The search walks bisection's own tree: the bracket (lo, hi) halves at
     its midpoint 0.5 * (lo + hi), and ``iterations`` counts the halvings,
@@ -582,7 +582,7 @@ def limit_Cs(
             f"coupling s={config.s} is outside the open convergent "
             f"interval {thresholds(config.n)} for n={config.n}"
         )
-    run_settings = _settings_for(horizon, settings, max_step=RUN_MAX_STEP)
+    run_settings = _settings_for(horizon, settings)
     traj = integrate(config, run_settings, events)
     return _limit(config, traj, horizon)
 
@@ -682,7 +682,8 @@ def hamiltonian_audit(
     before any sample past t = 0 has no verdict and raises ValueError
     naming its termination.
     """
-    traj = integrate(config, _settings_for(horizon, settings), events)
+    traj = integrate(
+        config, _settings_for(horizon, settings or IntegratorSettings()), events)
     n = config.n
 
     series: list[tuple[float, float]] = []
@@ -767,7 +768,7 @@ def sweep(
     or horizon raises ValueError before any row.
     """
     thresholds(n)  # raises ValueError unless n is even and >= 2
-    run_settings = _settings_for(horizon, settings, max_step=RUN_MAX_STEP)
+    run_settings = _settings_for(horizon, settings)
 
     def row(s: float) -> SweepRow:
         try:

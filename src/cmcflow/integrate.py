@@ -118,7 +118,7 @@ class IntegratorSettings:
     decaying mode instead, which is what holds a reported h_red series within
     1e-6 relative over audit-length horizons (5e-8 on the n = 4 backgrounds at
     horizon 8, 4e-5 with a cap of 0.1).  The audit's verdict does not use it,
-    nor do the runs that report no h_red series: see experiments.RUN_MAX_STEP.
+    nor does any run reporting none, which defaults to experiments.RUN_MAX_STEP.
 
     The horizon t_max must be positive and finite: the steppers run until
     they reach it or a blow-up trigger fires, so an infinite horizon on a

@@ -160,8 +160,8 @@ class TestFlagsThatCannotChangeTheResult:
 
 
 class TestStepCapDefaults:
-    # classify and sweep report no h_red series and default to the library's
-    # wider cap; the other commands keep the dataclass default.
+    # classify, bisect and sweep report no h_red series and default to the
+    # library's wider cap; the other commands keep the dataclass default.
     BISECT_FLOW = BISECT + ["--n", "4", "--curvature", "positive"]
     SWEEP_FLOW = SWEEP + ["--n", "4", "--curvature", "negative"]
     HAMILTONIAN = ["hamiltonian", "--n", "4", "--s", "1", "--curvature",
@@ -169,7 +169,7 @@ class TestStepCapDefaults:
 
     @pytest.mark.parametrize("argv, cap", [
         (CLASSIFY, 0.3), (SWEEP_FLOW, 0.3), (HAMILTONIAN, 0.03),
-        (BISECT_FLOW, 0.03),
+        (BISECT_FLOW, 0.3),
     ])
     def test_manifest_echoes_the_default_cap(self, capsys, argv, cap):
         rc, out, _ = run(capsys, argv)

@@ -200,6 +200,17 @@ class TestBisect:
         assert res.verdict_lo == VERDICT_RECOLLAPSE
         assert res.verdict_hi == VERDICT_COMPLETE
 
+    @pytest.mark.parametrize("n, s_lo", [(4, 1.4), (6, 1.2)])
+    def test_bracket_ends_classify_as_their_verdicts(self, n, s_lo):
+        # At horizon 8 the horizon, not the threshold, decides these
+        # 2-ulp brackets, so the ends agree with classify only if the
+        # probes step as classify does.
+        res = bisect_critical(n, POS, s_lo, 3.0, 2 * math.ulp(3.0), 8.0)
+        lo, hi = res.bracket
+        m = n // 2
+        assert classify(config(m=m, s=lo), 8.0).verdict == res.verdict_lo
+        assert classify(config(m=m, s=hi), 8.0).verdict == res.verdict_hi
+
     def test_negative_family_rejected(self):
         with pytest.raises(PreconditionError):
             bisect_critical(4, NEG, 1.4, 1.6, 1e-3, 30.0)
@@ -1033,15 +1044,20 @@ class TestRunStepCap:
         sweep(4, POS, [1.3], 5.0)
         assert caps == [RUN_MAX_STEP] * 3
         caps.clear()
-        hamiltonian_audit(config(sign=NEG, s=1.3), 5.0)
         bisect_critical(4, POS, 1.4, 1.6, 1e-2, 20.0)
-        assert set(caps) == {IntegratorSettings().max_step} == {0.03}
+        assert caps and set(caps) == {RUN_MAX_STEP}
+        caps.clear()
+        hamiltonian_audit(config(sign=NEG, s=1.3), 5.0)
+        assert caps == [IntegratorSettings().max_step] == [0.03]
         caps.clear()
         mine = IntegratorSettings(max_step=0.05)
         classify(config(s=1.3), 5.0, settings=mine)
         limit_Cs(config(s=1.3), 5.0, settings=mine)
         sweep(4, POS, [1.3], 5.0, settings=mine)
         assert caps == [0.05] * 3
+        caps.clear()
+        bisect_critical(4, POS, 1.4, 1.6, 1e-2, 20.0, settings=mine)
+        assert caps and set(caps) == {0.05}
 
 
 def load_script(name):
@@ -1233,6 +1249,23 @@ class TestCouplingGrid:
         assert out == ""
         assert err.startswith("usage:")
         assert err.endswith("error: --horizon must be positive and finite\n")
+
+    @pytest.mark.parametrize("n, interval", [
+        (2, "[0.500000, undefined (n=2)]"),
+        (4, "[0.750000, 1.500000]"),
+        (8, "[0.875000, 1.166667]"),
+    ])
+    def test_threshold_table_header_formats_both_ends(
+        self, monkeypatch, capsys, n, interval
+    ):
+        script = load_script("threshold_table")
+        monkeypatch.setattr(script, "sweep", lambda *args, **kwargs: [])
+        monkeypatch.setattr(sys, "argv", [
+            "threshold_table.py", "--n", str(n), "--points", "3", "--no-limits",
+        ])
+        assert script.main() == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"n = {n}: analytic completeness interval {interval}"
 
     def test_cli_and_threshold_table_evaluate_the_same_couplings(
         self, monkeypatch, capsys
