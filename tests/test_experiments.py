@@ -5,7 +5,7 @@ import importlib.util
 import math
 import sys
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
@@ -210,6 +210,18 @@ class TestBisect:
         m = n // 2
         assert classify(config(m=m, s=lo), 8.0).verdict == res.verdict_lo
         assert classify(config(m=m, s=hi), 8.0).verdict == res.verdict_hi
+
+    def test_raised_run_that_ends_another_way_falls_back(self):
+        # A y floor at -0.05 fires before the raised velocity floor, so the
+        # raised run ends another way and the full run decides.  Were the
+        # screened run's y-floor time to decide instead, this 2-ulp bracket,
+        # which horizon 0.5 decides, would move by 8e-9 and its upper end
+        # would recollapse where classify completes.
+        events = EventSpec(y_floor=-0.05)
+        res = bisect_critical(4, POS, 1.6, 3.0, 2 * math.ulp(3.0), 0.5,
+                              events=events)
+        for s, verdict in zip(res.bracket, (res.verdict_lo, res.verdict_hi)):
+            assert classify(config(s=s), 0.5, events=events).verdict == verdict
 
     def test_negative_family_rejected(self):
         with pytest.raises(PreconditionError):
@@ -441,6 +453,27 @@ class TestBisect:
         bisect_critical(n, POS, lo, hi, tol, 80.0)
         assert len(probes) <= self.GOLDEN_PROBES[name]
 
+    # DP5 steps, accepted plus rejected, of the seven golden solves at
+    # default settings: 11 634 with the raised-floor runs at the caller's
+    # tolerances, 5 176 with them screened, plus a 10% margin.  Three of the
+    # solves probe a boundary solution (s = s* exactly), whose raised run
+    # reaches the horizon and leaves the verdict to a full run.
+    GOLDEN_STEPS = 5700
+
+    def test_golden_solves_screen_their_raised_runs(self, monkeypatch):
+        steps = []
+        real = experiments.integrate
+
+        def counted(config, settings, events=None):
+            traj = real(config, settings, events)
+            steps.append(traj.n_accepted + traj.n_rejected)
+            return traj
+
+        monkeypatch.setattr(experiments, "integrate", counted)
+        for (n, lo, hi, tol), _ in self.GOLDEN.values():
+            bisect_critical(n, POS, lo, hi, tol, 80.0)
+        assert sum(steps) <= self.GOLDEN_STEPS
+
     @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 1.5])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_wrong_escape_rate_keeps_the_bracket(self, monkeypatch, name, factor):
@@ -523,6 +556,51 @@ class TestBisect:
         # Here the horizon, not the escape-time law, sets the threshold, so
         # no probe is placed by the law: one probe per end and per halving.
         assert len(probes) == iterations + 2
+
+    # Solves whose results screening must leave bit for bit: the 2-ulp
+    # brackets that horizon 8 decides, the short-horizon solves above, whose
+    # late probes fall back to the full run, and the settings solves.
+    SCREENED_SOLVES = [
+        (4, 1.4, 3.0, 2 * math.ulp(3.0), 8.0),
+        (6, 1.2, 3.0, 2 * math.ulp(3.0), 8.0),
+        (4, 1.4, 3.0, 1e-6, 2.0), (4, 1.4, 3.0, 1e-6, 1.5),
+        (6, 0.55, 0.9, 1e-6, 3.0),
+        *((n, lo, hi, 1e-6, 80.0) for n, lo, hi in SETTINGS_SOLVES.values()),
+    ]
+
+    @pytest.mark.parametrize("n, s_lo, s_hi, tol, horizon", SCREENED_SOLVES)
+    def test_screening_never_changes_a_result(
+        self, monkeypatch, n, s_lo, s_hi, tol, horizon
+    ):
+        def solve():
+            res = bisect_critical(n, POS, s_lo, s_hi, tol, horizon)
+            return (res.bracket[0].hex(), res.bracket[1].hex(), res.iterations,
+                    res.verdict_lo, res.verdict_hi)
+
+        screened = solve()
+        # At 0 the max() in _probe_verdict keeps the caller's tolerances, so
+        # every raised-floor run steps as the full run does.
+        monkeypatch.setattr(experiments, "PROBE_REL_TOL", 0.0)
+        monkeypatch.setattr(experiments, "PROBE_ABS_TOL", 0.0)
+        assert solve() == screened
+
+    @pytest.mark.parametrize("caller", [None, IntegratorSettings(rel_tol=1e-6)])
+    def test_only_raised_floor_runs_are_screened(self, monkeypatch, caller):
+        runs = []
+        real = experiments.integrate
+
+        def recorded(config, settings, events=None):
+            runs.append((settings, (events or EventSpec()).velocity_floor))
+            return real(config, settings, events)
+
+        monkeypatch.setattr(experiments, "integrate", recorded)
+        bisect_critical(4, POS, 1.4, 3.0, 1e-6, 2.0, caller)
+        # classify's defaults without settings; a looser rel_tol stands.
+        full = replace(caller or IntegratorSettings(max_step=RUN_MAX_STEP),
+                       t_max=2.0)
+        screen = replace(full, rel_tol=max(full.rel_tol, 1e-7),
+                         abs_tol=max(full.abs_tol, 1e-9))
+        assert {(screen, RECOLLAPSE_V0), (full, -100.0)} == set(runs)
 
     def test_midpoints_approach_threshold_with_horizon(self):
         for lo, hi, target in [(1.4, 1.6, 1.5), (0.6, 0.9, 0.75)]:

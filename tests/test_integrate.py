@@ -12,6 +12,8 @@ from cmcflow import experiments
 from cmcflow.background import CurvatureSign
 from cmcflow.cli import main
 from cmcflow.experiments import (
+    PROBE_ABS_TOL,
+    PROBE_REL_TOL,
     RECOLLAPSE_V0,
     RUN_MAX_STEP,
     VERDICT_COMPLETE,
@@ -820,11 +822,12 @@ class TestCompletenessCertificate:
         config = FlowConfig(m=2, sign=NEG, s=1.0)
         assert not in_completeness_region(config, _state(x=1.0, y=1.0))
 
-    # (t_max, velocity_floor) of each run; the caller's floor is -100.
+    # (t_max, velocity_floor) of each run; the caller's floor is -100.  A
+    # raised run that reaches the horizon leaves the verdict to the full run.
     @pytest.mark.parametrize("sign, s, horizon, runs", [
         (POS, 1.3, 40.0, []),                   # initial acceleration in R
         (POS, 2.0, 40.0, [(40.0, -3.0)]),       # certified blow-up
-        (POS, 1.5, 40.0, [(40.0, -3.0)]),       # boundary, complete
+        (POS, 1.5, 40.0, [(40.0, -3.0), (40.0, -100.0)]),  # boundary
         (POS, 1.3, 0.02, []),                   # horizon below max_step
         (NEG, 2.0, 8.0, [(8.0, -100.0)]),       # no certificate
     ])
@@ -923,7 +926,9 @@ class TestRecollapseCertificate:
     def test_escape_time_is_the_raised_floor_time(self):
         config = FlowConfig(m=2, sign=POS, s=2.0)
         settings = IntegratorSettings(t_max=40.0)
-        t_v0 = integrate(config, settings,
+        # The raised floor's run steps at the screening tolerances.
+        screen = replace(settings, rel_tol=PROBE_REL_TOL, abs_tol=PROBE_ABS_TOL)
+        t_v0 = integrate(config, screen,
                          EventSpec(velocity_floor=RECOLLAPSE_V0)
                          ).termination.t_event
         assert _probe_verdict(config, settings, None) == (VERDICT_RECOLLAPSE, t_v0)
@@ -931,9 +936,9 @@ class TestRecollapseCertificate:
         horizon = 0.5 * (t_v0 + T_BLOWUP_S2)
         assert _probe_verdict(config, IntegratorSettings(t_max=horizon), None) == (
             VERDICT_COMPLETE, t_v0)
-        # None when region R (s = 1.3), another ending of the raised run
-        # (the boundary solution s = 1.5) or no certificate (negative
-        # curvature) decides.
+        # None when region R decides (s = 1.3), and when the full run does
+        # after a raised run that ends another way (the boundary solution
+        # s = 1.5) or without a certificate (negative curvature).
         for sign, s in [(POS, 1.3), (POS, 1.5), (NEG, 2.0)]:
             config = FlowConfig(m=2, sign=sign, s=s)
             assert _probe_verdict(config, settings, None)[1] is None
