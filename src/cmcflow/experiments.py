@@ -339,20 +339,17 @@ def escape_rate(n: int) -> float:
     return 0.5 * (-n / math.sqrt(2.0) + math.sqrt(0.5 * n * n + 8.0 * n))
 
 
-def _threshold_estimate(
-    escapes: list[tuple[float, float]], rate: float, tol: float, deadline: float
-) -> float | None:
+def _threshold_estimate(escapes: list[tuple[float, float]],
+                        rate: float) -> float | None:
     """s* extrapolated from the escape times of the three latest recollapses.
 
     The escape-time law s - s* = A e^(-lambda t) + B e^(-2 lambda t), with
     lambda from escape_rate, is fitted to the three (t_esc, s) with the
     latest escape times and read at e^(-lambda t) = 0.  None with fewer
-    points or with escape times too close to tell apart, and when the law
-    puts the escape at distance tol from the estimate at or after
-    deadline: there the horizon, not the escape, decides the verdicts, and
-    the threshold they close on is not s*.  The points are not tested
-    against the law: an estimate can only place a probe, and a poor one
-    costs a probe, never a verdict (bisect_critical).
+    points or with escape times too close to tell apart.  Neither the points
+    nor the estimate are tested against the law or the horizon: an estimate
+    can only place a probe, and a poor one costs a probe, never a verdict
+    (bisect_critical).
     """
     latest = sorted(escapes)[-3:]
     if len(latest) < 3:
@@ -366,11 +363,7 @@ def _threshold_estimate(
     # Neville's scheme at e = 0.
     p12 = (e1 * s2 - e2 * s1) / (e1 - e2)
     p23 = (e2 * s3 - e3 * s2) / (e2 - e3)
-    estimate = (e1 * p23 - e3 * p12) / (e1 - e3)
-    gap = abs(s3 - estimate)
-    if gap > tol and t3 + math.log(gap / tol) / rate >= deadline:
-        return None
-    return estimate
+    return (e1 * p23 - e3 * p12) / (e1 - e3)
 
 
 def _placed_probe(
@@ -434,13 +427,13 @@ def bisect_critical(
     nearest probe with verdict_hi takes verdict_hi.  Only an unresolved
     midpoint costs a probe.  Once three recollapse probes have escaped at
     distinct times, the law of :func:`escape_rate` extrapolates the
-    threshold from them, and the probe goes to the end of the final bracket
-    around that estimate (:func:`_placed_probe`); otherwise, and right
-    after a placed probe that left the midpoint unresolved, it goes to the
-    midpoint.  So a halving costs at most two probes, and whenever the
-    verdict is monotone in s over the bracket, the bracket, ``iterations``
-    and both verdicts are exactly those of midpoint bisection: a poor
-    estimate costs probes, never a different result.
+    threshold from them, whatever the horizon, and the probe goes to the end
+    of the final bracket around that estimate (:func:`_placed_probe`);
+    otherwise, and right after a placed probe that left the midpoint
+    unresolved, it goes to the midpoint.  So a halving costs at most two
+    probes, and whenever the verdict is monotone in s over the bracket, the
+    bracket, ``iterations`` and both verdicts are exactly those of midpoint
+    bisection: a poor estimate costs probes, never a different result.
 
     Both ends must be finite and tol at least math.ulp(s_hi), the spacing
     of doubles at s_hi, which no two neighbouring doubles in the bracket
@@ -463,9 +456,6 @@ def bisect_critical(
 
     run_settings = _settings_for(horizon, settings)
     rate = escape_rate(n)
-    # A probe recollapses within the horizon if it escapes before deadline.
-    deadline = horizon - recollapse_time_bound(
-        FlowConfig(m=n // 2, sign=sign, s=s_lo), RECOLLAPSE_V0)
     escapes = []  # (t_esc, s) of the recollapse probes
 
     def verdict_at(s):
@@ -498,7 +488,7 @@ def bisect_critical(
             # A placed probe that leaves the midpoint unresolved is followed
             # by the midpoint, so a halving costs at most two probes.
             s = mid if placed else _placed_probe(
-                _threshold_estimate(escapes, rate, tol, deadline),
+                _threshold_estimate(escapes, rate),
                 known, lo, hi, tol)
             placed = s != mid
             known[0 if verdict_at(s) == verdict_lo else 1] = s
@@ -539,14 +529,13 @@ def limit_Cs(
     config: FlowConfig,
     horizon: float,
     settings: IntegratorSettings | None = None,
-    events: EventSpec | None = None,
 ) -> LimitEstimate:
     """Estimate lim (x - y) by reading off the trajectory at the horizon.
 
     Valid in the convergent regime only: negative products for any
     coupling, positive products strictly between the thresholds.  The
-    caller's settings and events govern the run whose x - y at the horizon
-    is ``value``; without settings its step cap is RUN_MAX_STEP.  That
+    caller's settings govern the run whose x - y at the horizon is
+    ``value``; without settings its step cap is RUN_MAX_STEP.  That
     value is cross-checked against an independent fixed-step RK4 pair: two
     runs, at the finer step ORACLE_DT = 8e-3 and at 2 * ORACLE_DT, give
     L_a and L_b, their x - y at the horizon.  RK4's global error is
@@ -557,11 +546,10 @@ def limit_Cs(
     finer run alone; the pair is more accurate than that run, so the
     estimate is a conservative error bar for the paired value.
 
-    The pair runs with the default blow-up floors of
-    :func:`integrate_oracle`, since in this regime no floor can fire: x'
-    and y' stay positive for t > 0, so y >= 0 and x' + y' >= 0, while every
-    floor is negative.  For negative curvature the run starts in the
-    quadrant {x' > 0, y' > 0}, which is forward-invariant because
+    The DP5 run and the pair have the default blow-up floors, as no floor
+    can fire in this regime: x' and y' stay positive for t > 0, so y >= 0
+    and x' + y' >= 0, while every floor is negative.  For negative curvature
+    the run starts in the quadrant {x' > 0, y' > 0}, forward-invariant as
     x'' = n + kx e^(-2x) > 0 on x' = 0, and likewise for y.  For positive
     curvature strictly inside the interval the run enters the completeness
     region R (:func:`in_completeness_region`) at t = 0+.
@@ -602,7 +590,7 @@ def limit_Cs(
             f"interval {thresholds(config.n)} for n={config.n}"
         )
     run_settings = _settings_for(horizon, settings)
-    traj = integrate(config, run_settings, events)
+    traj = integrate(config, run_settings)
     return _limit(config, traj, horizon)
 
 

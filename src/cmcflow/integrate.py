@@ -34,6 +34,7 @@ from .products import (
     FlowConfig,
     FlowState,
     Observables,
+    constraint_terms,
     derivatives,
     first_integral_residual,
     initial_state,
@@ -186,9 +187,9 @@ class Trajectory:
     forward runs, decreasing for backward runs) and immutable once returned.
     ``max_first_integral_residual`` is taken over every accepted step
     endpoint, not just output samples.  ``observables``, the geometry of
-    each sample, is built at its first read, once per trajectory;
-    ``max_ham_residual`` is taken over it and skips NaNs, as a NaN never
-    compares greater and the first sample, the initial data, is finite.
+    each sample, is built once, at its first read.  ``max_ham_residual``
+    takes only the residual of :func:`constraint_terms` at each sample; it
+    skips NaNs, as a NaN never compares greater and the initial data is finite.
     """
 
     config: FlowConfig
@@ -204,7 +205,8 @@ class Trajectory:
 
     @property
     def max_ham_residual(self) -> float:
-        return max(abs(obs.ham_residual) for obs in self.observables)
+        return max(abs(constraint_terms(self.config, state)[3])
+                   for state in self.samples)
 
     def final_state(self) -> FlowState:
         return self.samples[-1]

@@ -176,28 +176,38 @@ def _exp_or_inf(arg: float) -> float:
         return math.inf
 
 
-def observables(config: FlowConfig, state: FlowState) -> Observables:
-    """Evaluate the gauge/constraint observables at one state.
+def constraint_terms(config: FlowConfig,
+                     state: FlowState) -> tuple[float, float, float, float]:
+    """tau, |Sigma|^2, R and the Hamiltonian-constraint residual at one state.
 
-    The constraint residual certifies tau, |Sigma|^2 and R jointly.  Never
-    raises: exponentials and powers too large for a double saturate to inf,
-    and the residual and ``h_red`` come back non-finite instead.
+    The residual R - |Sigma|^2 + tau^2 (n-1)/n - n(n-1) certifies the other
+    three jointly.  Never raises: an exponential too large for a double
+    saturates to inf, and the residual comes back non-finite instead.
     """
     m = config.m
     n = float(config.n)
-    x, y, xp, yp = state.x, state.y, state.xp, state.yp
+    ex = _exp_or_inf(-2.0 * state.x)
+    ey = _exp_or_inf(-2.0 * state.y)
 
-    ex = _exp_or_inf(-2.0 * x)
-    ey = _exp_or_inf(-2.0 * y)
-
-    tau = -m * (xp + yp)
-    diff = xp - yp
+    tau = -m * (state.xp + state.yp)
+    diff = state.xp - state.yp
     sigma_sq = 0.5 * m * diff * diff
     curv = 1.0 if config.sign is CurvatureSign.POSITIVE else -1.0
     scalar_curv = curv * m * (config.kx * ex + config.ky * ey)
     ham_residual = (
         scalar_curv - sigma_sq + tau * tau * ((n - 1.0) / n) - n * (n - 1.0)
     )
+    return tau, sigma_sq, scalar_curv, ham_residual
+
+
+def observables(config: FlowConfig, state: FlowState) -> Observables:
+    """:func:`constraint_terms` of one state, with its reduced Hamiltonian.
+
+    Like :func:`constraint_terms` it never raises; ``h_red`` saturates to inf.
+    """
+    tau, sigma_sq, scalar_curv, ham_residual = constraint_terms(config, state)
+    m = config.m
+    n = float(config.n)
 
     # tau^2/n - n, factored to keep relative accuracy near the gauge
     # boundary |tau| -> n where the direct difference cancels.
@@ -206,7 +216,7 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
     if gap != 0.0:
         try:
             volume = (
-                _exp_or_inf(m * (x + y))
+                _exp_or_inf(m * (state.x + state.y))
                 * (config.s * config.s / (2.0 * config.s - 1.0)) ** (0.5 * m)
                 * config.vol_m
                 * config.vol_n

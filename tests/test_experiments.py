@@ -553,9 +553,10 @@ class TestBisect:
                 hi = mid
             iterations += 1
         assert (res.bracket, res.iterations) == ((lo, hi), iterations)
-        # Here the horizon, not the escape-time law, sets the threshold, so
-        # no probe is placed by the law: one probe per end and per halving.
-        assert len(probes) == iterations + 2
+        # Here the horizon, not the escape-time law, sets the threshold, so a
+        # probe the law places may miss and leave its midpoint unresolved;
+        # a halving still costs at most two probes.
+        assert len(probes) <= 2 * iterations + 2
 
     # Solves whose results screening must leave bit for bit: the 2-ulp
     # brackets that horizon 8 decides, the short-horizon solves above, whose

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import json
 import math
 from dataclasses import astuple, replace
 
@@ -472,13 +473,41 @@ class TestGeometryBuiltOnRead:
         monkeypatch.setattr(module, "observables", counting_observables)
         return states
 
-    def test_read_twice_builds_once(self, built):
-        traj = integrate(FlowConfig(m=2, sign=POS, s=1.2),
-                         IntegratorSettings(t_max=2.0))
+    # Runs whose constraint residuals span both signs of the curvature, a
+    # recollapse, an inf residual (the oracle's end state lies past the
+    # double range), a NaN residual at the end (skipped), gauge-boundary
+    # samples with h_red None, a step-size collapse and a backward run.
+    RUNS = {
+        "positive": lambda: integrate(FlowConfig(m=2, sign=POS, s=1.2),
+                                      IntegratorSettings(t_max=2.0)),
+        "negative": lambda: integrate(FlowConfig(m=3, sign=NEG, s=0.7),
+                                      IntegratorSettings(t_max=5.0)),
+        "recollapse": lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0)),
+        "inf-residual": lambda: integrate_oracle(
+            FlowConfig(m=3, sign=NEG, s=5.0), 0.5, 8.0),
+        "nan-residual": lambda: integrate_oracle(
+            FlowConfig(m=3, sign=NEG, s=5.0), 0.5, 8.0,
+            EventSpec(velocity_floor=-1e200)),
+        "gauge-boundary": lambda: integrate(
+            FlowConfig(m=2, sign=NEG, s=1.3),
+            IntegratorSettings(max_step=RUN_MAX_STEP, t_max=50.0)),
+        "collapse": lambda: integrate(
+            FlowConfig(m=2, sign=POS, s=3.0), IntegratorSettings(t_max=50.0),
+            EventSpec(y_floor=-1e12, velocity_floor=-1e300)),
+        "backward": lambda: backward_integrate(
+            FlowConfig(m=1, sign=POS, s=0.8), IntegratorSettings(t_max=3.0)),
+    }
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_read_twice_builds_once(self, built, run):
+        # The monitor reads the residual of each sample without building
+        # the geometry, and equals the maximum over the geometry bit for bit.
+        traj = run()
+        largest = traj.max_ham_residual
         assert built == []
         first = traj.observables
         assert traj.observables is first
-        assert traj.max_ham_residual == max(abs(o.ham_residual) for o in first)
+        assert largest.hex() == max(abs(o.ham_residual) for o in first).hex()
         assert built == list(traj.samples)
 
     def test_bisection_builds_none(self, built):
@@ -489,14 +518,21 @@ class TestGeometryBuiltOnRead:
         limit_Cs(FlowConfig(m=2, sign=NEG, s=1.3), 10.0)
         assert built == []
 
-    def test_sweep_row_builds_its_dp5_samples_only(self, built):
-        # The verdict's constraint residual reads the DP5 run's geometry;
-        # the limit and its oracle run read states only.
-        [row] = sweep(4, NEG, [1.3], 10.0)
-        assert row.limit is not None
-        dp5 = integrate(FlowConfig(m=2, sign=NEG, s=1.3),
-                        IntegratorSettings(max_step=RUN_MAX_STEP, t_max=10.0))
-        assert built == list(dp5.samples)
+    @pytest.mark.parametrize("with_limits", [True, False])
+    def test_sweep_rows_build_none(self, built, with_limits):
+        # A row's verdict reads only the constraint residual of its run.
+        rows = sweep(4, NEG, [1.3, 2.0], 10.0, with_limits=with_limits)
+        assert all((row.limit is not None) == with_limits for row in rows)
+        assert built == []
+
+    def test_classify_builds_none(self, built, capsys):
+        classify(FlowConfig(m=2, sign=POS, s=3.0), 10.0)
+        rc = main(["classify", "--n", "4", "--s", "1.3", "--curvature",
+                   "negative", "--horizon", "10"])
+        assert rc == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["max_constraint_residual"] > 0.0
+        assert built == []
 
     def test_simulate_builds_one_per_csv_row(self, built, capsys):
         # The CSV and the manifest's largest residual share one list.
