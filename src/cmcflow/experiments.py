@@ -27,7 +27,13 @@ from .integrate import (
     integrate,
     integrate_oracle,
 )
-from .products import FlowConfig, FlowState, derivatives, initial_state
+from .products import (
+    FlowConfig,
+    FlowState,
+    derivatives,
+    gauge_gap,
+    initial_state,
+)
 
 VERDICT_COMPLETE = "CompleteWithinHorizon"
 VERDICT_RECOLLAPSE = "Recollapse"
@@ -300,7 +306,9 @@ def _probe_verdict(
       case.  It is the run classify makes at the same settings.
 
     So every verdict is either certified (R, the recollapse bound) or read
-    from classify's run.  The escape time is the time t
+    from classify's run.  Both runs read only the termination; under
+    bisect_critical they run at an infinite output_dt and record no grid
+    samples, which changes no step.  The escape time is the time t
     at which the raised floor fired, or None when region R decided the
     probe or the screening run ended another way.
     """
@@ -418,7 +426,10 @@ def bisect_critical(
     Every other probe is a full run at the caller's settings, or at
     RUN_MAX_STEP and the default tolerances without them, so each end's
     verdict is :func:`classify`'s at the same settings and horizon: either
-    certified, or that of the same run.
+    certified, or that of the same run.  No probe reads a sample, so every
+    probe run has an infinite output_dt and keeps only its initial and
+    terminal states; stepping does not depend on output_dt, so each
+    termination and escape time is that at the caller's output_dt.
 
     The search walks bisection's own tree: the bracket (lo, hi) halves at
     its midpoint 0.5 * (lo + hi), and ``iterations`` counts the halvings,
@@ -454,7 +465,7 @@ def bisect_critical(
             f"tol must be at least {spacing!r}, the spacing of doubles at s_hi"
         )
 
-    run_settings = _settings_for(horizon, settings)
+    run_settings = replace(_settings_for(horizon, settings), output_dt=math.inf)
     rate = escape_rate(n)
     escapes = []  # (t_esc, s) of the recollapse probes
 
@@ -698,7 +709,7 @@ def hamiltonian_audit(
     slopes: set[bool] = set()  # True for a rising sample, False for falling
     for state, obs in zip(traj.samples, traj.observables):
         tau = obs.tau
-        gap = (tau / n - 1.0) * (tau / n + 1.0)
+        gap = gauge_gap(config, tau)
         sample_branch = "H-" if gap > 0.0 else ("H+" if gap < 0.0 else None)
         if branch is None:
             branch = sample_branch
@@ -713,7 +724,7 @@ def hamiltonian_audit(
                 f"double range"
             )
         series.append((state.t, obs.h_red))
-        # gap has the sign of tau^2/n - n: this is the identity's sign
+        # d/dt log h_red has the sign of flux / gap
         flux = tau * obs.sigma_sq
         if state.t > 0.0 and flux != 0.0:
             slopes.add((flux > 0.0) == (gap > 0.0))

@@ -2,13 +2,17 @@
 
 The primary integrator is an embedded Dormand-Prince 5(4) pair with
 proportional-integral step-size control, the standard quartic continuous
-extension for dense output, and event location by bisection on the dense
-output.  A classical fixed-step fourth-order Runge-Kutta scheme is kept as
-an independent cross-check.  It shares with the adaptive path only the
-right-hand side, the first-integral formula, the blow-up triggers
-(``_event_functions``) with their location tolerance ``_EVENT_T_TOL``, the
-horizon rule and ``output_dt`` of ``IntegratorSettings``, and ``_finish``,
-where every run ends and its ``Trajectory`` is built.
+extension for dense output (Hairer, Norsett & Wanner, Solving ODEs I,
+section II.6), and event location by bisection on the dense output.  The
+floors are tested at each accepted step end, and the extension is built
+only for a step that holds a grid point or where a floor fired; no other
+step evaluates it, so stepping never depends on output_dt.  A classical
+fixed-step fourth-order Runge-Kutta scheme is kept as an independent
+cross-check.  It shares with the adaptive path only the right-hand side,
+the first-integral formula, the blow-up triggers (``_event_functions``)
+with their location tolerance ``_EVENT_T_TOL``, the horizon rule and
+``output_dt`` of ``IntegratorSettings``, and ``_finish``, where every run
+ends and its ``Trajectory`` is built.
 
 Termination is a three-way taxonomy:
 
@@ -126,6 +130,9 @@ class IntegratorSettings:
     complete trajectory would never return.  So must both tolerances: at
     rel_tol = inf a component that stays at exactly 0 gets the error scale
     abs_tol + inf * 0 = nan, and every step is rejected.
+
+    An infinite output_dt records no grid samples: a run then keeps only its
+    initial and terminal states, and steps as it does at any other output_dt.
     """
 
     rel_tol: float = 1e-10
@@ -221,6 +228,21 @@ def _event_functions(events: EventSpec):
         return (u[2] + u[3]) - events.velocity_floor
 
     return ((TRIGGER_Y_FLOOR, g_y), (TRIGGER_VELOCITY_FLOOR, g_v))
+
+
+def _dense(ext, theta):
+    # The quartic continuous extension of one DP5 step at the fraction theta
+    # of it, from the coefficients (u, rc2, rc3, rc4, rc5) of its Horner form.
+    (u_0, u_1, u_2, u_3), (rc2_0, rc2_1, rc2_2, rc2_3), \
+        (rc3_0, rc3_1, rc3_2, rc3_3), (rc4_0, rc4_1, rc4_2, rc4_3), \
+        (rc5_0, rc5_1, rc5_2, rc5_3) = ext
+    th1 = 1.0 - theta
+    return (
+        u_0 + theta * (rc2_0 + th1 * (rc3_0 + theta * (rc4_0 + th1 * rc5_0))),
+        u_1 + theta * (rc2_1 + th1 * (rc3_1 + theta * (rc4_1 + th1 * rc5_1))),
+        u_2 + theta * (rc2_2 + th1 * (rc3_2 + theta * (rc4_2 + th1 * rc5_2))),
+        u_3 + theta * (rc2_3 + th1 * (rc3_3 + theta * (rc4_3 + th1 * rc5_3))),
+    )
 
 
 def _finish(config, samples, t, u, termination, max_fir,
@@ -367,50 +389,48 @@ def integrate(
         if err_norm <= 1.0:
             t_new = t_end if last_step else t + h
 
-            # Quartic continuous extension over [t, t+h]: u and rc2 to rc5
-            # are the coefficients of its Horner form in dense().
-            rc2_0 = unew_0 - u_0
-            rc2_1 = unew_1 - u_1
-            rc2_2 = unew_2 - u_2
-            rc2_3 = unew_3 - u_3
-            rc3_0 = h * k1_0 - rc2_0
-            rc3_1 = h * k1_1 - rc2_1
-            rc3_2 = h * k1_2 - rc2_2
-            rc3_3 = h * k1_3 - rc2_3
-            rc4_0 = rc2_0 - h * k7_0 - rc3_0
-            rc4_1 = rc2_1 - h * k7_1 - rc3_1
-            rc4_2 = rc2_2 - h * k7_2 - rc3_2
-            rc4_3 = rc2_3 - h * k7_3 - rc3_3
-            rc5_0 = h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0
-                         + _D6 * k6_0 + _D7 * k7_0)
-            rc5_1 = h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1
-                         + _D6 * k6_1 + _D7 * k7_1)
-            rc5_2 = h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2
-                         + _D6 * k6_2 + _D7 * k7_2)
-            rc5_3 = h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3
-                         + _D6 * k6_3 + _D7 * k7_3)
-
-            def dense(theta):
-                th1 = 1.0 - theta
-                return (
-                    u_0 + theta * (rc2_0 + th1 * (
-                        rc3_0 + theta * (rc4_0 + th1 * rc5_0))),
-                    u_1 + theta * (rc2_1 + th1 * (
-                        rc3_1 + theta * (rc4_1 + th1 * rc5_1))),
-                    u_2 + theta * (rc2_2 + th1 * (
-                        rc3_2 + theta * (rc4_2 + th1 * rc5_2))),
-                    u_3 + theta * (rc2_3 + th1 * (
-                        rc3_3 + theta * (rc4_3 + th1 * rc5_3))),
+            # The floors are tested at the step end; only a step that holds
+            # a grid point or a fired floor needs the continuous extension.
+            fired = []
+            for event in event_fns:
+                if event[1](unew) <= 0.0:
+                    fired.append(event)
+            if fired or next_k * output_dt <= t_new:
+                # Quartic continuous extension over [t, t+h]: u and rc2 to
+                # rc5 are the coefficients of its Horner form in _dense().
+                rc2_0 = unew_0 - u_0
+                rc2_1 = unew_1 - u_1
+                rc2_2 = unew_2 - u_2
+                rc2_3 = unew_3 - u_3
+                rc3_0 = h * k1_0 - rc2_0
+                rc3_1 = h * k1_1 - rc2_1
+                rc3_2 = h * k1_2 - rc2_2
+                rc3_3 = h * k1_3 - rc2_3
+                ext = (
+                    u,
+                    (rc2_0, rc2_1, rc2_2, rc2_3),
+                    (rc3_0, rc3_1, rc3_2, rc3_3),
+                    (rc2_0 - h * k7_0 - rc3_0,
+                     rc2_1 - h * k7_1 - rc3_1,
+                     rc2_2 - h * k7_2 - rc3_2,
+                     rc2_3 - h * k7_3 - rc3_3),
+                    (h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0
+                          + _D6 * k6_0 + _D7 * k7_0),
+                     h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1
+                          + _D6 * k6_1 + _D7 * k7_1),
+                     h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2
+                          + _D6 * k6_2 + _D7 * k7_2),
+                     h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3
+                          + _D6 * k6_3 + _D7 * k7_3)),
                 )
 
-            hit_theta = None
-            hit_name = None
-            for name, g in event_fns:
-                if g(unew) <= 0.0:
+                hit_theta = None
+                hit_name = None
+                for name, g in fired:
                     lo, hi = 0.0, 1.0
                     while h * (hi - lo) > _EVENT_T_TOL:
                         mid = 0.5 * (lo + hi)
-                        if g(dense(mid)) <= 0.0:
+                        if g(_dense(ext, mid)) <= 0.0:
                             hi = mid
                         else:
                             lo = mid
@@ -418,26 +438,28 @@ def integrate(
                         hit_theta = hi
                         hit_name = name
 
-            t_stop = t + hit_theta * h if hit_theta is not None else t_new
-            while True:
-                tg = next_k * output_dt
-                if tg > t_stop:
-                    break
-                samples.append(FlowState(tg, *dense((tg - t) / h)))
-                next_k += 1
+                t_stop = t + hit_theta * h if hit_theta is not None else t_new
+                while True:
+                    tg = next_k * output_dt
+                    if tg > t_stop:
+                        break
+                    samples.append(FlowState(tg, *_dense(ext, (tg - t) / h)))
+                    next_k += 1
 
-            if hit_theta is not None:
-                t = t_stop
-                u = dense(hit_theta)
-                try:
-                    k = f(t, u)
-                    fir = abs(first_integral_residual(u[2], u[3], k[2], k[3]))
-                except (BlowUpOverflow, OverflowError):
-                    fir = max_fir  # floors set beyond the representable range
-                if fir > max_fir:
-                    max_fir = fir
-                termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)
-                break
+                if hit_theta is not None:
+                    t = t_stop
+                    u = _dense(ext, hit_theta)
+                    try:
+                        k = f(t, u)
+                        fir = abs(first_integral_residual(u[2], u[3],
+                                                          k[2], k[3]))
+                    except (BlowUpOverflow, OverflowError):
+                        fir = max_fir  # floors set beyond the representable range
+                    if fir > max_fir:
+                        max_fir = fir
+                    termination = Termination(BLOW_UP_EVENT, t_event=t,
+                                              trigger=hit_name)
+                    break
 
             fir = abs(first_integral_residual(unew_2, unew_3, k7_2, k7_3))
             if fir > max_fir:

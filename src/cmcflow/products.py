@@ -200,6 +200,20 @@ def constraint_terms(config: FlowConfig,
     return tau, sigma_sq, scalar_curv, ham_residual
 
 
+def gauge_gap(config: FlowConfig, tau: float) -> float:
+    """tau^2/n - n, whose sign picks the reduced Hamiltonian's branch.
+
+    Positive on the expanding-gauge branch, negative on the reversed one and
+    zero on the gauge boundary tau^2 = n^2.  On the constraint surface
+    d/dt log h_red = tau |Sigma|^2 / (tau^2/n - n), so its sign is also that
+    of the denominator.  Factored to keep relative accuracy near the boundary
+    |tau| -> n, where the direct difference cancels.
+    """
+    n = float(config.n)
+    ratio = tau / n
+    return n * (ratio - 1.0) * (ratio + 1.0)
+
+
 def observables(config: FlowConfig, state: FlowState) -> Observables:
     """:func:`constraint_terms` of one state, with its reduced Hamiltonian.
 
@@ -208,11 +222,7 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
     tau, sigma_sq, scalar_curv, ham_residual = constraint_terms(config, state)
     m = config.m
     n = float(config.n)
-
-    # tau^2/n - n, factored to keep relative accuracy near the gauge
-    # boundary |tau| -> n where the direct difference cancels.
-    ratio = tau / n
-    gap = n * (ratio - 1.0) * (ratio + 1.0)
+    gap = gauge_gap(config, tau)
     if gap != 0.0:
         try:
             volume = (

@@ -588,20 +588,26 @@ class TestBisect:
     @pytest.mark.parametrize("caller", [None, IntegratorSettings(rel_tol=1e-6)])
     def test_only_raised_floor_runs_are_screened(self, monkeypatch, caller):
         runs = []
+        sample_counts = set()
         real = experiments.integrate
 
         def recorded(config, settings, events=None):
             runs.append((settings, (events or EventSpec()).velocity_floor))
-            return real(config, settings, events)
+            traj = real(config, settings, events)
+            sample_counts.add(len(traj.samples))
+            return traj
 
         monkeypatch.setattr(experiments, "integrate", recorded)
         bisect_critical(4, POS, 1.4, 3.0, 1e-6, 2.0, caller)
         # classify's defaults without settings; a looser rel_tol stands.
+        # No probe reads a sample, so neither run records any on the grid.
         full = replace(caller or IntegratorSettings(max_step=RUN_MAX_STEP),
-                       t_max=2.0)
+                       t_max=2.0, output_dt=math.inf)
         screen = replace(full, rel_tol=max(full.rel_tol, 1e-7),
                          abs_tol=max(full.abs_tol, 1e-9))
         assert {(screen, RECOLLAPSE_V0), (full, -100.0)} == set(runs)
+        # Only the initial and terminal states.
+        assert sample_counts == {2}
 
     def test_midpoints_approach_threshold_with_horizon(self):
         for lo, hi, target in [(1.4, 1.6, 1.5), (0.6, 0.9, 0.75)]:

@@ -163,6 +163,53 @@ class TestSampling:
         ts = [st.t for st in traj.samples]
         assert ts == [0.0, 0.5, 1.0, 1.03]
 
+    @pytest.mark.parametrize(
+        "m, sign, s, settings, events, kind, trigger",
+        [
+            (2, POS, 1.3, dict(t_max=20.0), None, REACHED_HORIZON, None),
+            (2, NEG, 1.3, dict(t_max=7.3), None, REACHED_HORIZON, None),
+            (2, POS, 2.0, {}, None, BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR),
+            (2, POS, 3.0, {}, EventSpec(y_floor=-5.0, velocity_floor=-1e9),
+             BLOW_UP_EVENT, TRIGGER_Y_FLOOR),
+            # Both floors fire in one step; the earlier crossing is kept.
+            (2, POS, 3.0, {}, EventSpec(y_floor=-5.0, velocity_floor=-20.0),
+             BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR),
+            (2, POS, 3.0, dict(rel_tol=1e-2, abs_tol=1e-2, t_max=20.0), None,
+             BLOW_UP_EVENT, TRIGGER_OVERFLOW),
+            (2, POS, 3.0, {}, EventSpec(y_floor=-1e12, velocity_floor=-1e300),
+             STEP_SIZE_COLLAPSE, None),
+        ],
+    )
+    def test_sampling_never_changes_stepping(
+            self, m, sign, s, settings, events, kind, trigger):
+        # The continuous extension is built only on steps that hold a grid
+        # point or a fired floor; the steps themselves never depend on it.
+        config = FlowConfig(m=m, sign=sign, s=s)
+        runs = {dt: integrate(config,
+                              IntegratorSettings(output_dt=dt, **settings),
+                              events)
+                for dt in (0.1, 0.07, 0.5, math.inf)}
+
+        def stepping(traj):
+            return (traj.termination, traj.n_accepted, traj.n_rejected,
+                    traj.max_first_integral_residual.hex())
+
+        def bits(traj):
+            return {st.t: [v.hex() for v in astuple(st)] for st in traj.samples}
+
+        ref = runs[0.1]
+        assert (ref.termination.kind, ref.termination.trigger) == (kind,
+                                                                   trigger)
+        for dt, traj in runs.items():
+            assert stepping(traj) == stepping(ref), dt
+            ref_bits, own = bits(ref), bits(traj)
+            shared = ref_bits.keys() & own.keys()
+            assert {t: own[t] for t in shared} == {
+                t: ref_bits[t] for t in shared}, dt
+        # 1.0 lies on both grids, and every run passes it.
+        assert 1.0 in bits(ref).keys() & bits(runs[0.5]).keys()
+        assert runs[math.inf].samples == (ref.samples[0], ref.samples[-1])
+
     # The oracle samples every round(0.1 / dt) steps, which lands on the 0.1
     # grid only when dt divides 0.1.
     @pytest.mark.parametrize(
