@@ -17,8 +17,13 @@ handle gauge breakdown explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+_DOUBLE_MAX = sys.float_info.max
+# cosh(t) and sinh(t) overflow for |t| past log(2 * _DOUBLE_MAX), about 710.48.
+_T_MAX = math.log(2.0) + math.log(_DOUBLE_MAX)
 
 
 class CurvatureSign(Enum):
@@ -46,6 +51,8 @@ class BackgroundModel:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        if self.n > _DOUBLE_MAX:
+            raise ValueError(f"n must be at most {_DOUBLE_MAX!r}, the largest double")
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class GaugeQuantities:
 
     ``scale_sq`` is the square of the warping factor relative to the fixed
     Einstein metric, i.e. the conformal factor of the evolving spatial
-    metric.  For both signs it equals n * lapse.
+    metric.  For both signs lapse = 1/|gauge_gap| = a^2/n and scale_sq = a^2.
     """
 
     tau: float
@@ -67,8 +74,9 @@ def _require_in_domain(model: BackgroundModel, t: float) -> None:
         raise GaugeDomainError(
             f"negative-curvature model lives on t > 0, got t={t}"
         )
-    if not math.isfinite(t):
-        raise GaugeDomainError(f"proper time must be finite, got t={t}")
+    if not abs(t) <= _T_MAX:
+        raise GaugeDomainError(f"proper time must satisfy |t| <= {_T_MAX!r}, "
+                               f"the double range of cosh(t); got t={t}")
 
 
 def scale_factor(model: BackgroundModel, t: float) -> float:
@@ -86,42 +94,55 @@ def scale_factor(model: BackgroundModel, t: float) -> float:
 def mean_curvature(model: BackgroundModel, t: float) -> float:
     """Mean curvature tau(t) of the constant-t slice.
 
-    Negative sign: -n*cosh(t)/sinh(t), strictly increasing from -inf (t->0)
-    to -n (t->inf).  Positive sign: -n*tanh(t), strictly decreasing onto
-    (-n, n).  Expanding slices carry tau < 0 in this convention.
+    Negative sign: -n/tanh(t), strictly increasing from -inf (t->0) to -n
+    (t->inf); unlike n*cosh(t)/sinh(t) it stays finite up to the domain
+    bound.  Positive sign: -n*tanh(t), strictly decreasing onto (-n, n).
+    Expanding slices carry tau < 0 in this convention.
     """
     _require_in_domain(model, t)
     n = model.n
     if model.sign is CurvatureSign.NEGATIVE:
-        return -n * math.cosh(t) / math.sinh(t)
+        return -n / math.tanh(t)
     return -n * math.tanh(t)
+
+
+def gauge_gap(n: int, tau: float) -> float:
+    """tau^2/n - n: positive in the standard gauge, negative in the reversed one.
+
+    1/|gap| is the homogeneous lapse, a^2/n on the background.  Its sign
+    picks the reduced Hamiltonian's branch; d/dt log h_red =
+    tau |Sigma|^2 / gap on the constraint surface.  Factored to keep
+    relative accuracy near the gauge boundary |tau| = n.
+    """
+    ratio = tau / n
+    return n * (ratio - 1.0) * (ratio + 1.0)
 
 
 def homogeneous_lapse(n: int, tau: float, sign: CurvatureSign) -> float:
     """Spatially constant lapse solving the homogeneous lapse equation.
 
-    Standard gauge (negative curvature) requires tau^2 > n^2 and gives
-    N = n/(tau^2 - n^2); the reversed gauge (positive curvature) requires
-    tau^2 < n^2 and gives N = n/(n^2 - tau^2).  The returned value satisfies
+    Standard gauge (negative curvature) requires tau^2 > n^2, the reversed
+    gauge (positive curvature) tau^2 < n^2; either way N = 1/|gauge_gap|,
+    a^2/n on the background.  The returned value satisfies
 
         0 = -1 + N*(tau^2/n - n)      (standard)
         0 =  1 + N*(tau^2/n - n)      (reversed)
 
     which is the lapse equation with vanishing tracefree part.
     """
-    BackgroundModel(n, sign)  # raises ValueError for a dimension below 2
-    gap = tau * tau - float(n * n)
+    BackgroundModel(n, sign)  # raises ValueError unless 2 <= n <= _DOUBLE_MAX
+    gap = gauge_gap(n, tau)
     if sign is CurvatureSign.NEGATIVE:
         if not gap > 0.0:
             raise GaugeDomainError(
                 f"standard gauge needs tau^2 > n^2; tau={tau}, n={n}"
             )
-        return n / gap
+        return 1.0 / gap
     if not gap < 0.0:
         raise GaugeDomainError(
             f"reversed gauge needs tau^2 < n^2; tau={tau}, n={n}"
         )
-    return n / -gap
+    return -1.0 / gap
 
 
 def gauge_quantities(n: int, tau: float, sign: CurvatureSign) -> GaugeQuantities:
@@ -133,26 +154,14 @@ def gauge_quantities(n: int, tau: float, sign: CurvatureSign) -> GaugeQuantities
 def cmc_time_maps(n: int, sign: CurvatureSign, T: float) -> tuple[float, float]:
     """Mean curvature and rescaling factor as functions of background time.
 
-    Negative sign (T > 0):  tau = -n*cosh(T)/sinh(T),  s(tau) = (tau/n)^2 - 1.
-    Positive sign (any T):  tau = -n*sinh(T)/cosh(T),  s(tau) = 1 - (tau/n)^2.
-    Non-finite T, and T <= 0 for negative curvature, raise GaugeDomainError.
-
-    s(tau(T)) collapses to sinh(T)^-2 resp. cosh(T)^-2.  The quadratic is
-    evaluated in the factored form (tau/n -+ 1)(tau/n +- 1) =
-    (e^T/sh)(e^-T/sh) resp. (e^-T/ch)(e^T/ch), which avoids the catastrophic
-    cancellation of coth(T)^2 - 1 at large |T| and keeps
-    s * sinh(T)^2 = 1 (resp. s * cosh(T)^2 = 1) to a few ulps.
+    :func:`mean_curvature` and s = |tau^2/n^2 - 1| = 1/a^2, from a =
+    :func:`scale_factor`, so s * a^2 = 1 to a few ulps.  T outside the
+    model's domain raises GaugeDomainError.
     """
-    _require_in_domain(BackgroundModel(n, sign), T)
-    if sign is CurvatureSign.NEGATIVE:
-        sh = math.sinh(T)
-        tau = -n * math.cosh(T) / sh
-        s = (math.exp(T) / sh) * (math.exp(-T) / sh)
-        return tau, s
-    ch = math.cosh(T)
-    tau = -n * math.sinh(T) / ch
-    s = (math.exp(T) / ch) * (math.exp(-T) / ch)
-    return tau, s
+    model = BackgroundModel(n, sign)
+    a = scale_factor(model, T)
+    # Divided twice: at T below 1e-154, a * a underflows to 0, and s is inf.
+    return mean_curvature(model, T), 1.0 / a / a
 
 
 def rescaled_background_residual(
@@ -171,32 +180,25 @@ def rescaled_background_residual(
                     + (n/w(T)) * ( N*(ric + c*g - 2*Sigma^2) + e*(1/n)*g )
 
     with (r, w, ric, c, e) = (coth, sinh, -(n-1), +n, -1) for negative
-    curvature and (tanh, cosh, +(n-1), -n, +1) for the reversed gauge.  The
-    sign pattern (c, e) follows from rescaling the physical tracefree
-    evolution: the coefficient tau^2/n - n equals +n*s in the standard gauge
-    but -n*s in the reversed one, flipping the metric term along with the
-    inhomogeneity.  Both residuals vanish identically; any sign or factor
-    error in the reduction shows up as a nonzero return.
+    curvature and (tanh, cosh, +(n-1), -n, +1) for the reversed gauge: r is
+    -tau/n and w is a.  The sign pattern (c, e) follows from rescaling the
+    physical tracefree evolution: the coefficient tau^2/n - n equals +n*s in
+    the standard gauge but -n*s in the reversed one, flipping the metric
+    term along with the inhomogeneity.  Both residuals vanish identically;
+    any sign or factor error in the reduction shows up as a nonzero return.
 
-    T must be finite, and positive for negative curvature; other T raise
-    GaugeDomainError.
+    T outside the model's domain raises GaugeDomainError.
     """
-    _require_in_domain(BackgroundModel(n, sign), T)
+    model = BackgroundModel(n, sign)
+    rate = -mean_curvature(model, T) / n
+    stretch = n / scale_factor(model, T)
     lapse = 1.0 / n
     g = 1.0
     sigma = 0.0
-    if sign is CurvatureSign.NEGATIVE:
-        rate = math.cosh(T) / math.sinh(T)
-        stretch = n / math.sinh(T)
-        ric = -(n - 1.0)
-        metric_coeff = n * g
-        inhom = -(1.0 / n) * g
-    else:
-        rate = math.tanh(T)
-        stretch = n / math.cosh(T)
-        ric = n - 1.0
-        metric_coeff = -n * g
-        inhom = (1.0 / n) * g
+    e = -1.0 if sign is CurvatureSign.NEGATIVE else 1.0
+    ric = e * (n - 1.0)
+    metric_coeff = -e * n * g
+    inhom = e * (1.0 / n) * g
     res_g = -2.0 * rate * (1.0 - n * lapse) * g - stretch * (2.0 * lapse * sigma)
     res_sigma = (
         -(n * n) * rate * (1.0 / (n * n) + lapse - 2.0 * lapse / n) * sigma

@@ -37,7 +37,6 @@ from .background import (
     BackgroundModel,
     CurvatureSign,
     GaugeDomainError,
-    gauge_quantities,
     mean_curvature,
     scale_factor,
 )
@@ -417,16 +416,16 @@ def _cmd_hamiltonian(args, run):
 
 
 def _cmd_background(args, run):
-    sign = CurvatureSign(args.curvature)
-    model = BackgroundModel(n=args.n, sign=sign)
+    # The gauge comes from a(t), not from tau, which rounds to -n or n.
+    model = BackgroundModel(n=args.n, sign=CurvatureSign(args.curvature))
     a = scale_factor(model, args.t)
-    gauge = gauge_quantities(args.n, mean_curvature(model, args.t), sign)
+    scale_sq = a * a
     result = {
         "t": args.t,
         "scale_factor": a,
-        "tau": gauge.tau,
-        "lapse": gauge.lapse,
-        "scale_sq": gauge.scale_sq,
+        "tau": mean_curvature(model, args.t),
+        "lapse": scale_sq / args.n,
+        "scale_sq": scale_sq,
     }
     return result, {}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .background import CurvatureSign
+from .background import BackgroundModel, CurvatureSign, gauge_gap
 from .integrate import (
     REACHED_HORIZON,
     STEP_SIZE_COLLAPSE,
@@ -31,7 +31,6 @@ from .products import (
     FlowConfig,
     FlowState,
     derivatives,
-    gauge_gap,
     initial_state,
 )
 
@@ -179,6 +178,7 @@ def thresholds(n: int) -> tuple[float, float | None]:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
+    BackgroundModel(n, CurvatureSign.POSITIVE)  # raises ValueError for n past a double
     lower = (n - 1) / n
     upper = (n - 1) / (n - 2) if n > 2 else None
     return lower, upper
@@ -709,7 +709,7 @@ def hamiltonian_audit(
     slopes: set[bool] = set()  # True for a rising sample, False for falling
     for state, obs in zip(traj.samples, traj.observables):
         tau = obs.tau
-        gap = gauge_gap(config, tau)
+        gap = gauge_gap(n, tau)
         sample_branch = "H-" if gap > 0.0 else ("H+" if gap < 0.0 else None)
         if branch is None:
             branch = sample_branch

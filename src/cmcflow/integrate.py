@@ -360,7 +360,7 @@ def integrate(
                                 + _B5 * k5_3 + _B6 * k6_3)
             unew = (unew_0, unew_1, unew_2, unew_3)
             k7 = f(t + h, unew)
-        except (BlowUpOverflow, OverflowError):
+        except BlowUpOverflow:
             # The state one step ahead is past the representable range; the
             # last accepted time is the last safe one.
             termination = Termination(
@@ -453,7 +453,7 @@ def integrate(
                         k = f(t, u)
                         fir = abs(first_integral_residual(u[2], u[3],
                                                           k[2], k[3]))
-                    except (BlowUpOverflow, OverflowError):
+                    except BlowUpOverflow:
                         fir = max_fir  # floors set beyond the representable range
                     if fir > max_fir:
                         max_fir = fir
@@ -613,7 +613,7 @@ def integrate_oracle(
             if fir > max_fir:
                 max_fir = fir
             unew = rk4_step(t, u, h, k1)
-        except (BlowUpOverflow, OverflowError):
+        except BlowUpOverflow:
             termination = Termination(
                 BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
             )
@@ -632,7 +632,7 @@ def integrate_oracle(
                             hi = mid
                         else:
                             lo = mid
-                except (BlowUpOverflow, OverflowError):
+                except BlowUpOverflow:
                     pass
                 if hit_h is None or hi < hit_h:
                     hit_h = hi
@@ -654,7 +654,7 @@ def integrate_oracle(
             fir = abs(first_integral_residual(u[2], u[3], k_end[2], k_end[3]))
             if fir > max_fir:
                 max_fir = fir
-        except (BlowUpOverflow, OverflowError):
+        except BlowUpOverflow:
             pass
 
     return _finish(config, samples, t, u, termination, max_fir, n_steps, 0)

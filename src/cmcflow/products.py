@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .background import CurvatureSign
+from .background import BackgroundModel, CurvatureSign, gauge_gap
 
 # e^(-2y) overflows double precision long before y reaches this; beyond the
 # floor the state is numerically past recollapse and integration must stop.
@@ -72,6 +72,7 @@ class FlowConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"factor dimension must be >= 1, got m={self.m}")
+        BackgroundModel(self.n, self.sign)  # raises ValueError for n past a double
         if not self.s > 0.5:
             raise ValueError(f"coupling must satisfy s > 1/2, got s={self.s}")
         if not (self.vol_m > 0.0 and self.vol_n > 0.0):
@@ -140,7 +141,9 @@ def derivatives(config: FlowConfig):
     """Compiled right-hand side f(t, u) -> (x', y', x'', y'') for u = (x, y, x', y').
 
     Shared fast path for the integrators; raises :class:`BlowUpOverflow`
-    once a log scale factor falls below the overflow floor.
+    once a log scale factor falls below the overflow floor, and nothing
+    else: above it e^(-2x) <= e^600, and float arithmetic saturates without
+    raising.  The steppers catch BlowUpOverflow alone; keep this contract.
     """
     n = float(config.n)
     half_n = 0.5 * n
@@ -200,20 +203,6 @@ def constraint_terms(config: FlowConfig,
     return tau, sigma_sq, scalar_curv, ham_residual
 
 
-def gauge_gap(config: FlowConfig, tau: float) -> float:
-    """tau^2/n - n, whose sign picks the reduced Hamiltonian's branch.
-
-    Positive on the expanding-gauge branch, negative on the reversed one and
-    zero on the gauge boundary tau^2 = n^2.  On the constraint surface
-    d/dt log h_red = tau |Sigma|^2 / (tau^2/n - n), so its sign is also that
-    of the denominator.  Factored to keep relative accuracy near the boundary
-    |tau| -> n, where the direct difference cancels.
-    """
-    n = float(config.n)
-    ratio = tau / n
-    return n * (ratio - 1.0) * (ratio + 1.0)
-
-
 def observables(config: FlowConfig, state: FlowState) -> Observables:
     """:func:`constraint_terms` of one state, with its reduced Hamiltonian.
 
@@ -222,7 +211,7 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
     tau, sigma_sq, scalar_curv, ham_residual = constraint_terms(config, state)
     m = config.m
     n = float(config.n)
-    gap = gauge_gap(config, tau)
+    gap = gauge_gap(n, tau)
     if gap != 0.0:
         try:
             volume = (

@@ -1,6 +1,7 @@
 """Tests for the closed-form background solutions and gauge maps."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from cmcflow.background import (
     CurvatureSign,
     GaugeDomainError,
     cmc_time_maps,
+    gauge_gap,
     gauge_quantities,
     homogeneous_lapse,
     mean_curvature,
@@ -46,6 +48,25 @@ class TestScaleFactor:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             BackgroundModel(n=1, sign=NEG)
+        # An n that converts to no double is refused, not left to overflow
+        # in the first formula that reads it.
+        with pytest.raises(ValueError, match="the largest double"):
+            BackgroundModel(n=10**400, sign=NEG)
+
+    def test_double_range_of_t(self):
+        # cosh(t) is finite up to log(2 * max) and overflows one double
+        # beyond it; past that bound t leaves the domain.
+        bound = math.log(2.0) + math.log(sys.float_info.max)
+        for sign in (NEG, POS):
+            model = BackgroundModel(n=3, sign=sign)
+            assert math.isfinite(scale_factor(model, bound))
+            assert mean_curvature(model, bound) == -3.0
+            for t in (math.nextafter(bound, math.inf), 711.0, 1e6):
+                with pytest.raises(GaugeDomainError, match="double range"):
+                    scale_factor(model, t)
+                with pytest.raises(GaugeDomainError, match="double range"):
+                    mean_curvature(model, t)
+        assert scale_factor(BackgroundModel(n=3, sign=POS), -bound) > 1e308
 
 
 class TestMeanCurvature:
@@ -121,6 +142,11 @@ class TestHomogeneousLapse:
         residual = 1.0 + lapse * (tau * tau / n - n)
         assert abs(residual) <= 1e-12
 
+    def test_lapse_is_the_reciprocal_gap(self):
+        for n, tau, sign in ((3, -4.5, NEG), (2, -2.0000001, NEG),
+                             (4, 1.5, POS), (6, -5.999, POS)):
+            assert homogeneous_lapse(n, tau, sign) == 1.0 / abs(gauge_gap(n, tau))
+
     def test_gauge_quantities_bundle(self):
         g = gauge_quantities(3, -3.0 * math.sqrt(2.0), NEG)
         assert g.scale_sq == pytest.approx(3.0 * g.lapse, rel=1e-15)
@@ -150,6 +176,17 @@ class TestCmcTimeMaps:
             for T in (math.inf, -math.inf, math.nan):
                 with pytest.raises(GaugeDomainError):
                     cmc_time_maps(3, sign, T)
+
+    def test_rescaling_past_the_double_range_of_a_squared(self):
+        # From T ~ 355, a^2 overflows and s = 1/a^2 underflows to 0; tau
+        # stays finite up to the domain bound.  Near T = 0 (negative
+        # curvature) a^2 underflows and s overflows to inf.
+        for sign in (NEG, POS):
+            tau, s = cmc_time_maps(3, sign, 400.0)
+            assert (tau, s) == (-3.0, 0.0)
+            with pytest.raises(GaugeDomainError):
+                cmc_time_maps(3, sign, 711.0)
+        assert cmc_time_maps(3, NEG, 1e-300) == (-3e300, math.inf)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_identity_within_four_ulps(self, n):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -259,6 +260,44 @@ class TestJsonCommands:
         assert doc["result"]["lapse"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+def background_ref(sign, t):
+    """(lapse, scale_sq) at n = 3 to 60 digits, with sinh and cosh from exp."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(t)
+        grow, decay = x.exp(), (-x).exp()
+        a = (grow - decay if sign == "negative" else grow + decay) / 2
+        return a * a / 3, a * a
+
+
+class TestBackgroundGauge:
+    @pytest.mark.parametrize("sign", ["negative", "positive"])
+    def test_gauge_matches_a_sixty_digit_reference(self, capsys, sign):
+        # The gauge comes from a(t); from tau, which rounds towards -n,
+        # the lapse was off by 6e-9 at t = 10, and past t = 19 (negative)
+        # or 25 (positive) tau^2 = n^2 and no lapse could be formed.
+        for t in (0.1, 1.0, 3.0, 10.0, 15.0, 17.0, 18.0, 19.0, 25.0, 100.0,
+                  300.0):
+            rc, out, _ = run(capsys, [
+                "background", "--n", "3", "--curvature", sign, "--t", repr(t)])
+            assert rc == 0, t
+            result = json.loads(out)["result"]
+            for key, ref in zip(("lapse", "scale_sq"), background_ref(sign, t)):
+                rel = abs(Decimal(result[key]) - ref) / ref
+                assert rel <= Decimal("1e-15"), (t, key, result[key])
+
+    def test_lapse_and_scale_sq_past_the_double_range(self, capsys):
+        # a(400) ~ 2.6e173 is a double; its square is not, and non-finite
+        # floats print as null.
+        rc, out, _ = run(capsys, [
+            "background", "--n", "3", "--curvature", "negative", "--t", "400"])
+        assert rc == 0
+        result = json.loads(out)["result"]
+        assert result["tau"] == -3
+        assert math.isfinite(result["scale_factor"])
+        assert result["lapse"] is None and result["scale_sq"] is None
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -298,6 +337,9 @@ class TestExitCodes:
             ["hamiltonian", "--n", "8", "--s", "1.3", "--curvature",
              "negative", "--horizon", "100"],
             ["background", "--n", "3", "--curvature", "negative", "--t", "-1"],
+            # cosh(t) past the double range
+            ["background", "--n", "3", "--curvature", "positive", "--t", "711"],
+            ["background", "--n", "3", "--curvature", "negative", "--t", "1e6"],
             # The library checks the curvature before the bracket.
             ["bisect", "--n", "4", "--curvature", "negative", "--lo", "1.6",
              "--hi", "1.4", "--tol", "1e-3", "--horizon", "30"],
@@ -306,7 +348,7 @@ class TestExitCodes:
     def test_precondition_violations_exit_four(self, capsys, argv):
         rc, _, err = run(capsys, argv)
         assert rc == 4
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_gauge_exit_names_the_grid_time(self, capsys):
         # The run leaves the H+ branch at the grid time 19.4, computed as
@@ -356,6 +398,23 @@ class TestUsageMessages:
             (["classify", "--n", "4", "--s", "1.5", "--curvature", "positive",
               "--horizon", "5", "--rel-tol", "inf"],
              "tolerances must be positive and finite"),
+            # An n that converts to no double, in every command.
+            *(([*argv, "--n", str(10**400)],
+               "--n must be at most 1.7976931348623157e+308, the largest double")
+              for argv in (
+                ["classify", "--s", "1", "--curvature", "positive",
+                 "--horizon", "5"],
+                ["simulate", "--s", "1", "--curvature", "positive",
+                 "--t-max", "5"],
+                ["hamiltonian", "--s", "1", "--curvature", "positive",
+                 "--horizon", "5"],
+                ["bisect", "--curvature", "positive", "--lo", "1.4", "--hi",
+                 "1.6", "--tol", "1e-3", "--horizon", "5"],
+                ["sweep", "--curvature", "positive", "--s-min", "1",
+                 "--s-max", "2", "--steps", "2", "--horizon", "5",
+                 "--no-limits"],
+                ["background", "--curvature", "positive", "--t", "1"],
+            )),
         ],
     )
     def test_exit_two_with_message(self, capsys, argv, message):

@@ -106,6 +106,18 @@ class TestThresholds:
     def test_validation(self):
         with pytest.raises(ValueError):
             thresholds(3)
+        with pytest.raises(ValueError, match="the largest double"):
+            thresholds(10**400)
+
+    def test_n_past_the_double_range_raises_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated with an invalid n")
+
+        monkeypatch.setattr(experiments, "integrate", no_run)
+        with pytest.raises(ValueError, match="the largest double"):
+            sweep(10**400, POS, [1.0, 2.0], 5.0, with_limits=False)
+        with pytest.raises(ValueError, match="the largest double"):
+            bisect_critical(10**400, POS, 1.4, 1.6, 1e-3, 5.0)
 
 
 class TestClassify:
@@ -797,6 +809,23 @@ class TestLimit:
         paired = fine + (fine - coarse) / 15.0
         assert abs(abs(est.value - paired) - est.cross_check_delta) <= 1e-11
         assert abs(abs(fine - coarse) / 15.0 - est.oracle_error_estimate) <= 1e-11
+
+    def test_tightest_settled_benchmark_row_stops_at_twelve(self, monkeypatch):
+        # Of the 384 limit rows of the sweep benchmark at seeds 1-3, this
+        # one settles with the least margin: its fine run's L_ext spread
+        # is 9.87e-14 against ORACLE_SETTLE_TOL = 1e-13 (the next worst is
+        # 2.84e-14).  A change to the oracle's arithmetic that pushes it
+        # over runs both runs to the horizon and fails here.
+        stops = []
+
+        def recording(cfg, dt, t_max, events=None):
+            stops.append((dt, t_max))
+            return integrate_oracle(cfg, dt, t_max, events)
+
+        monkeypatch.setattr(experiments, "integrate_oracle", recording)
+        (row,) = sweep(6, NEG, [0.6169990715195376], 50.0)
+        assert row.limit is not None and row.error is None
+        assert stops == [(ORACLE_DT, 12.0), (2.0 * ORACLE_DT, 12.0)]
 
     @pytest.mark.parametrize("spike, settled", [(-11, False), (-12, True)])
     def test_settle_window_is_the_last_eleven_samples(

@@ -41,6 +41,8 @@ class TestFlowConfig:
             FlowConfig(m=2, sign=POS, s=0.5)
         with pytest.raises(ValueError):
             FlowConfig(m=2, sign=POS, s=1.0, vol_m=0.0)
+        with pytest.raises(ValueError, match="the largest double"):
+            FlowConfig(m=10**400, sign=POS, s=1.0)
 
     def test_boundary_coefficient_is_exact(self):
         # at s = (n-1)/(n-2) the y-equation coefficient must equal n exactly
