@@ -32,6 +32,7 @@ from .products import (
     FlowState,
     derivatives,
     initial_state,
+    require_exact_n,
 )
 
 VERDICT_COMPLETE = "CompleteWithinHorizon"
@@ -179,6 +180,7 @@ def thresholds(n: int) -> tuple[float, float | None]:
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
     BackgroundModel(n, CurvatureSign.POSITIVE)  # raises ValueError for n past a double
+    require_exact_n(n)
     lower = (n - 1) / n
     upper = (n - 1) / (n - 2) if n > 2 else None
     return lower, upper

@@ -94,6 +94,7 @@ _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
 _MAX_GROW = 10.0
 _MAX_SHRINK = 5.0
+_MIN_FAC = 1.0 / _MAX_GROW
 
 _INITIAL_STEP = 0.01
 _EVENT_T_TOL = 1e-10
@@ -285,6 +286,7 @@ def integrate(
     t = 0.0
     t_end = settings.t_max
     event_fns = _event_functions(events)
+    (_, g_y), (_, g_v) = event_fns
 
     k1 = f(t, u)
     max_fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
@@ -295,10 +297,18 @@ def integrate(
     abs_tol = settings.abs_tol
     rel_tol = settings.rel_tol
     max_step = settings.max_step
+    min_step = settings.min_step
     output_dt = settings.output_dt
+    sqrt = math.sqrt
     next_k = 1
-    h = max(settings.min_step, min(_INITIAL_STEP, max_step, settings.t_max))
+    h = max(min_step, min(_INITIAL_STEP, max_step, settings.t_max))
     facold = 1e-4
+    # |u_i| of the state the step starts from.  The error scale of component
+    # i is abs_tol + rel_tol * max(|u_i|, |unew_i|); an accepted step's
+    # |unew_i| is the next step's |u_i|, so each is taken once, and
+    # "an if an > au else au" is max(au, an) with max's own rule for ties
+    # and NaN: the first argument unless the second is greater.
+    au_0, au_1, au_2, au_3 = abs(u[0]), abs(u[1]), abs(u[2]), abs(u[3])
 
     # The stages are written out per component (suffix _i is component i of
     # the state u = (x, y, x', y')); every sum keeps the operand order of the
@@ -370,19 +380,23 @@ def integrate(
         k7_0, k7_1, k7_2, k7_3 = k7
 
         # Scaled error of each component, combined as a root mean square.
+        an_0 = abs(unew_0)
+        an_1 = abs(unew_1)
+        an_2 = abs(unew_2)
+        an_3 = abs(unew_3)
         r_0 = h * (_E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0
                    + _E6 * k6_0 + _E7 * k7_0) / (
-            abs_tol + rel_tol * max(abs(u_0), abs(unew_0)))
+            abs_tol + rel_tol * (an_0 if an_0 > au_0 else au_0))
         r_1 = h * (_E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1
                    + _E6 * k6_1 + _E7 * k7_1) / (
-            abs_tol + rel_tol * max(abs(u_1), abs(unew_1)))
+            abs_tol + rel_tol * (an_1 if an_1 > au_1 else au_1))
         r_2 = h * (_E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2
                    + _E6 * k6_2 + _E7 * k7_2) / (
-            abs_tol + rel_tol * max(abs(u_2), abs(unew_2)))
+            abs_tol + rel_tol * (an_2 if an_2 > au_2 else au_2))
         r_3 = h * (_E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3
                    + _E6 * k6_3 + _E7 * k7_3) / (
-            abs_tol + rel_tol * max(abs(u_3), abs(unew_3)))
-        err_norm = math.sqrt(
+            abs_tol + rel_tol * (an_3 if an_3 > au_3 else au_3))
+        err_norm = sqrt(
             (r_0 * r_0 + r_1 * r_1 + r_2 * r_2 + r_3 * r_3) / 4.0
         )
 
@@ -391,10 +405,14 @@ def integrate(
 
             # The floors are tested at the step end; only a step that holds
             # a grid point or a fired floor needs the continuous extension.
-            fired = []
-            for event in event_fns:
-                if event[1](unew) <= 0.0:
-                    fired.append(event)
+            # A plain loop builds the fired list: a comprehension would make
+            # unew a cell variable, slower to read on every step.
+            fired = ()
+            if g_y(unew) <= 0.0 or g_v(unew) <= 0.0:
+                fired = []
+                for event in event_fns:
+                    if event[1](unew) <= 0.0:
+                        fired.append(event)
             if fired or next_k * output_dt <= t_new:
                 # Quartic continuous extension over [t, t+h]: u and rc2 to
                 # rc5 are the coefficients of its Horner form in _dense().
@@ -468,6 +486,7 @@ def integrate(
             t = t_new
             u = unew
             k1 = k7
+            au_0, au_1, au_2, au_3 = an_0, an_1, an_2, an_3
             n_accepted += 1
 
             if last_step:
@@ -476,7 +495,7 @@ def integrate(
 
             fac11 = err_norm**_EXPO1
             fac = fac11 / facold**_BETA
-            fac = max(1.0 / _MAX_GROW, min(_MAX_SHRINK, fac / _SAFETY))
+            fac = max(_MIN_FAC, min(_MAX_SHRINK, fac / _SAFETY))
             h = h / fac
             facold = max(err_norm, 1e-4)
             if h > max_step:
@@ -486,7 +505,7 @@ def integrate(
             h = h / min(_MAX_SHRINK, fac11 / _SAFETY)
             n_rejected += 1
 
-        if h < settings.min_step:
+        if h < min_step:
             termination = Termination(STEP_SIZE_COLLAPSE, t_last=t)
             break
 
@@ -559,6 +578,7 @@ def integrate_oracle(
         events = EventSpec()
     f = derivatives(config)
     event_fns = _event_functions(events)
+    (_, g_y), (_, g_v) = event_fns
 
     state0 = initial_state(config)
     u = (state0.x, state0.y, state0.xp, state0.yp)
@@ -619,25 +639,27 @@ def integrate_oracle(
             )
             break
 
-        hit_h = None
-        hit_name = None
         # g(u) > 0: a step starts from the initial data or where none fired.
-        for name, g in event_fns:
-            if g(unew) <= 0.0:
-                lo, hi = 0.0, h
-                try:
-                    while hi - lo > _EVENT_T_TOL:
-                        mid = 0.5 * (lo + hi)
-                        if g(rk4_step(t, u, mid, k1)) <= 0.0:
-                            hi = mid
-                        else:
-                            lo = mid
-                except BlowUpOverflow:
-                    pass
-                if hit_h is None or hi < hit_h:
-                    hit_h = hi
-                    hit_name = name
-        if hit_h is not None:
+        # Each floor that fired is located, in trigger order; the earliest
+        # crossing ends the run.
+        if g_y(unew) <= 0.0 or g_v(unew) <= 0.0:
+            hit_h = None
+            hit_name = None
+            for name, g in event_fns:
+                if g(unew) <= 0.0:
+                    lo, hi = 0.0, h
+                    try:
+                        while hi - lo > _EVENT_T_TOL:
+                            mid = 0.5 * (lo + hi)
+                            if g(rk4_step(t, u, mid, k1)) <= 0.0:
+                                hi = mid
+                            else:
+                                lo = mid
+                    except BlowUpOverflow:
+                        pass
+                    if hit_h is None or hi < hit_h:
+                        hit_h = hi
+                        hit_name = name
             u = rk4_step(t, u, hit_h, k1)
             t = t + hit_h
             termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)

@@ -38,12 +38,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .background import BackgroundModel, CurvatureSign, gauge_gap
 
 # e^(-2y) overflows double precision long before y reaches this; beyond the
 # floor the state is numerically past recollapse and integration must stop.
 OVERFLOW_FLOOR = -300.0
+
+# Doubles hold every integer up to 2**53 but not all past it.  There n - 1
+# can round to n, and the curvature coefficients lose the term that balances
+# n in the equations.
+MAX_N = 2**53
+
+
+def require_exact_n(n: int) -> None:
+    """Raise ValueError unless n - 1 is exact in a double (n <= 2**53)."""
+    if n > MAX_N:
+        raise ValueError(f"n must be at most 2**53 = {MAX_N}, past which "
+                         f"doubles skip integers")
 
 
 class BlowUpOverflow(ArithmeticError):
@@ -73,21 +86,25 @@ class FlowConfig:
         if self.m < 1:
             raise ValueError(f"factor dimension must be >= 1, got m={self.m}")
         BackgroundModel(self.n, self.sign)  # raises ValueError for n past a double
+        require_exact_n(self.n)
         if not self.s > 0.5:
             raise ValueError(f"coupling must satisfy s > 1/2, got s={self.s}")
         if not (self.vol_m > 0.0 and self.vol_n > 0.0):
             raise ValueError("base volumes must be positive")
 
-    @property
+    # n, kx and ky are computed at their first read and kept in the instance
+    # dict; fields are frozen, so they cannot go stale, and equality and
+    # hashing read the fields alone.
+    @cached_property
     def n(self) -> int:
         return 2 * self.m
 
-    @property
+    @cached_property
     def kx(self) -> float:
         """Curvature source coefficient of the x equation, (n-1)/s."""
         return (self.n - 1) / self.s
 
-    @property
+    @cached_property
     def ky(self) -> float:
         """Curvature source coefficient of the y equation, 2(n-1) - kx.
 
@@ -108,6 +125,14 @@ class FlowState:
     y: float
     xp: float
     yp: float
+
+    # The steppers build one per sample.  A frozen dataclass's generated
+    # __init__ sets each field with its own object.__setattr__ call, which
+    # more than doubles the cost; this one puts the fields in the instance
+    # dict, where those calls put them, at once.  The fields stay read-only,
+    # and equality, hashing, repr and replace() are the generated ones.
+    def __init__(self, t: float, x: float, y: float, xp: float, yp: float):
+        self.__dict__.update(t=t, x=x, y=y, xp=xp, yp=yp)
 
 
 @dataclass(frozen=True)
@@ -144,12 +169,19 @@ def derivatives(config: FlowConfig):
     once a log scale factor falls below the overflow floor, and nothing
     else: above it e^(-2x) <= e^600, and float arithmetic saturates without
     raising.  The steppers catch BlowUpOverflow alone; keep this contract.
+
+    The curvature sign is folded into the coefficients once, so each call
+    computes (-kx) * e where the equations read -(kx * e).  The two are
+    the same double: negation is exact, and round-to-nearest is symmetric
+    about 0, so rounding the negated product negates the rounded one.  That
+    holds for e = 0 (both give -0.0, and n + -0.0 = n) and for inf and NaN.
     """
     n = float(config.n)
     half_n = 0.5 * n
-    kx = config.kx
-    ky = config.ky
-    curv = -1.0 if config.sign is CurvatureSign.POSITIVE else 1.0
+    if config.sign is CurvatureSign.POSITIVE:
+        kx, ky = -config.kx, -config.ky
+    else:
+        kx, ky = config.kx, config.ky
     exp = math.exp
     floor = OVERFLOW_FLOOR
 
@@ -158,8 +190,8 @@ def derivatives(config: FlowConfig):
         if x < floor or y < floor:
             raise BlowUpOverflow(t)
         cross = xp * yp
-        xpp = n + curv * (kx * exp(-2.0 * x)) - half_n * (xp * xp + cross)
-        ypp = n + curv * (ky * exp(-2.0 * y)) - half_n * (yp * yp + cross)
+        xpp = n + kx * exp(-2.0 * x) - half_n * (xp * xp + cross)
+        ypp = n + ky * exp(-2.0 * y) - half_n * (yp * yp + cross)
         return xp, yp, xpp, ypp
 
     return f

@@ -423,6 +423,31 @@ class TestUsageMessages:
         assert err == f"error: {message}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--s", "1", "--curvature", "positive", "--horizon", "5"],
+        ["simulate", "--s", "1", "--curvature", "positive", "--t-max", "5"],
+        ["hamiltonian", "--s", "1", "--curvature", "positive", "--horizon", "5"],
+        ["bisect", "--curvature", "positive", "--lo", "1.4", "--hi", "1.6",
+         "--tol", "1e-3", "--horizon", "5"],
+        ["sweep", "--curvature", "positive", "--s-min", "1", "--s-max", "2",
+         "--steps", "2", "--horizon", "5", "--no-limits"],
+    ], ids=lambda argv: argv[0])
+    def test_flow_n_past_2_53_exits_two(self, capsys, argv):
+        # 2**53 + 2 is a double, but n - 1 = 2**53 + 1 is not: the curvature
+        # coefficient would round into n and cancel.
+        rc, out, err = run(capsys, [*argv, "--n", str(2**53 + 2)])
+        assert rc == 2
+        assert err == ("error: --n must be at most 2**53 = 9007199254740992, "
+                       "past which doubles skip integers\n")
+        assert out == ""
+
+    def test_background_keeps_the_largest_double_rule(self, capsys):
+        # The closed forms need no exact n - 1.
+        rc, out, _ = run(capsys, ["background", "--n", str(2**53 + 2),
+                                  "--curvature", "positive", "--t", "1"])
+        assert rc == 0
+        assert json.loads(out)["result"]["lapse"] == math.cosh(1.0) ** 2 / (2**53 + 2)
+
     def test_one_step_sweep_is_one_row_at_s_min(self, capsys):
         rc, out, _ = run(capsys, sweep_argv("0.8", "2", "1"))
         assert rc == 0

@@ -109,6 +109,15 @@ class TestThresholds:
         with pytest.raises(ValueError, match="the largest double"):
             thresholds(10**400)
 
+    def test_n_up_to_2_53_only(self):
+        # Past 2**53 doubles skip integers and n - 1 can round to n.
+        lower, upper = thresholds(2**53)
+        assert lower == (2**53 - 1) / 2**53 < 1.0 < upper
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            thresholds(2**53 + 2)
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            sweep(10**20, POS, [1.0, 2.0], 5.0, with_limits=False)
+
     def test_n_past_the_double_range_raises_before_any_run(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("integrated with an invalid n")

@@ -786,6 +786,133 @@ class TestGoldenBits:
         assert _samples_digest(run()) == SAMPLE_SHA256[name]
 
 
+_CAPPED = dict(max_step=RUN_MAX_STEP, t_max=50.0)
+
+# The runs the workloads are made of, at the settings their callers use:
+# classify's and sweep's rows at RUN_MAX_STEP, a bisection probe with no
+# samples, a reduced-Hamiltonian run at the default cap of 0.03, the ends
+# by overflow and by step-size collapse, and the RK4 pair's settle window
+# and event location at ORACLE_DT.  Each maps to the _fingerprint of the
+# run, its termination (kind, trigger, t_last), its number of samples and
+# the _samples_digest of them.  The hot loops of both steppers are written
+# for speed; any edit that moves a bit of any of these fails here.
+STEPPING_CORE = {
+    "dp5-limit-row-sampled": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=1.2),
+                          IntegratorSettings(**_CAPPED)),
+        ((("0x1.9000000000000p+5", "0x1.8d847d75dec29p+5",
+           "0x1.869dfc7d6d13fp+5", "0x1.0000000000000p+0",
+           "0x1.0000000000000p+0"),
+          None, 466, 1, "0x1.919e400000000p-32", "0x1.85ec400000000p-31"),
+         (REACHED_HORIZON, None, None), 501,
+         "00eab6b1d5af4b516871e16ecf0b7087c0c5827c25576e8264868252ef98443a"),
+    ),
+    "dp5-negative-limit-row-sampled": (
+        lambda: integrate(FlowConfig(m=3, sign=NEG, s=0.7),
+                          IntegratorSettings(**_CAPPED)),
+        ((("0x1.9000000000000p+5", "0x1.924c0bef6e21ep+5",
+           "0x1.90a4e284acae3p+5", "0x1.0000000033893p+0",
+           "0x1.0000000033893p+0"),
+          None, 478, 2, "0x1.7f96400000000p-30", "0x1.3448f00000000p-28"),
+         (REACHED_HORIZON, None, None), 501,
+         "0a20500c14acf67c5b44d698ce78e63958844c52d77969e4cc3454fd30bd2c80"),
+    ),
+    "dp5-recollapse-row": (
+        lambda: integrate(FlowConfig(m=3, sign=POS, s=0.7),
+                          IntegratorSettings(**_CAPPED)),
+        ((("0x1.e921dcd6a1a2cp-1", "-0x1.4c343cbec8eb9p+1",
+           "0x1.de51bd5bed54dp+0", "-0x1.493a83b5087d5p+7",
+           "0x1.02750759d2cc4p+6"),
+          "0x1.e921dcd6a1a2cp-1", 253, 1,
+          "0x1.e847a00000000p-21", "0x1.6e36800000000p-19"),
+         (BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR, None), 11,
+         "1c89b05eab08d238a8f0b08de9c733d42835602f501adb93d1f0b8d060739695"),
+    ),
+    "dp5-probe-unsampled": (
+        lambda: integrate(FlowConfig(m=3, sign=POS, s=1.2501),
+                          IntegratorSettings(max_step=RUN_MAX_STEP, t_max=80.0,
+                                             output_dt=math.inf)),
+        ((("0x1.3fa41e1073c81p+2", "0x1.dbedee9a5ba82p+2",
+           "-0x1.5a78893ae4142p+1", "0x1.030389440f6f6p+6",
+           "-0x1.4981c4c2e6be2p+7"),
+          "0x1.3fa41e1073c81p+2", 492, 1,
+          "0x1.0d93c00000000p-20", "0x1.75d5800000000p-19"),
+         (BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR, None), 2,
+         "bcba64b688e40f94dd7ccd1fb5d8826cbb88b4550e4959bcc2512b559b173147"),
+    ),
+    "dp5-h-red-cap-0.03": (
+        lambda: integrate(FlowConfig(m=2, sign=NEG, s=1.3),
+                          IntegratorSettings(t_max=8.0)),
+        ((("0x1.0000000000000p+3", "0x1.044f9234fb927p+3",
+           "0x1.07ac016f3e9b9p+3", "0x1.00000063d78e7p+0",
+           "0x1.000000e24ad81p+0"),
+          None, 352, 2, "0x1.8f1db00000000p-32", "0x1.5ab3000000000p-31"),
+         (REACHED_HORIZON, None, None), 81,
+         "0251cccc869183e8e694a8f31d36d124de0722d4644882141a46297384e86da5"),
+    ),
+    "dp5-overflow-cap-0.3": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0),
+                          IntegratorSettings(rel_tol=1e-2, abs_tol=1e-2,
+                                             max_step=RUN_MAX_STEP,
+                                             t_max=20.0)),
+        ((("0x1.028f5c28f5c29p+0", "0x1.509c874995b8fp+0",
+           "-0x1.1e228332ea4efp+0", "0x1.d2f54cb7002d5p+1",
+           "-0x1.b702e36a3c86cp+2"),
+          "0x1.028f5c28f5c29p+0", 5, 0,
+          "0x1.16ccb98b4cd80p+0", "0x1.218576e9159c8p+1"),
+         (BLOW_UP_EVENT, TRIGGER_OVERFLOW, None), 12,
+         "a8ccaa7780f6eeef8ac47d06e5c35eed912df35ff1e211183e97d2cfaacbe1b3"),
+    ),
+    "dp5-collapse-at-start": (
+        lambda: integrate(FlowConfig(m=2, sign=NEG, s=1.3),
+                          IntegratorSettings(t_max=8.0, min_step=0.02)),
+        ((("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bcdp+0",
+           "0x1.6a09e667f3bcdp+0"),
+          None, 0, 1, "0x1.8000000000000p-49", "0x1.0000000000000p-47"),
+         (STEP_SIZE_COLLAPSE, None, "0x0.0p+0"), 1,
+         "012377e7b714460f867eec5d2328884c843a18c324dbc397163f4ebe5bfcf71a"),
+    ),
+    "oracle-settle-window": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=1.2),
+                                 experiments.ORACLE_DT,
+                                 experiments.ORACLE_SETTLE_T),
+        ((("0x1.8000000000000p+3", "0x1.7611f5d71b89dp+3",
+           "0x1.5a77f1f52eacep+3", "0x1.00000000bc765p+0",
+           "0x1.fffffffc4d21bp-1"),
+          None, 1500, 0, "0x1.9848940000000p-27", "0x1.970f4c0000000p-26"),
+         (REACHED_HORIZON, None, None), 126,
+         "1aa66fcca82bf6ead283a5638f2deb522bc8a1e70f9a50c13ff6e7f722dddfc3"),
+    ),
+    "oracle-event-located": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=2.0),
+                                 experiments.ORACLE_DT, 50.0),
+        ((("0x1.67d9f7bdf3b65p+0", "0x1.3278e148c5b68p+1",
+           "-0x1.8733545d3e48ep+1", "0x1.51d287a239bb0p+5",
+           "-0x1.1c74a20c5ce60p+7"),
+          "0x1.67d9f7bdf3b65p+0", 175, 0,
+          "0x1.4bc991c7e8000p-1", "0x1.b626556806400p+4"),
+         (BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR, None), 16,
+         "d8473ace2d5c5cba984774014d00697eb13aec40c5d01b74ceacce4f9bb48e04"),
+    ),
+}
+
+
+class TestSteppingCoreBits:
+    @pytest.mark.parametrize("name", sorted(STEPPING_CORE))
+    def test_run_is_bit_identical(self, name):
+        run, expected = STEPPING_CORE[name]
+        traj = run()
+        term = traj.termination
+        t_last = None if term.t_last is None else term.t_last.hex()
+        assert (_fingerprint(traj), (term.kind, term.trigger, t_last),
+                len(traj.samples), _samples_digest(traj)) == expected
+
+    def test_dp5_loop_has_no_cell_variables(self):
+        # A local that a nested function or comprehension reads becomes a
+        # cell, and every read of it in the step loop goes through the cell.
+        assert integrate.__code__.co_cellvars == ()
+
+
 # Every valid floor is negative (-inf included); the initial data has y = 0
 # and x' + y' in {0, 2 sqrt 2}.
 _floors = st.floats(max_value=-math.ulp(0.0), allow_nan=False)

@@ -1,6 +1,8 @@
 """Tests for the warped-product right-hand sides and derived observables."""
 
+import inspect
 import math
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from cmcflow.products import (
     BlowUpOverflow,
     FlowConfig,
     FlowState,
+    MAX_N,
     derivatives,
     first_integral_residual,
     initial_state,
@@ -44,6 +47,38 @@ class TestFlowConfig:
         with pytest.raises(ValueError, match="the largest double"):
             FlowConfig(m=10**400, sign=POS, s=1.0)
 
+    def test_n_up_to_2_53_keeps_n_minus_1_exact(self):
+        config = FlowConfig(m=2**52, sign=POS, s=1.0)
+        assert config.n == MAX_N == 2**53
+        assert config.kx == float(2**53 - 1) != float(config.n)
+
+    def test_n_past_2_53_is_refused(self):
+        # 2**53 + 1 rounds to 2**53, so n - 1 would round to n
+        with pytest.raises(ValueError, match=r"at most 2\*\*53 = 9007199254740992"):
+            FlowConfig(m=2**52 + 1, sign=POS, s=1.0)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            FlowConfig(m=5 * 10**19, sign=NEG, s=1.0)
+
+    @pytest.mark.parametrize("m, sign, s", [
+        (1, POS, 0.75), (2, POS, 1.5), (3, NEG, 0.7), (4, POS, 1e300),
+    ])
+    def test_cached_coefficients_follow_their_formulas(self, m, sign, s):
+        config = FlowConfig(m=m, sign=sign, s=s)
+        fresh = FlowConfig(m=m, sign=sign, s=s)
+        assert "kx" not in vars(config) and "ky" not in vars(config)
+        assert config.n == 2 * m
+        assert config.kx == (config.n - 1) / s
+        assert config.ky == 2.0 * (config.n - 1) - (config.n - 1) / s
+        assert vars(config)["kx"] == config.kx
+        # a cached value takes no part in equality or hashing
+        assert config == fresh and hash(config) == hash(fresh)
+        # a copy with another coupling computes its own coefficients
+        other = replace(config, s=2.0 * s)
+        assert "kx" not in vars(other)
+        assert other.kx == (config.n - 1) / (2.0 * s)
+        assert other.ky == 2.0 * (config.n - 1) - other.kx
+        assert other != config
+
     def test_boundary_coefficient_is_exact(self):
         # at s = (n-1)/(n-2) the y-equation coefficient must equal n exactly
         # so that y = 0 stays invariant in floating point
@@ -55,6 +90,23 @@ class TestFlowConfig:
         assert (s0.x, s0.y, s0.xp, s0.yp) == (0.0, 0.0, 0.0, 0.0)
         s0 = initial_state(FlowConfig(m=2, sign=NEG, s=2.0))
         assert (s0.xp, s0.yp) == (SQRT2, SQRT2)
+
+
+class TestFlowState:
+    def test_init_takes_the_fields_in_order(self):
+        # FlowState writes its own __init__; it must track the fields.
+        assert list(inspect.signature(FlowState).parameters) == [
+            field.name for field in fields(FlowState)]
+
+    def test_behaves_as_a_frozen_dataclass(self):
+        st_ = FlowState(1.0, -2.0, 0.5, -0.0, 3.0)
+        assert astuple(st_) == (1.0, -2.0, 0.5, -0.0, 3.0)
+        assert st_ == state(t=1.0, x=-2.0, y=0.5, xp=-0.0, yp=3.0)
+        assert hash(st_) == hash(state(t=1.0, x=-2.0, y=0.5, xp=0.0, yp=3.0))
+        assert repr(st_) == "FlowState(t=1.0, x=-2.0, y=0.5, xp=-0.0, yp=3.0)"
+        assert replace(st_, x=4.0) == FlowState(1.0, 4.0, 0.5, -0.0, 3.0)
+        with pytest.raises(FrozenInstanceError):
+            st_.x = 0.0
 
 
 class TestRhs:
@@ -74,6 +126,53 @@ class TestRhs:
         xpp, ypp = rhs(config, initial_state(config))
         assert xpp == pytest.approx(-1.0, abs=1e-14)
         assert ypp == pytest.approx(-1.0, abs=1e-14)
+
+    @staticmethod
+    def _unfolded(config, u):
+        # The right-hand side with its curvature sign applied per call, as
+        # the equations are written: n -+ (k * e^(-2x)) - ...
+        n = float(config.n)
+        half_n = 0.5 * n
+        curv = -1.0 if config.sign is POS else 1.0
+        x, y, xp, yp = u
+        cross = xp * yp
+        return (xp, yp,
+                n + curv * (config.kx * math.exp(-2.0 * x))
+                - half_n * (xp * xp + cross),
+                n + curv * (config.ky * math.exp(-2.0 * y))
+                - half_n * (yp * yp + cross))
+
+    @pytest.mark.parametrize("sign", [POS, NEG])
+    @pytest.mark.parametrize("u", [
+        (400.0, 0.0, 0.0, 0.0),             # e^(-2x) underflows to 0
+        (0.0, 600.0, -0.0, 1.0),            # to 0 in y, and x' = -0.0
+        (-300.0, -299.9, 1e3, -1e3),        # e^(-2x) at the overflow floor
+        (-0.0, 0.0, 0.0, -0.0),             # signed zeros everywhere
+        (1.0, -2.0, 0.0, 0.0),              # x' = y' = 0: no velocity terms
+        (math.nan, 0.0, 1.0, 1.0),          # NaN passes the floor test
+        (0.5, 0.25, math.inf, -math.inf),
+    ])
+    @pytest.mark.parametrize("m, s", [(2, 1.5), (2, 2.0), (3, 0.7), (5, 1e300)])
+    def test_folded_sign_is_bit_identical(self, sign, u, m, s):
+        config = FlowConfig(m=m, sign=sign, s=s)
+        got = derivatives(config)(0.0, u)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in self._unfolded(config, u)]
+
+    @given(
+        m=st.integers(min_value=1, max_value=50),
+        sign=st.sampled_from([NEG, POS]),
+        s=st.floats(min_value=0.5, exclude_min=True, allow_infinity=False),
+        u=st.tuples(st.floats(min_value=-300.0, max_value=1e300),
+                    st.floats(min_value=-300.0, max_value=1e300),
+                    st.floats(min_value=-1e150, max_value=1e150),
+                    st.floats(min_value=-1e150, max_value=1e150)),
+    )
+    def test_folded_sign_is_bit_identical_anywhere(self, m, sign, s, u):
+        config = FlowConfig(m=m, sign=sign, s=s)
+        got = derivatives(config)(0.0, u)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in self._unfolded(config, u)]
 
     def test_overflow_guard(self):
         config = FlowConfig(m=2, sign=POS, s=3.0)
