@@ -30,6 +30,7 @@ run is the forward run reflected by construction (``backward_integrate``).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -553,6 +554,8 @@ def integrate_oracle(
     dt: float,
     t_max: float,
     events: EventSpec | None = None,
+    *,
+    until: Callable[[list[FlowState]], bool] | None = None,
 ) -> Trajectory:
     """Fixed-step classical RK4 cross-check of :func:`integrate`.
 
@@ -570,6 +573,12 @@ def integrate_oracle(
     does not inherit the full-step error.
     ``n_accepted`` counts the steps completed, as for :func:`integrate`;
     the partial step to an event is not counted.
+
+    ``until(samples) -> bool``, if given, is called with the list of samples
+    recorded so far each time one is recorded before t_max.  The run ends at
+    the first sample it accepts as it ends at t_max: ``ReachedHorizon``,
+    with the first integral evaluated at that sample, which is the terminal
+    state.  The run up to there is bit for bit the run without the hook.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -623,10 +632,13 @@ def integrate_oracle(
     max_fir = 0.0
     k_sample = max(1, int(round(settings.output_dt / dt)))
 
+    termination = None
     while t < t_max:
-        h = dt if t + dt <= t_max else t_max - t
         if n_steps % k_sample == 0:
             samples.append(FlowState(t, *u))
+            if until is not None and until(samples):
+                break
+        h = dt if t + dt <= t_max else t_max - t
         try:
             k1 = f(t, u)
             fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
@@ -668,8 +680,8 @@ def integrate_oracle(
         u = unew
         n_steps += 1
         t = n_steps * dt if n_steps * dt <= t_max else t_max
-    else:
-        # The loop reached t_max without a break.
+    if termination is None:
+        # The loop reached t_max, or until accepted a sample.
         termination = Termination(REACHED_HORIZON)
         try:
             k_end = f(t, u)

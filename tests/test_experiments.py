@@ -22,6 +22,8 @@ from cmcflow.experiments import (
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
     ORACLE_DT,
+    ORACLE_SETTLE_SAMPLES,
+    ORACLE_SETTLE_TOL,
     RECOLLAPSE_V0,
     RUN_MAX_STEP,
     BracketError,
@@ -67,17 +69,46 @@ def _oracle_pair_ends(cfg, horizon):
     return tuple(end.x - end.y for end in ends)
 
 
-def _predicted_pair_ends(sign, horizon=40.0):
-    """x - y at the horizon, s = 1.3, predicted by the tail law from oracle
-    runs at ORACLE_DT and twice it that stop at t_s = 12:
-    L_ext - ((x' - y')/2) e^(-2(T - t_s)), L_ext = (x - y) + (x' - y')/2."""
+def _first_settled(samples):
+    """The first of the samples at which L_ext = (x - y) + (x' - y')/2 has
+    moved less than ORACLE_SETTLE_TOL over the last ORACLE_SETTLE_SAMPLES
+    samples, or None."""
+    l_ext = [st.x - st.y + 0.5 * (st.xp - st.yp) for st in samples]
+    for k in range(ORACLE_SETTLE_SAMPLES, len(samples) + 1):
+        window = l_ext[k - ORACLE_SETTLE_SAMPLES:k]
+        if max(window) - min(window) < ORACLE_SETTLE_TOL:
+            return samples[k - 1]
+    return None
+
+
+def _predicted_pair_ends(cfg, horizon):
+    """x - y at the horizon from oracle runs at ORACLE_DT and twice it, each
+    read at its first settled sample t_s before the horizon by the tail law
+    L_ext - ((x' - y')/2) e^(-2(T - t_s)), or at its end if none settled."""
     pair = []
     for dt in (ORACLE_DT, 2.0 * ORACLE_DT):
-        end = integrate_oracle(config(sign=sign, s=1.3), dt, 12.0).final_state()
-        half_w = 0.5 * (end.xp - end.yp)
-        l_ext = end.x - end.y + half_w
-        pair.append(l_ext - half_w * math.exp(-2.0 * (horizon - end.t)))
+        *grid, end = integrate_oracle(cfg, dt, horizon).samples
+        settled = _first_settled(grid)
+        if settled is None:
+            pair.append(end.x - end.y)
+            continue
+        half_w = 0.5 * (settled.xp - settled.yp)
+        l_ext = settled.x - settled.y + half_w
+        pair.append(l_ext - half_w * math.exp(-2.0 * (horizon - settled.t)))
     return tuple(pair)
+
+
+def _record_oracle_stops(monkeypatch):
+    """(dt, t_max, end time) of every oracle run from here on, in order."""
+    stops = []
+
+    def recording(cfg, dt, t_max, events=None, **kwargs):
+        traj = integrate_oracle(cfg, dt, t_max, events, **kwargs)
+        stops.append((dt, t_max, traj.final_state().t))
+        return traj
+
+    monkeypatch.setattr(experiments, "integrate_oracle", recording)
+    return stops
 
 
 def _count_probes(monkeypatch):
@@ -755,110 +786,143 @@ class TestLimit:
 
     @pytest.mark.parametrize("sign, frozen", [(POS, CS_POS_13), (NEG, CS_NEG_13)])
     def test_default_oracle_step_meets_frozen_limits(self, sign, frozen):
-        # Measured: the paired value predicted from t = 12 is 1.93e-11
-        # (positive) and 4.9e-12 (negative) from the frozen limit, and the
-        # error bar is 8.3e-10 and 1.2e-10; the pair run to 40 reads
-        # 1.95e-11 and 4.9e-12.
+        # Measured: the paired value predicted from the first settled
+        # sample (t = 10.368 positive, 8.352 negative) is 1.93e-11 and
+        # 4.8e-12 from the frozen limit, and the error bar is 8.3e-10 and
+        # 1.2e-10; the pair run to 40 reads 1.95e-11 and 4.9e-12.
+        cfg = config(sign=sign, s=1.3)
         paired_errors = [
             abs(fine + (fine - coarse) / 15.0 - frozen)
             for fine, coarse in (
-                _predicted_pair_ends(sign),
-                _oracle_pair_ends(config(sign=sign, s=1.3), 40.0),
+                _predicted_pair_ends(cfg, 40.0),
+                _oracle_pair_ends(cfg, 40.0),
             )
         ]
         assert max(paired_errors) <= 1e-10
-        est = limit_Cs(config(sign=sign, s=1.3), 40.0)
+        est = limit_Cs(cfg, 40.0)
         assert est.oracle_error_estimate >= max(paired_errors)
 
     @pytest.mark.parametrize("sign", [POS, NEG])
     def test_limit_and_sweep_share_the_oracle_step(self, sign):
+        # The runs settle at t_s = 10.368 (positive) and 8.352 (negative).
         # At horizon 14 the e^(-2(T - t_s)) term moves the fine run's
         # prediction by 1.2e-11 (positive) and 9e-14 (negative); at 40 it is
         # below rounding.
+        cfg = config(sign=sign, s=1.3)
         for horizon in (40.0, 14.0):
-            est = limit_Cs(config(sign=sign, s=1.3), horizon)
+            est = limit_Cs(cfg, horizon)
             (row,) = sweep(4, sign, [1.3], horizon)
             assert row.limit == est
-            fine, coarse = _predicted_pair_ends(sign, horizon)
+            fine, coarse = _predicted_pair_ends(cfg, horizon)
             assert est.cross_check_delta == abs(
                 est.value - (fine + (fine - coarse) / 15.0))
             assert est.oracle_error_estimate == abs(fine - coarse) / 15.0
 
     @pytest.mark.parametrize("sign, s, horizon", [
-        (POS, 1.3, 5.0), (NEG, 0.7, 8.0), (POS, 0.9, 12.0),
+        (POS, 1.3, 5.0), (NEG, 0.7, 8.0), (POS, 0.9, 9.5),
     ])
-    def test_short_horizon_reads_the_pair_at_its_end(self, sign, s, horizon):
-        # Up to t = 12 the pair runs to the horizon and no prediction is
-        # made: the check is that of the full-run pair.
+    def test_short_horizon_reads_the_pair_at_its_end(
+        self, monkeypatch, sign, s, horizon
+    ):
+        # Neither run settles before the horizon (the s = 0.9 pair settles
+        # at t = 9.792), so both run to it and no prediction is made: the
+        # check is that of the full-run pair.
+        stops = _record_oracle_stops(monkeypatch)
         cfg = config(sign=sign, s=s)
         est = limit_Cs(cfg, horizon)
+        assert stops == [(ORACLE_DT, horizon, horizon),
+                         (2.0 * ORACLE_DT, horizon, horizon)]
         fine, coarse = _oracle_pair_ends(cfg, horizon)
         assert est.cross_check_delta == abs(
             est.value - (fine + (fine - coarse) / 15.0))
         assert est.oracle_error_estimate == abs(fine - coarse) / 15.0
 
     @pytest.mark.parametrize("m, s", [(2, 0.75001), (2, 1.49999), (1, 0.501)])
-    def test_near_threshold_pair_runs_to_the_horizon(self, monkeypatch, m, s):
+    def test_near_threshold_pair_settles_late(self, monkeypatch, m, s):
         # Within 1e-3 of a threshold the slow free mode keeps L_ext moving
-        # past t = 12 (measured: the fine run settles at t = 15.4, 16.1 and
-        # 20.3), so the pair falls back to full runs to the horizon.
-        stops = []
-
-        def recording(cfg, dt, t_max, events=None):
-            stops.append((dt, t_max))
-            return integrate_oracle(cfg, dt, t_max, events)
-
-        monkeypatch.setattr(experiments, "integrate_oracle", recording)
+        # past t = 12 (measured: the fine run settles at t = 15.36, 16.128
+        # and 20.256), so each run goes on toward the horizon, in one call,
+        # until it settles.
+        stops = _record_oracle_stops(monkeypatch)
         cfg = config(m=m, s=s)
         est = limit_Cs(cfg, 50.0)
-        assert stops[-2:] == [(ORACLE_DT, 50.0), (2.0 * ORACLE_DT, 50.0)]
-        assert all(t_max == 12.0 for _, t_max in stops[:-2])
+        assert [stop[:2] for stop in stops] == [(ORACLE_DT, 50.0),
+                                                (2.0 * ORACLE_DT, 50.0)]
+        assert all(12.0 < t_end < 50.0 for _, _, t_end in stops)
         assert est.cross_check_delta <= 1e-6
         fine, coarse = _oracle_pair_ends(cfg, 50.0)
         paired = fine + (fine - coarse) / 15.0
         assert abs(abs(est.value - paired) - est.cross_check_delta) <= 1e-11
         assert abs(abs(fine - coarse) / 15.0 - est.oracle_error_estimate) <= 1e-11
 
-    def test_tightest_settled_benchmark_row_stops_at_twelve(self, monkeypatch):
+    @pytest.mark.parametrize("sign, s", [(NEG, 0.7), (NEG, 2.0), (POS, 0.7)])
+    def test_n2_rows_settle_before_the_horizon(self, monkeypatch, sign, s):
+        # At n = 2 the free mode e^(-nt) decays like the forcing, so L_ext
+        # settles late (t = 14.7 to 16.6 on these rows), yet well before T.
+        stops = _record_oracle_stops(monkeypatch)
+        cfg = config(m=1, sign=sign, s=s)
+        est = limit_Cs(cfg, 50.0)
+        assert len(stops) == 2
+        assert all(12.0 < t_end < 50.0 for _, _, t_end in stops)
+        fine, coarse = _oracle_pair_ends(cfg, 50.0)
+        paired = fine + (fine - coarse) / 15.0
+        assert abs(abs(est.value - paired) - est.cross_check_delta) <= 1e-11
+        assert abs(abs(fine - coarse) / 15.0 - est.oracle_error_estimate) <= 1e-11
+
+    def test_symmetric_coupling_pair_stops_at_its_first_window(
+        self, monkeypatch
+    ):
+        # At s = 1, x = y exactly, so L_ext is 0 at every sample and each run
+        # stops at its eleventh, t = 0.96.
+        stops = _record_oracle_stops(monkeypatch)
+        for sign in (POS, NEG):
+            stops.clear()
+            est = limit_Cs(config(sign=sign, s=1.0), 50.0)
+            assert stops == [(ORACLE_DT, 50.0, 0.96),
+                             (2.0 * ORACLE_DT, 50.0, 0.96)]
+            assert (est.value, est.cross_check_delta,
+                    est.oracle_error_estimate) == (0.0, 0.0, 0.0)
+
+    def test_tightest_settled_benchmark_row_stops_before_twelve(
+        self, monkeypatch
+    ):
         # Of the 384 limit rows of the sweep benchmark at seeds 1-3, this
-        # one settles with the least margin: its fine run's L_ext spread
-        # is 9.87e-14 against ORACLE_SETTLE_TOL = 1e-13 (the next worst is
-        # 2.84e-14).  A change to the oracle's arithmetic that pushes it
-        # over runs both runs to the horizon and fails here.
-        stops = []
-
-        def recording(cfg, dt, t_max, events=None):
-            stops.append((dt, t_max))
-            return integrate_oracle(cfg, dt, t_max, events)
-
-        monkeypatch.setattr(experiments, "integrate_oracle", recording)
+        # one's fine run had the least settle margin at t = 12: an L_ext
+        # spread of 9.87e-14 against ORACLE_SETTLE_TOL = 1e-13.  Each run
+        # now stops at its first settled sample, t = 8.064, in one call.
+        stops = _record_oracle_stops(monkeypatch)
         (row,) = sweep(6, NEG, [0.6169990715195376], 50.0)
         assert row.limit is not None and row.error is None
-        assert stops == [(ORACLE_DT, 12.0), (2.0 * ORACLE_DT, 12.0)]
+        assert [stop[:2] for stop in stops] == [(ORACLE_DT, 50.0),
+                                                (2.0 * ORACLE_DT, 50.0)]
+        assert all(t_end < 12.0 for _, _, t_end in stops)
 
-    @pytest.mark.parametrize("spike, settled", [(-11, False), (-12, True)])
-    def test_settle_window_is_the_last_eleven_samples(
-        self, monkeypatch, spike, settled
-    ):
-        # A synthetic oracle run to t = 12 whose L_ext = (x - y) + (x' - y')/2
-        # is 1.25 at every sample but one, which is 1e-12 off: inside the
-        # settle window the pair is unsettled, outside it the tail law
-        # predicts x - y at the horizon.
+    @pytest.mark.parametrize("spike", [None, 2, 9])
+    def test_settle_window_is_the_last_eleven_samples(self, monkeypatch, spike):
+        # A synthetic oracle run whose L_ext = (x - y) + (x' - y')/2 is 1.25
+        # at every sample but one, which is 1e-12 off: the run stops at the
+        # first sample whose window of eleven holds neither that one nor a
+        # missing sample, and the tail law predicts x - y at the horizon.
         times = [0.5 * k for k in range(25)]
-        samples = tuple(
-            FlowState(t, 1.0 + (1e-12 if k == len(times) + spike else 0.0),
-                      0.0, 0.5, 0.0)
-            for k, t in enumerate(times))
-        cfg = config(s=1.3)
-        traj = Trajectory(config=cfg, samples=samples,
-                          termination=Termination(REACHED_HORIZON),
-                          max_first_integral_residual=0.0,
-                          n_accepted=len(times), n_rejected=0)
-        monkeypatch.setattr(experiments, "integrate_oracle",
-                            lambda *args: traj)
-        value = experiments._oracle_limit(cfg, ORACLE_DT, 14.0, 12.0)
-        expected = 1.25 - 0.25 * math.exp(-2.0 * (14.0 - 12.0))
-        assert value == (expected if settled else None)
+        samples = [
+            FlowState(t, 1.0 + (1e-12 if k == spike else 0.0), 0.0, 0.5, 0.0)
+            for k, t in enumerate(times)]
+
+        def synthetic(cfg, dt, t_max, events=None, *, until):
+            recorded = []
+            for state in samples:
+                recorded.append(state)
+                if until(recorded):
+                    break
+            return Trajectory(config=cfg, samples=tuple(recorded),
+                              termination=Termination(REACHED_HORIZON),
+                              max_first_integral_residual=0.0,
+                              n_accepted=len(recorded), n_rejected=0)
+
+        monkeypatch.setattr(experiments, "integrate_oracle", synthetic)
+        value = experiments._oracle_limit(config(s=1.3), ORACLE_DT, 14.0)
+        t_stop = times[10 if spike is None else spike + 11]
+        assert value == 1.25 - 0.25 * math.exp(-2.0 * (14.0 - t_stop))
 
     def test_failed_coarse_oracle_run_is_named(self, monkeypatch):
         # The run at ORACLE_DT = 0.25 reaches the horizon; the one at 0.5
@@ -1089,6 +1153,23 @@ class TestSweep:
             assert row.classification.verdict == VERDICT_RECOLLAPSE
             assert row.limit is None
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("sign", [POS, NEG])
+    def test_every_limit_row_runs_the_oracle_twice(self, monkeypatch, n, sign):
+        # One call per run of the pair, however late it settles: rows 1e-5,
+        # 1e-3 and 1e-2 from a threshold, and rows far from one.
+        lower, upper = thresholds(n)
+        grid = [1.0, 3.0] + [lower + d for d in (1e-5, 1e-3, 1e-2)]
+        if upper is not None:
+            grid += [upper - d for d in (1e-5, 1e-3, 1e-2)]
+        stops = _record_oracle_stops(monkeypatch)
+        rows = sweep(n, sign, grid, 50.0)
+        assert all(row.error is None for row in rows)
+        limits = sum(row.limit is not None for row in rows)
+        assert limits == sum(sign is NEG or upper is None or s < upper
+                             for s in grid)
+        assert [dt for dt, _, _ in stops] == [ORACLE_DT, 2.0 * ORACLE_DT] * limits
+
     @pytest.mark.parametrize("sign, grid", [
         (POS, [0.8, 1.0, 1.3, 1.45]), (NEG, [0.6, 1.3, 3.0]),
     ])
@@ -1121,10 +1202,10 @@ _CAP_GRIDS = {
 # sha256 of repr([astuple(row) for row in rows]) for each grid's sweep at
 # max_step 0.03, the IntegratorSettings default.
 _CAP_003_SHA256 = {
-    (4, POS): "dc00aba18847e1e5fcefc968d4349093fa58f555ca498a966bd6d5c5f3b2626e",
-    (6, POS): "3ba1a70d4f992dce922013be2bac341b6483a50757170427c3ffbea8c5e07a0d",
-    (4, NEG): "0ca94dded9d5326e681d711743d3d87f6ebbc66201ed44778fe8f6bf1ec0b212",
-    (6, NEG): "96a2d4740489cb8cbbacb22bffb31125f00ca01714297a0ad07492d79f931f60",
+    (4, POS): "8c35c266c69b80ec8a61a7e504945aac0c1ba2475963d7a174d1966da43d3027",
+    (6, POS): "72546c8656e047af3a8c78d229e6ad7c8496a65c3d3c13b920e320435dc2bcd8",
+    (4, NEG): "d7ad958204e49afbc2cb52bad58f5b6d884da076909c8f0187dd25a8bb33a8b2",
+    (6, NEG): "d815eb88ac836fc020cb5a5f99c48e776af1fb564063716f19cce4d473a70258",
 }
 
 

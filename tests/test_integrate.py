@@ -37,6 +37,7 @@ from cmcflow.integrate import (
     TRIGGER_Y_FLOOR,
     EventSpec,
     IntegratorSettings,
+    Termination,
     TimeSymmetryError,
     _event_functions,
     backward_integrate,
@@ -620,6 +621,57 @@ class TestOracleCounters:
         assert calls == 4 * 128 + 1
 
 
+class TestOracleUntil:
+    # 11 samples fill the limit's settle window; the 126th sample is at
+    # t = 12 at ORACLE_DT, the 84th at t = 7.968 at twice it.
+    @pytest.mark.parametrize("dt, stop", [
+        (experiments.ORACLE_DT, 11), (experiments.ORACLE_DT, 126),
+        (2.0 * experiments.ORACLE_DT, 11), (2.0 * experiments.ORACLE_DT, 84),
+    ])
+    @pytest.mark.parametrize("config", [
+        FlowConfig(m=2, sign=POS, s=1.2), FlowConfig(m=3, sign=NEG, s=0.7),
+    ])
+    def test_stopped_run_is_the_prefix_of_the_full_run(
+        self, monkeypatch, config, dt, stop
+    ):
+        # The full run's first-integral residuals, in order: one at each
+        # step start, then the closing one at t_max.
+        module = importlib.import_module("cmcflow.integrate")
+        residual = module.first_integral_residual
+        residuals = []
+
+        def recording(*args):
+            residuals.append(abs(residual(*args)))
+            return residual(*args)
+
+        monkeypatch.setattr(module, "first_integral_residual", recording)
+        full = integrate_oracle(config, dt, 50.0)
+        monkeypatch.undo()
+        seen = []
+
+        def until(samples):
+            seen.append(len(samples))
+            return len(samples) == stop
+
+        stopped = integrate_oracle(config, dt, 50.0, until=until)
+        assert seen == list(range(1, stop + 1))
+        assert stopped.samples == full.samples[:stop]
+        assert stopped.termination == Termination(REACHED_HORIZON)
+        assert stopped.n_rejected == 0
+        assert stopped.n_accepted == (stop - 1) * round(0.1 / dt)
+        assert stopped.final_state().t == stopped.n_accepted * dt
+        # The residuals at the step starts up to the stop, the last one
+        # being the closing evaluation there.
+        assert stopped.max_first_integral_residual == max(
+            residuals[:stopped.n_accepted + 1])
+
+    def test_a_hook_that_never_accepts_changes_nothing(self):
+        config = FlowConfig(m=2, sign=POS, s=1.2)
+        full = integrate_oracle(config, experiments.ORACLE_DT, 20.0)
+        assert integrate_oracle(config, experiments.ORACLE_DT, 20.0,
+                                until=lambda samples: False) == full
+
+
 def _fingerprint(traj):
     st = traj.final_state()
     t_event = traj.termination.t_event
@@ -791,8 +843,8 @@ _CAPPED = dict(max_step=RUN_MAX_STEP, t_max=50.0)
 # The runs the workloads are made of, at the settings their callers use:
 # classify's and sweep's rows at RUN_MAX_STEP, a bisection probe with no
 # samples, a reduced-Hamiltonian run at the default cap of 0.03, the ends
-# by overflow and by step-size collapse, and the RK4 pair's settle window
-# and event location at ORACLE_DT.  Each maps to the _fingerprint of the
+# by overflow and by step-size collapse, and an RK4 run to t = 12, where the
+# oracle pair once stopped, and event location at ORACLE_DT.  Each maps to the _fingerprint of the
 # run, its termination (kind, trigger, t_last), its number of samples and
 # the _samples_digest of them.  The hot loops of both steppers are written
 # for speed; any edit that moves a bit of any of these fails here.
@@ -874,8 +926,7 @@ STEPPING_CORE = {
     ),
     "oracle-settle-window": (
         lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=1.2),
-                                 experiments.ORACLE_DT,
-                                 experiments.ORACLE_SETTLE_T),
+                                 experiments.ORACLE_DT, 12.0),
         ((("0x1.8000000000000p+3", "0x1.7611f5d71b89dp+3",
            "0x1.5a77f1f52eacep+3", "0x1.00000000bc765p+0",
            "0x1.fffffffc4d21bp-1"),
