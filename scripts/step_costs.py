@@ -10,6 +10,9 @@ Times, as the minimum over --repeat rounds, in microseconds:
   run), divided by their accepted plus rejected steps;
 * one RK4 step, from an ``integrate_oracle`` run of step ``ORACLE_DT`` to
   t = 12 (``RK4_T``), divided by its steps;
+* the oracle pair of the T = 50 limit row: both ``_oracle_limit`` runs of
+  ``limit_Cs``, at ``ORACLE_DT`` and twice it, each to its first settled
+  sample.  With ``rk4_step_us`` it tells cheaper steps from fewer steps;
 * one ``constraint_terms`` call, over the samples of the sampled run.
 
 The minimum is the figure least disturbed by other work on the machine.
@@ -26,7 +29,7 @@ import sys
 from time import perf_counter
 
 from cmcflow import CurvatureSign, FlowConfig, IntegratorSettings, integrate
-from cmcflow.experiments import ORACLE_DT, RUN_MAX_STEP
+from cmcflow.experiments import ORACLE_DT, RUN_MAX_STEP, _oracle_limit
 from cmcflow.integrate import integrate_oracle
 from cmcflow.products import constraint_terms, derivatives
 
@@ -64,6 +67,11 @@ def measure(repeat: int) -> dict:
     def rk4_steps():
         return integrate_oracle(CONFIG, ORACLE_DT, RK4_T).n_accepted
 
+    def oracle_pair():
+        _oracle_limit(CONFIG, ORACLE_DT, HORIZON)
+        _oracle_limit(CONFIG, 2.0 * ORACLE_DT, HORIZON)
+        return 1
+
     def monitor():
         for state in traj.samples:
             constraint_terms(CONFIG, state)
@@ -74,6 +82,7 @@ def measure(repeat: int) -> dict:
         "dp5_step_sampled_us": dp5_steps(sampled),
         "dp5_step_unsampled_us": dp5_steps(unsampled),
         "rk4_step_us": rk4_steps,
+        "oracle_pair_us": oracle_pair,
         "constraint_terms_us": monitor,
     }
     # Rounds visit every figure in turn, so a slow spell on the machine

@@ -29,6 +29,7 @@ from .integrate import (
     integrate_oracle,
 )
 from .products import (
+    BlowUpOverflow,
     FlowConfig,
     FlowState,
     derivatives,
@@ -66,10 +67,10 @@ RECOLLAPSE_V0 = -3.0
 ORACLE_DT = 8e-3
 
 # Each run of the RK4 pair stops at its first sample where the extrapolated
-# limit L_ext = (x - y) + (x' - y')/2 has moved less than ORACLE_SETTLE_TOL
-# over its last ORACLE_SETTLE_SAMPLES samples (0.96 in t at the default
-# step), and predicts x - y at the horizon from the e^(-2t) tail law.  See
-# limit_Cs.
+# limit L_2 = d + (3/4) d' + (1/8) d'' of d = x - y has moved less than
+# ORACLE_SETTLE_TOL over its last ORACLE_SETTLE_SAMPLES samples (0.96 in t
+# at the default step), and predicts x - y at the horizon from the
+# e^(-2t), e^(-4t) tail law.  See limit_Cs.
 ORACLE_SETTLE_TOL = 1e-13
 ORACLE_SETTLE_SAMPLES = 11
 
@@ -567,17 +568,21 @@ def limit_Cs(
     curvature strictly inside the interval the run enters the completeness
     region R (:func:`in_completeness_region`) at t = 0+.
 
-    In this regime x - y = L + A e^(-2t) + O(e^(-4t)), so
-    L_ext = (x - y) + (x' - y')/2 carries only the e^(-4t) remainder.  Each
-    run of the pair therefore goes toward the horizon T only until the first
-    sample t_s at which L_ext has moved less than ORACLE_SETTLE_TOL over the
-    last ORACLE_SETTLE_SAMPLES samples, and predicts its x - y at T as
-    L_ext - ((x' - y')/2) e^(-2(T - t_s)).  A run that reaches the horizon
+    In this regime d = x - y = L + A e^(-2t) + B e^(-4t) + ..., so
+    L_2 = d + (3/4) d' + (1/8) d'', with d'' = x'' - y'' from the
+    right-hand side, cancels both terms.  Each run of the pair therefore
+    goes toward the horizon T only until the first sample t_s at which L_2
+    has moved less than ORACLE_SETTLE_TOL over the last
+    ORACLE_SETTLE_SAMPLES samples, and predicts its x - y at T as
+    L_2 + a e^(-2(T - t_s)) + b e^(-4(T - t_s)), with a = -(d'' + 4d')/4
+    and b = (d'' + 2d')/8 at t_s.  A run that reaches the horizon
     unsettled uses its end value as it is.  Far from a threshold at n >= 4
-    the runs settle by t = 6-12; within about 1e-3 of a threshold, and at
-    n = 2, where the free mode e^(-nt) decays like the forcing, they settle
-    later (t = 15-17 on n = 2 rows).  ``value`` is always the raw x - y of
-    the trajectory at the horizon.
+    the runs settle by t = 4.6-10.8; n = 6 rows gain most over the
+    first-order rule, while n = 4 rows keep a resonant t e^(-4t) term.
+    Within about 1e-3 of a threshold, and at n = 2, where the free mode
+    e^(-nt) decays like the forcing, they settle later (t = 14.3-16.2 on
+    n = 2 rows).  ``value`` is always the raw x - y of the trajectory at
+    the horizon.
 
     Measured at horizon 50 on the 64 limit rows of the benchmark's seed-1
     sweep-limits operations, against a single run of step 2.5e-4, the
@@ -589,15 +594,18 @@ def limit_Cs(
     single run, 4e-3                    12500  1.27e-10
     pair 8e-3 / 1.6e-2 to T = 50         9375  5.75e-11
     pair 8e-3 / 1.6e-2 to t_s = 12       2250  5.79e-11
-    pair to first settled sample         1679  5.79e-11
+    pair to first settled L_ext          1679  5.79e-11
+    pair to first settled L_2            1423  5.79e-11
     pair 1e-2 / 2e-2 to T = 50           7500  1.73e-10
     ==================================  =====  ===========
 
-    The steps of the settled pair are a mean over the rows; every one of
-    those rows settles before t = 12, and ``oracle_error_estimate`` reaches
-    at most 2.25e-9.  Both lie far inside the 1e-6 bound that
-    cross_check_delta must meet.  A run of the pair that stops short of its
-    end time raises RegimeError, which names its step.
+    L_ext = d + d'/2 is the first-order rule, which cancels only the
+    e^(-2t) term; L_2 is the default.  The steps of the settled pairs are
+    a mean over the rows; every one of those rows settles before t = 12,
+    and ``oracle_error_estimate`` reaches at most 2.25e-9.  Both lie far
+    inside the 1e-6 bound that cross_check_delta must meet.  A run of the
+    pair that stops short of its end time raises RegimeError, which names
+    its step.
     """
     if not _convergent(config):
         raise RegimeError(
@@ -644,14 +652,25 @@ def _oracle_limit(config: FlowConfig, dt: float, horizon: float) -> float:
     """x - y at the horizon from one RK4 oracle run of step dt.
 
     The run stops at its first settled sample and predicts the value there
-    from the tail law x - y = L + A e^(-2t) + O(e^(-4t)); a run that
-    reaches the horizon unsettled gives its end value.
+    from the tail law d = x - y = L + A e^(-2t) + B e^(-4t) + ..., read off
+    d, d' and d'' at that sample; a run that reaches the horizon unsettled
+    gives its end value.
     """
+    f = derivatives(config)
+
+    def jet(state):
+        # d, d' and d'' at one sample; d'' from the right-hand side.
+        _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
+        return state.x - state.y, state.xp - state.yp, xpp - ypp
+
     window = deque(maxlen=ORACLE_SETTLE_SAMPLES)
 
     def settled(samples):
-        state = samples[-1]
-        window.append(state.x - state.y + 0.5 * (state.xp - state.yp))
+        try:
+            d, d1, d2 = jet(samples[-1])
+        except BlowUpOverflow:
+            return False  # the run's next step overflows and ends it
+        window.append(d + 0.75 * d1 + 0.125 * d2)
         return (len(window) == ORACLE_SETTLE_SAMPLES
                 and max(window) - min(window) < ORACLE_SETTLE_TOL)
 
@@ -664,8 +683,13 @@ def _oracle_limit(config: FlowConfig, dt: float, horizon: float) -> float:
     end = oracle.final_state()
     if end.t == horizon:
         return end.x - end.y
-    half_w = 0.5 * (end.xp - end.yp)
-    return window[-1] - half_w * math.exp(-2.0 * (horizon - end.t))
+    # With a = A e^(-2t_s) and b = B e^(-4t_s): d' = -2a - 4b and
+    # d'' = 4a + 16b at the settled sample t_s.
+    _, d1, d2 = jet(end)
+    a = -(d2 + 4.0 * d1) / 4.0
+    b = (d2 + 2.0 * d1) / 8.0
+    gap = horizon - end.t
+    return window[-1] + a * math.exp(-2.0 * gap) + b * math.exp(-4.0 * gap)
 
 
 def hamiltonian_audit(

@@ -8,9 +8,13 @@ floors are tested at each accepted step end, and the extension is built
 only for a step that holds a grid point or where a floor fired; no other
 step evaluates it, so stepping never depends on output_dt.  A classical
 fixed-step fourth-order Runge-Kutta scheme is kept as an independent
-cross-check.  It shares with the adaptive path only the right-hand side,
-the first-integral formula, the blow-up triggers (``_event_functions``)
-with their location tolerance ``_EVENT_T_TOL``, the horizon rule and
+cross-check.  It keeps its own copy of the right-hand side, written out
+in the operand order of ``products.derivatives``, so a transcription
+error in either copy shows up as a cross-check failure instead of
+reaching both sides; the pinned bits of both steppers' runs in the tests
+tie the two copies together.  It shares with the adaptive path only the
+first-integral formula, the blow-up triggers (``_event_functions``) with
+their location tolerance ``_EVENT_T_TOL``, the horizon rule and
 ``output_dt`` of ``IntegratorSettings``, and ``_finish``, where every run
 ends and its ``Trajectory`` is built.
 
@@ -35,6 +39,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .products import (
+    OVERFLOW_FLOOR,
     BlowUpOverflow,
     FlowConfig,
     FlowState,
@@ -560,7 +565,11 @@ def integrate_oracle(
     """Fixed-step classical RK4 cross-check of :func:`integrate`.
 
     Intended for verification only.  The horizon rule and output_dt (0.1)
-    are those of ``IntegratorSettings(t_max=t_max)``.  A sample is recorded
+    are those of ``IntegratorSettings(t_max=t_max)``.  A step is a full dt
+    while the step count times dt stays within t_max, and a last, shorter
+    step ends on t_max, so a run to t_max = k*dt ends bit for bit on the
+    k-th state of any longer run.  The right-hand side is the module's own
+    copy, never :func:`derivatives`.  A sample is recorded
     every k = max(1, round(0.1 / dt)) steps, with no interpolation, so
     sample times are the true step times, k*dt apart.  They lie on the 0.1
     grid that :func:`integrate` uses at default settings only when dt
@@ -585,7 +594,6 @@ def integrate_oracle(
     settings = IntegratorSettings(t_max=t_max)
     if events is None:
         events = EventSpec()
-    f = derivatives(config)
     event_fns = _event_functions(events)
     (_, g_y), (_, g_v) = event_fns
 
@@ -595,37 +603,68 @@ def integrate_oracle(
 
     samples = []
 
-    # ka is the slope at the step start; the caller has already evaluated it
-    # for the first-integral residual, and partial steps restart from it.
-    # Written out per component like the DP5 stages.
-    def rk4_step(t0, us, h, ka):
+    # The right-hand side of products.derivatives, written out: the same
+    # coefficients with the curvature sign folded in, the same expressions
+    # in the same operand order, and the same BlowUpOverflow below the
+    # floor, tested on every stage state.
+    n = float(config.n)
+    half_n = 0.5 * n
+    if config.sign is CurvatureSign.POSITIVE:
+        kx, ky = -config.kx, -config.ky
+    else:
+        kx, ky = config.kx, config.ky
+    exp = math.exp
+    floor = OVERFLOW_FLOOR
+
+    # One step of size h from (t0, us): the new state, then the
+    # accelerations at the step start, which the caller needs for the
+    # first-integral residual.  A stage's slope in x and y is its own x'
+    # and y', so stage states are written from them directly.  At h = 0
+    # every stage state is us (or NaN past an infinite slope), so only us
+    # can raise, and the accelerations are those of us alone.
+    def rk4_step(t0, us, h):
         u_0, u_1, u_2, u_3 = us
-        ka_0, ka_1, ka_2, ka_3 = ka
+        if u_0 < floor or u_1 < floor:
+            raise BlowUpOverflow(t0)
+        cross = u_2 * u_3
+        ka_2 = n + kx * exp(-2.0 * u_0) - half_n * (u_2 * u_2 + cross)
+        ka_3 = n + ky * exp(-2.0 * u_1) - half_n * (u_3 * u_3 + cross)
         half = 0.5 * h
-        kb_0, kb_1, kb_2, kb_3 = f(t0 + half, (
-            u_0 + half * ka_0,
-            u_1 + half * ka_1,
-            u_2 + half * ka_2,
-            u_3 + half * ka_3,
-        ))
-        kc_0, kc_1, kc_2, kc_3 = f(t0 + half, (
-            u_0 + half * kb_0,
-            u_1 + half * kb_1,
-            u_2 + half * kb_2,
-            u_3 + half * kb_3,
-        ))
-        kd_0, kd_1, kd_2, kd_3 = f(t0 + h, (
-            u_0 + h * kc_0,
-            u_1 + h * kc_1,
-            u_2 + h * kc_2,
-            u_3 + h * kc_3,
-        ))
+        b_0 = u_0 + half * u_2
+        b_1 = u_1 + half * u_3
+        b_2 = u_2 + half * ka_2
+        b_3 = u_3 + half * ka_3
+        if b_0 < floor or b_1 < floor:
+            raise BlowUpOverflow(t0 + half)
+        cross = b_2 * b_3
+        kb_2 = n + kx * exp(-2.0 * b_0) - half_n * (b_2 * b_2 + cross)
+        kb_3 = n + ky * exp(-2.0 * b_1) - half_n * (b_3 * b_3 + cross)
+        c_0 = u_0 + half * b_2
+        c_1 = u_1 + half * b_3
+        c_2 = u_2 + half * kb_2
+        c_3 = u_3 + half * kb_3
+        if c_0 < floor or c_1 < floor:
+            raise BlowUpOverflow(t0 + half)
+        cross = c_2 * c_3
+        kc_2 = n + kx * exp(-2.0 * c_0) - half_n * (c_2 * c_2 + cross)
+        kc_3 = n + ky * exp(-2.0 * c_1) - half_n * (c_3 * c_3 + cross)
+        d_0 = u_0 + h * c_2
+        d_1 = u_1 + h * c_3
+        d_2 = u_2 + h * kc_2
+        d_3 = u_3 + h * kc_3
+        if d_0 < floor or d_1 < floor:
+            raise BlowUpOverflow(t0 + h)
+        cross = d_2 * d_3
+        kd_2 = n + kx * exp(-2.0 * d_0) - half_n * (d_2 * d_2 + cross)
+        kd_3 = n + ky * exp(-2.0 * d_1) - half_n * (d_3 * d_3 + cross)
         sixth = h / 6.0
         return (
-            u_0 + sixth * (ka_0 + 2.0 * kb_0 + 2.0 * kc_0 + kd_0),
-            u_1 + sixth * (ka_1 + 2.0 * kb_1 + 2.0 * kc_1 + kd_1),
+            u_0 + sixth * (u_2 + 2.0 * b_2 + 2.0 * c_2 + d_2),
+            u_1 + sixth * (u_3 + 2.0 * b_3 + 2.0 * c_3 + d_3),
             u_2 + sixth * (ka_2 + 2.0 * kb_2 + 2.0 * kc_2 + kd_2),
             u_3 + sixth * (ka_3 + 2.0 * kb_3 + 2.0 * kc_3 + kd_3),
+            ka_2,
+            ka_3,
         )
 
     n_steps = 0
@@ -638,22 +677,23 @@ def integrate_oracle(
             samples.append(FlowState(t, *u))
             if until is not None and until(samples):
                 break
-        h = dt if t + dt <= t_max else t_max - t
+        h = dt if (n_steps + 1) * dt <= t_max else t_max - t
         try:
-            k1 = f(t, u)
-            fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
-            if fir > max_fir:
-                max_fir = fir
-            unew = rk4_step(t, u, h, k1)
+            x, y, xp, yp, xpp, ypp = rk4_step(t, u, h)
         except BlowUpOverflow:
             termination = Termination(
                 BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
             )
             break
+        fir = abs(first_integral_residual(u[2], u[3], xpp, ypp))
+        if fir > max_fir:
+            max_fir = fir
+        unew = (x, y, xp, yp)
 
         # g(u) > 0: a step starts from the initial data or where none fired.
         # Each floor that fired is located, in trigger order; the earliest
-        # crossing ends the run.
+        # crossing ends the run.  g reads only the state part of a step's
+        # result.
         if g_y(unew) <= 0.0 or g_v(unew) <= 0.0:
             hit_h = None
             hit_name = None
@@ -663,7 +703,7 @@ def integrate_oracle(
                     try:
                         while hi - lo > _EVENT_T_TOL:
                             mid = 0.5 * (lo + hi)
-                            if g(rk4_step(t, u, mid, k1)) <= 0.0:
+                            if g(rk4_step(t, u, mid)) <= 0.0:
                                 hi = mid
                             else:
                                 lo = mid
@@ -672,7 +712,7 @@ def integrate_oracle(
                     if hit_h is None or hi < hit_h:
                         hit_h = hi
                         hit_name = name
-            u = rk4_step(t, u, hit_h, k1)
+            u = rk4_step(t, u, hit_h)[:4]
             t = t + hit_h
             termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)
             break
@@ -683,9 +723,12 @@ def integrate_oracle(
     if termination is None:
         # The loop reached t_max, or until accepted a sample.
         termination = Termination(REACHED_HORIZON)
+    if termination.trigger in (None, TRIGGER_OVERFLOW):
+        # The residual at the last completed state: the terminal one, or
+        # the start of the step that overflowed, if it is itself in range.
         try:
-            k_end = f(t, u)
-            fir = abs(first_integral_residual(u[2], u[3], k_end[2], k_end[3]))
+            *_, xpp, ypp = rk4_step(t, u, 0.0)
+            fir = abs(first_integral_residual(u[2], u[3], xpp, ypp))
             if fir > max_fir:
                 max_fir = fir
         except BlowUpOverflow:

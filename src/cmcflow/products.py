@@ -165,10 +165,16 @@ def initial_state(config: FlowConfig) -> FlowState:
 def derivatives(config: FlowConfig):
     """Compiled right-hand side f(t, u) -> (x', y', x'', y'') for u = (x, y, x', y').
 
-    Shared fast path for the integrators; raises :class:`BlowUpOverflow`
-    once a log scale factor falls below the overflow floor, and nothing
-    else: above it e^(-2x) <= e^600, and float arithmetic saturates without
-    raising.  The steppers catch BlowUpOverflow alone; keep this contract.
+    Fast path of the DP5 stepper and of every other reader of the
+    accelerations; raises :class:`BlowUpOverflow` once a log scale factor
+    falls below the overflow floor, and nothing else: above it
+    e^(-2x) <= e^600, and float arithmetic saturates without raising.  The
+    steppers catch BlowUpOverflow alone; keep this contract.
+    ``integrate.integrate_oracle`` keeps its own copy of this arithmetic, in
+    the same operand order and with the same floor, so that the RK4
+    cross-check does not share it; the pinned bits of both steppers' runs
+    (``tests/test_integrate.py``) tie the two copies together.  Change one
+    only with the other.
 
     The curvature sign is folded into the coefficients once, so each call
     computes (-kx) * e where the equations read -(kx * e).  The two are

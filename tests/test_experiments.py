@@ -47,7 +47,7 @@ from cmcflow.integrate import (
     integrate,
     integrate_oracle,
 )
-from cmcflow.products import FlowConfig, FlowState
+from cmcflow.products import FlowConfig, FlowState, derivatives
 
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
@@ -69,13 +69,35 @@ def _oracle_pair_ends(cfg, horizon):
     return tuple(end.x - end.y for end in ends)
 
 
-def _first_settled(samples):
-    """The first of the samples at which L_ext = (x - y) + (x' - y')/2 has
-    moved less than ORACLE_SETTLE_TOL over the last ORACLE_SETTLE_SAMPLES
-    samples, or None."""
-    l_ext = [st.x - st.y + 0.5 * (st.xp - st.yp) for st in samples]
+def _tail_jet(cfg, st):
+    """d = x - y, d' and d'' at one state, d'' from the right-hand side."""
+    _, _, xpp, ypp = derivatives(cfg)(st.t, (st.x, st.y, st.xp, st.yp))
+    return st.x - st.y, st.xp - st.yp, xpp - ypp
+
+
+def _l2(cfg, st):
+    """L_2 = d + (3/4) d' + (1/8) d'', free of the e^(-2t) and e^(-4t)
+    terms of d = L + A e^(-2t) + B e^(-4t)."""
+    d, d1, d2 = _tail_jet(cfg, st)
+    return d + 0.75 * d1 + 0.125 * d2
+
+
+def _tail_prediction(cfg, st, horizon):
+    """d at the horizon by the tail law read at st:
+    L_2 + a e^(-2(T - t)) + b e^(-4(T - t)), a = -(d'' + 4d')/4,
+    b = (d'' + 2d')/8."""
+    _, d1, d2 = _tail_jet(cfg, st)
+    gap = horizon - st.t
+    return (_l2(cfg, st) + (-(d2 + 4.0 * d1) / 4.0) * math.exp(-2.0 * gap)
+            + ((d2 + 2.0 * d1) / 8.0) * math.exp(-4.0 * gap))
+
+
+def _first_settled(cfg, samples):
+    """The first of the samples at which L_2 has moved less than
+    ORACLE_SETTLE_TOL over the last ORACLE_SETTLE_SAMPLES samples, or None."""
+    l2 = [_l2(cfg, st) for st in samples]
     for k in range(ORACLE_SETTLE_SAMPLES, len(samples) + 1):
-        window = l_ext[k - ORACLE_SETTLE_SAMPLES:k]
+        window = l2[k - ORACLE_SETTLE_SAMPLES:k]
         if max(window) - min(window) < ORACLE_SETTLE_TOL:
             return samples[k - 1]
     return None
@@ -83,19 +105,35 @@ def _first_settled(samples):
 
 def _predicted_pair_ends(cfg, horizon):
     """x - y at the horizon from oracle runs at ORACLE_DT and twice it, each
-    read at its first settled sample t_s before the horizon by the tail law
-    L_ext - ((x' - y')/2) e^(-2(T - t_s)), or at its end if none settled."""
+    read at its first settled sample before the horizon by the tail law, or
+    at its end if none settled."""
     pair = []
     for dt in (ORACLE_DT, 2.0 * ORACLE_DT):
         *grid, end = integrate_oracle(cfg, dt, horizon).samples
-        settled = _first_settled(grid)
-        if settled is None:
-            pair.append(end.x - end.y)
-            continue
-        half_w = 0.5 * (settled.xp - settled.yp)
-        l_ext = settled.x - settled.y + half_w
-        pair.append(l_ext - half_w * math.exp(-2.0 * (horizon - settled.t)))
+        settled = _first_settled(cfg, grid)
+        pair.append(end.x - end.y if settled is None
+                    else _tail_prediction(cfg, settled, horizon))
     return tuple(pair)
+
+
+def _synthetic_oracle(samples, stops=None):
+    """A stand-in for integrate_oracle that records the given samples, in
+    order, until its hook accepts one; the time of that last sample is
+    appended to stops."""
+    def synthetic(cfg, dt, t_max, events=None, *, until):
+        recorded = []
+        for state in samples:
+            recorded.append(state)
+            if until(recorded):
+                break
+        if stops is not None:
+            stops.append(recorded[-1].t)
+        return Trajectory(config=cfg, samples=tuple(recorded),
+                          termination=Termination(REACHED_HORIZON),
+                          max_first_integral_residual=0.0,
+                          n_accepted=len(recorded), n_rejected=0)
+
+    return synthetic
 
 
 def _record_oracle_stops(monkeypatch):
@@ -787,7 +825,7 @@ class TestLimit:
     @pytest.mark.parametrize("sign, frozen", [(POS, CS_POS_13), (NEG, CS_NEG_13)])
     def test_default_oracle_step_meets_frozen_limits(self, sign, frozen):
         # Measured: the paired value predicted from the first settled
-        # sample (t = 10.368 positive, 8.352 negative) is 1.93e-11 and
+        # sample (t = 9.504 positive, 7.584 negative) is 1.93e-11 and
         # 4.8e-12 from the frozen limit, and the error bar is 8.3e-10 and
         # 1.2e-10; the pair run to 40 reads 1.95e-11 and 4.9e-12.
         cfg = config(sign=sign, s=1.3)
@@ -804,10 +842,10 @@ class TestLimit:
 
     @pytest.mark.parametrize("sign", [POS, NEG])
     def test_limit_and_sweep_share_the_oracle_step(self, sign):
-        # The runs settle at t_s = 10.368 (positive) and 8.352 (negative).
-        # At horizon 14 the e^(-2(T - t_s)) term moves the fine run's
-        # prediction by 1.2e-11 (positive) and 9e-14 (negative); at 40 it is
-        # below rounding.
+        # The fine runs settle at t_s = 9.504 (positive) and 7.584
+        # (negative).  At horizon 14 the e^(-2(T - t_s)) and e^(-4(T - t_s))
+        # terms move the fine run's prediction by 1.2e-11 (positive) and
+        # 9e-14 (negative); at 40 they are below rounding.
         cfg = config(sign=sign, s=1.3)
         for horizon in (40.0, 14.0):
             est = limit_Cs(cfg, horizon)
@@ -819,14 +857,15 @@ class TestLimit:
             assert est.oracle_error_estimate == abs(fine - coarse) / 15.0
 
     @pytest.mark.parametrize("sign, s, horizon", [
-        (POS, 1.3, 5.0), (NEG, 0.7, 8.0), (POS, 0.9, 9.5),
+        (POS, 1.3, 5.0), (NEG, 0.7, 7.5), (POS, 0.9, 8.5),
     ])
     def test_short_horizon_reads_the_pair_at_its_end(
         self, monkeypatch, sign, s, horizon
     ):
-        # Neither run settles before the horizon (the s = 0.9 pair settles
-        # at t = 9.792), so both run to it and no prediction is made: the
-        # check is that of the full-run pair.
+        # Neither run settles before the horizon (the negative s = 0.7 pair
+        # settles at t = 7.68, the positive s = 0.9 pair at 8.928), so both
+        # run to it and no prediction is made: the check is that of the
+        # full-run pair.
         stops = _record_oracle_stops(monkeypatch)
         cfg = config(sign=sign, s=s)
         est = limit_Cs(cfg, horizon)
@@ -839,9 +878,9 @@ class TestLimit:
 
     @pytest.mark.parametrize("m, s", [(2, 0.75001), (2, 1.49999), (1, 0.501)])
     def test_near_threshold_pair_settles_late(self, monkeypatch, m, s):
-        # Within 1e-3 of a threshold the slow free mode keeps L_ext moving
-        # past t = 12 (measured: the fine run settles at t = 15.36, 16.128
-        # and 20.256), so each run goes on toward the horizon, in one call,
+        # Within 1e-3 of a threshold the slow free mode keeps L_2 moving
+        # past t = 12 (measured: the fine run settles at t = 14.496, 15.264
+        # and 19.968), so each run goes on toward the horizon, in one call,
         # until it settles.
         stops = _record_oracle_stops(monkeypatch)
         cfg = config(m=m, s=s)
@@ -857,8 +896,8 @@ class TestLimit:
 
     @pytest.mark.parametrize("sign, s", [(NEG, 0.7), (NEG, 2.0), (POS, 0.7)])
     def test_n2_rows_settle_before_the_horizon(self, monkeypatch, sign, s):
-        # At n = 2 the free mode e^(-nt) decays like the forcing, so L_ext
-        # settles late (t = 14.7 to 16.6 on these rows), yet well before T.
+        # At n = 2 the free mode e^(-nt) decays like the forcing, so L_2
+        # settles late (t = 14.3 to 16.2 on these rows), yet well before T.
         stops = _record_oracle_stops(monkeypatch)
         cfg = config(m=1, sign=sign, s=s)
         est = limit_Cs(cfg, 50.0)
@@ -872,8 +911,8 @@ class TestLimit:
     def test_symmetric_coupling_pair_stops_at_its_first_window(
         self, monkeypatch
     ):
-        # At s = 1, x = y exactly, so L_ext is 0 at every sample and each run
-        # stops at its eleventh, t = 0.96.
+        # At s = 1, x = y and x'' = y'' exactly, so L_2 is 0 at every sample
+        # and each run stops at its eleventh, t = 0.96.
         stops = _record_oracle_stops(monkeypatch)
         for sign in (POS, NEG):
             stops.clear()
@@ -887,9 +926,10 @@ class TestLimit:
         self, monkeypatch
     ):
         # Of the 384 limit rows of the sweep benchmark at seeds 1-3, this
-        # one's fine run had the least settle margin at t = 12: an L_ext
-        # spread of 9.87e-14 against ORACLE_SETTLE_TOL = 1e-13.  Each run
-        # now stops at its first settled sample, t = 8.064, in one call.
+        # one's fine run had the least settle margin at t = 12 under the
+        # first-order rule L_ext = (x - y) + (x' - y')/2: a spread of
+        # 9.87e-14 against ORACLE_SETTLE_TOL = 1e-13.  Each run now stops at
+        # its first settled sample, t = 5.76 and 6.816, in one call.
         stops = _record_oracle_stops(monkeypatch)
         (row,) = sweep(6, NEG, [0.6169990715195376], 50.0)
         assert row.limit is not None and row.error is None
@@ -899,30 +939,63 @@ class TestLimit:
 
     @pytest.mark.parametrize("spike", [None, 2, 9])
     def test_settle_window_is_the_last_eleven_samples(self, monkeypatch, spike):
-        # A synthetic oracle run whose L_ext = (x - y) + (x' - y')/2 is 1.25
-        # at every sample but one, which is 1e-12 off: the run stops at the
-        # first sample whose window of eleven holds neither that one nor a
-        # missing sample, and the tail law predicts x - y at the horizon.
+        # A synthetic oracle run whose L_2 = d + (3/4) d' + (1/8) d'' is the
+        # same at every sample but one, whose x is 1e-12 off: the run stops
+        # at the first sample whose window of eleven holds neither that one
+        # nor a missing sample, and the tail law predicts x - y at the
+        # horizon from that sample.
+        cfg = config(s=1.3)
         times = [0.5 * k for k in range(25)]
         samples = [
             FlowState(t, 1.0 + (1e-12 if k == spike else 0.0), 0.0, 0.5, 0.0)
             for k, t in enumerate(times)]
+        monkeypatch.setattr(experiments, "integrate_oracle",
+                            _synthetic_oracle(samples))
+        value = experiments._oracle_limit(cfg, ORACLE_DT, 14.0)
+        stop = samples[10 if spike is None else spike + 11]
+        assert value == _tail_prediction(cfg, stop, 14.0)
 
-        def synthetic(cfg, dt, t_max, events=None, *, until):
-            recorded = []
-            for state in samples:
-                recorded.append(state)
-                if until(recorded):
-                    break
-            return Trajectory(config=cfg, samples=tuple(recorded),
-                              termination=Termination(REACHED_HORIZON),
-                              max_first_integral_residual=0.0,
-                              n_accepted=len(recorded), n_rejected=0)
+    def test_sample_past_the_overflow_floor_leaves_the_run_to_the_oracle(
+        self, monkeypatch
+    ):
+        # The right-hand side raises at a sample below the floor; the hook
+        # reads it as unsettled, so the oracle's next step ends the run.
+        # Here that step is synthetic and the run goes on to settle.
+        below = FlowState(0.0, -400.0, 0.0, 0.5, 0.0)
+        samples = [below] + [FlowState(0.5 * k, 1.0, 0.0, 0.5, 0.0)
+                             for k in range(1, 13)]
+        stops = []
+        monkeypatch.setattr(experiments, "integrate_oracle",
+                            _synthetic_oracle(samples, stops))
+        experiments._oracle_limit(config(s=1.3), ORACLE_DT, 14.0)
+        assert stops == [samples[11].t]
 
-        monkeypatch.setattr(experiments, "integrate_oracle", synthetic)
-        value = experiments._oracle_limit(config(s=1.3), ORACLE_DT, 14.0)
-        t_stop = times[10 if spike is None else spike + 11]
-        assert value == 1.25 - 0.25 * math.exp(-2.0 * (14.0 - t_stop))
+    def test_exact_two_term_tail_is_predicted_to_rounding(self, monkeypatch):
+        # A synthetic run on the exact tail d = L + A e^(-2t) + B e^(-4t),
+        # with d'' from a stand-in right-hand side.  L_2 cancels both
+        # terms, so the run settles at its eleventh sample, t = 1, and the
+        # prediction at T = 1.5 is d(T) to rounding.  The e^(-4t) term
+        # there is 5e-4: the first-order rule would neither settle nor
+        # predict d(T).
+        lim, amp2, amp4 = 1.25, 0.3, -0.2
+
+        def tail(t, k=0):
+            # The k-th time derivative of d at t.
+            return ((lim if k == 0 else 0.0)
+                    + amp2 * (-2.0) ** k * math.exp(-2.0 * t)
+                    + amp4 * (-4.0) ** k * math.exp(-4.0 * t))
+
+        samples = [FlowState(0.1 * k, tail(0.1 * k), 0.0, tail(0.1 * k, 1), 0.0)
+                   for k in range(30)]
+        stops = []
+        monkeypatch.setattr(experiments, "integrate_oracle",
+                            _synthetic_oracle(samples, stops))
+        monkeypatch.setattr(experiments, "derivatives", lambda cfg: (
+            lambda t, u: (u[2], u[3], tail(t, 2), 0.0)))
+        value = experiments._oracle_limit(config(s=1.3), ORACLE_DT, 1.5)
+        assert stops == [samples[10].t]
+        assert abs(value - tail(1.5)) <= 4.0 * math.ulp(lim)
+        assert abs(amp4 * math.exp(-4.0 * 1.5)) > 1e-4
 
     def test_failed_coarse_oracle_run_is_named(self, monkeypatch):
         # The run at ORACLE_DT = 0.25 reaches the horizon; the one at 0.5
@@ -1202,10 +1275,10 @@ _CAP_GRIDS = {
 # sha256 of repr([astuple(row) for row in rows]) for each grid's sweep at
 # max_step 0.03, the IntegratorSettings default.
 _CAP_003_SHA256 = {
-    (4, POS): "8c35c266c69b80ec8a61a7e504945aac0c1ba2475963d7a174d1966da43d3027",
-    (6, POS): "72546c8656e047af3a8c78d229e6ad7c8496a65c3d3c13b920e320435dc2bcd8",
-    (4, NEG): "d7ad958204e49afbc2cb52bad58f5b6d884da076909c8f0187dd25a8bb33a8b2",
-    (6, NEG): "d815eb88ac836fc020cb5a5f99c48e776af1fb564063716f19cce4d473a70258",
+    (4, POS): "c538e4ec7d5608dc4335e85bbf54c3d6aed51160c288cee74b916215a9d408a3",
+    (6, POS): "a3d5ed7efed9d570d1bf2e113e388d00dc38990dc7debb5d78f3708a2dbb299f",
+    (4, NEG): "d3d297bd181217a33cb283150e786e53deeced5715de5bf1c84203a43aa475f5",
+    (6, NEG): "5edb2c7b3bffeb3f6091650f1599f6ae2a27b327b17a4e94796f0e8a80dece0d",
 }
 
 

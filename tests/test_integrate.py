@@ -599,26 +599,38 @@ class TestOracleCounters:
         assert traj.termination.kind == REACHED_HORIZON
         assert traj.n_accepted == math.ceil(2.0 / dt)
 
-    def test_four_rhs_calls_per_step(self, monkeypatch):
+    def test_a_run_to_k_steps_ends_on_the_kth_state(self):
+        # 120 * 8e-3 is 0.96, but 0.952 + 8e-3 rounds above it: the horizon
+        # is tested on the step count, so the run takes 120 full steps and
+        # ends bit for bit on the 120th state of a longer run, which is its
+        # 11th sample.
+        for config in (FlowConfig(m=2, sign=POS, s=1.2),
+                       FlowConfig(m=3, sign=NEG, s=0.7)):
+            short = integrate_oracle(config, 8e-3, 0.96)
+            longer = integrate_oracle(config, 8e-3, 2.0)
+            assert short.n_accepted == 120
+            assert short.final_state() == longer.samples[10]
+            assert short.samples == longer.samples[:11]
+
+    def test_oracle_keeps_its_own_right_hand_side(self, monkeypatch):
+        # The oracle steps, locates events and evaluates its first-integral
+        # residual from its own copy of the right-hand side, so an error in
+        # derivatives cannot reach both sides of the cross-check.  With
+        # derivatives unusable, every oracle run keeps its pinned bits.
         module = importlib.import_module("cmcflow.integrate")
-        real = module.derivatives
-        calls = 0
 
-        def counting_derivatives(config):
-            f = real(config)
+        def unusable(config):
+            raise AssertionError("integrate_oracle called derivatives")
 
-            def counted(t, u):
-                nonlocal calls
-                calls += 1
-                return f(t, u)
-
-            return counted
-
-        monkeypatch.setattr(module, "derivatives", counting_derivatives)
-        traj = integrate_oracle(FlowConfig(m=2, sign=POS, s=1.2), 1.0 / 64.0, 2.0)
-        assert traj.n_accepted == 128
-        # one closing evaluation gives the first-integral residual at t_max
-        assert calls == 4 * 128 + 1
+        runs = {name: entry for name, entry in GOLDEN.items()
+                if name.startswith("oracle-")}
+        runs.update((name, (run, expected[0]))
+                    for name, (run, expected) in STEPPING_CORE.items()
+                    if name.startswith("oracle-"))
+        assert len(runs) == 5
+        monkeypatch.setattr(module, "derivatives", unusable)
+        for name, (run, expected) in runs.items():
+            assert _fingerprint(run()) == expected, name
 
 
 class TestOracleUntil:
