@@ -13,7 +13,12 @@ Times, as the minimum over --repeat rounds, in microseconds:
 * the oracle pair of the T = 50 limit row: both ``_oracle_limit`` runs of
   ``limit_Cs``, at ``ORACLE_DT`` and twice it, each to its first settled
   sample.  With ``rk4_step_us`` it tells cheaper steps from fewer steps;
-* one ``constraint_terms`` call, over the samples of the sampled run.
+* one ``constraint_terms`` call and one ``observables`` call, over the
+  samples of the sampled run;
+* one bisection probe, ``_probe_verdict``, of a recollapse near the upper
+  n = 4 threshold (``PROBE_CONFIG``) at horizon 80, as ``bisect_critical`` runs
+  it.  The screening run decides it, and ``probe_screen_steps`` counts its
+  accepted plus rejected DP5 steps.
 
 The minimum is the figure least disturbed by other work on the machine.
 The figures are printed and written to --out as JSON.
@@ -28,10 +33,12 @@ import platform
 import sys
 from time import perf_counter
 
-from cmcflow import CurvatureSign, FlowConfig, IntegratorSettings, integrate
-from cmcflow.experiments import ORACLE_DT, RUN_MAX_STEP, _oracle_limit
+from cmcflow import (CurvatureSign, FlowConfig, IntegratorSettings, experiments,
+                     integrate)
+from cmcflow.experiments import (ORACLE_DT, RUN_MAX_STEP, _oracle_limit,
+                                 _probe_verdict)
 from cmcflow.integrate import integrate_oracle
-from cmcflow.products import constraint_terms, derivatives
+from cmcflow.products import constraint_terms, derivatives, observables
 
 # A complete row of the sweep-limits workload's kind: n = 4, between the
 # two positive-curvature thresholds 3/4 and 3/2.
@@ -41,12 +48,36 @@ HORIZON = 50.0
 # comparable with the earlier ones.
 RK4_T = 12.0
 RHS_CALLS = 1000
+# A recollapse probe 1e-4 above the upper n = 4 threshold 3/2, at the
+# horizon of the bisect-critical workload.
+PROBE_CONFIG = FlowConfig(m=2, sign=CurvatureSign.POSITIVE, s=1.5 + 1e-4)
+PROBE_HORIZON = 80.0
+
+
+def probe_steps(settings: IntegratorSettings) -> int:
+    """DP5 steps, accepted plus rejected, of every run of one probe."""
+    steps = []
+    real = experiments.integrate
+
+    def counted(config, settings, events=None):
+        done = real(config, settings, events)
+        steps.append(done.n_accepted + done.n_rejected)
+        return done
+
+    experiments.integrate = counted
+    try:
+        _probe_verdict(PROBE_CONFIG, settings, None)
+    finally:
+        experiments.integrate = real
+    return sum(steps)
 
 
 def measure(repeat: int) -> dict:
     sampled = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=HORIZON)
     unsampled = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=HORIZON,
                                    output_dt=math.inf)
+    probe_settings = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=PROBE_HORIZON,
+                                        output_dt=math.inf)
     traj = integrate(CONFIG, sampled)
     late = traj.final_state()
     u = (late.x, late.y, late.xp, late.yp)
@@ -77,6 +108,15 @@ def measure(repeat: int) -> dict:
             constraint_terms(CONFIG, state)
         return len(traj.samples)
 
+    def observe():
+        for state in traj.samples:
+            observables(CONFIG, state)
+        return len(traj.samples)
+
+    def probe():
+        _probe_verdict(PROBE_CONFIG, probe_settings, None)
+        return 1
+
     timed = {
         "rhs_call_us": rhs_calls,
         "dp5_step_sampled_us": dp5_steps(sampled),
@@ -84,6 +124,8 @@ def measure(repeat: int) -> dict:
         "rk4_step_us": rk4_steps,
         "oracle_pair_us": oracle_pair,
         "constraint_terms_us": monitor,
+        "observables_us": observe,
+        "probe_screen_us": probe,
     }
     # Rounds visit every figure in turn, so a slow spell on the machine
     # touches them all alike; each figure keeps its least time per unit.
@@ -96,6 +138,7 @@ def measure(repeat: int) -> dict:
     return {
         **{name: 1e6 * seconds for name, seconds in best.items()},
         "dp5_steps_per_run": traj.n_accepted + traj.n_rejected,
+        "probe_screen_steps": probe_steps(probe_settings),
         "repeat": repeat,
         "python": platform.python_version(),
     }

@@ -80,10 +80,12 @@ ORACLE_SETTLE_SAMPLES = 11
 # certificate, steps no tighter than PROBE_REL_TOL and PROBE_ABS_TOL; the
 # full run, whose verdict is that of the horizon or the caller's events,
 # keeps the caller's settings, so each bracket end classifies as classify
-# does at those settings (_probe_verdict).
+# does at those settings (_probe_verdict).  The screen moves an escape
+# time by at most 4.4e-4 at rel_tol 1e-7, 7.6e-4 at 1e-6 and 3.0e-4 at
+# 1e-5, against a certificate margin of at least 0.047.
 RUN_MAX_STEP = 0.3
-PROBE_REL_TOL = 1e-7
-PROBE_ABS_TOL = 1e-9
+PROBE_REL_TOL = 1e-6
+PROBE_ABS_TOL = 1e-8
 
 
 class RegimeError(ValueError):
@@ -301,10 +303,19 @@ def _probe_verdict(
       horizon: Recollapse.  Near a threshold the run follows the boundary
       solution y = 0 (x = 0 near the lower one), a subspace that every
       explicit Runge-Kutta stage maps to itself, so the stepper's error
-      scales with the departure from it.  Measured at n = 4, 6, 8 and
-      |s - s*| from 0.05 to 1e-14, the screening moves the escape time by at
-      most 9e-4, while the bound exceeds the time from RECOLLAPSE_V0 to the
-      default floor by at least 0.047.
+      scales with the departure from it.  The escape time therefore only
+      has to fall well inside the certificate's margin: the bound less the
+      time from RECOLLAPSE_V0 to the default floor, at least 0.047.
+      Measured against runs at the default tolerances, at n = 4, 6, 8,
+      both thresholds and |s - s*| from 5e-2 to 5e-14 on the recollapse
+      side, the screen moves the escape time by at most 4.4e-4 at rel_tol
+      1e-7, 7.6e-4 at 1e-6 and 3.0e-4 at 1e-5, each worst at 5e-14, where
+      rounding in ky, not the tolerance, sets it.  At 1e-2 it moves by
+      8.2e-2, past the margin.  1e-5 would take 31% fewer DP5 steps than
+      1e-6 on the bisect-critical benchmark's solves, but that benchmark
+      keeps a record per completed operation, so its peak memory then
+      reads near its 10% bound; 1e-5 waits until those records stop
+      growing with the run (ROADMAP item 3).
     * The full run, at the caller's settings and events, in every other
       case.  It is the run classify makes at the same settings.
 
@@ -425,7 +436,9 @@ def bisect_critical(
     blow-up inside the horizon recollapses without the last approach to the
     velocity floor (:func:`_probe_verdict`); the result is that of
     full-horizon probes.  That screening run steps no tighter than
-    PROBE_REL_TOL and PROBE_ABS_TOL, since it only tests the certificate.
+    PROBE_REL_TOL and PROBE_ABS_TOL (1e-6 and 1e-8), since it only tests
+    the certificate, and it moves an escape time far inside the
+    certificate's margin.
     Every other probe is a full run at the caller's settings, or at
     RUN_MAX_STEP and the default tolerances without them, so each end's
     verdict is :func:`classify`'s at the same settings and horizon: either

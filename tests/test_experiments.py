@@ -24,6 +24,8 @@ from cmcflow.experiments import (
     ORACLE_DT,
     ORACLE_SETTLE_SAMPLES,
     ORACLE_SETTLE_TOL,
+    PROBE_ABS_TOL,
+    PROBE_REL_TOL,
     RECOLLAPSE_V0,
     RUN_MAX_STEP,
     BracketError,
@@ -545,10 +547,11 @@ class TestBisect:
 
     # DP5 steps, accepted plus rejected, of the seven golden solves at
     # default settings: 11 634 with the raised-floor runs at the caller's
-    # tolerances, 5 176 with them screened, plus a 10% margin.  Three of the
-    # solves probe a boundary solution (s = s* exactly), whose raised run
-    # reaches the horizon and leaves the verdict to a full run.
-    GOLDEN_STEPS = 5700
+    # tolerances, 5 176 with them screened at rel_tol 1e-7, 4 396 at 1e-6,
+    # plus a 10% margin.  Three of the solves probe a boundary solution
+    # (s = s* exactly), whose raised run reaches the horizon and leaves the
+    # verdict to a full run.
+    GOLDEN_STEPS = 4840
 
     def test_golden_solves_screen_their_raised_runs(self, monkeypatch):
         steps = []
@@ -675,7 +678,7 @@ class TestBisect:
         monkeypatch.setattr(experiments, "PROBE_ABS_TOL", 0.0)
         assert solve() == screened
 
-    @pytest.mark.parametrize("caller", [None, IntegratorSettings(rel_tol=1e-6)])
+    @pytest.mark.parametrize("caller", [None, IntegratorSettings(rel_tol=1e-5)])
     def test_only_raised_floor_runs_are_screened(self, monkeypatch, caller):
         runs = []
         sample_counts = set()
@@ -693,8 +696,8 @@ class TestBisect:
         # No probe reads a sample, so neither run records any on the grid.
         full = replace(caller or IntegratorSettings(max_step=RUN_MAX_STEP),
                        t_max=2.0, output_dt=math.inf)
-        screen = replace(full, rel_tol=max(full.rel_tol, 1e-7),
-                         abs_tol=max(full.abs_tol, 1e-9))
+        screen = replace(full, rel_tol=max(full.rel_tol, PROBE_REL_TOL),
+                         abs_tol=max(full.abs_tol, PROBE_ABS_TOL))
         assert {(screen, RECOLLAPSE_V0), (full, -100.0)} == set(runs)
         # Only the initial and terminal states.
         assert sample_counts == {2}

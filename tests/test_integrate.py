@@ -1216,6 +1216,30 @@ class TestRecollapseCertificate:
             config = FlowConfig(m=2, sign=sign, s=s)
             assert _probe_verdict(config, settings, None)[1] is None
 
+    # The screen may move an escape time only well inside the certificate's
+    # margin: the bound less the time from RECOLLAPSE_V0 to the default
+    # floor, both from runs at the probes' default tolerances.  Measured
+    # worst over these cases and the distances between them: 4.4e-4 at
+    # rel_tol 1e-7, 7.6e-4 at 1e-6, 3.0e-4 at 1e-5, against a margin of at
+    # least 0.047; a screen at 1e-2 moves it past the margin.
+    @pytest.mark.parametrize("distance", [5e-2, 5e-6, 5e-10, 5e-14])
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_screen_moves_escape_time_far_inside_the_margin(
+        self, n, side, distance
+    ):
+        # The recollapse side: below the lower threshold, above the upper.
+        s = thresholds(n)[side] + (distance if side else -distance)
+        config = FlowConfig(m=n // 2, sign=POS, s=s)
+        settings = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=80.0)
+        t_v0 = integrate(config, settings, EventSpec(velocity_floor=RECOLLAPSE_V0)
+                         ).termination.t_event
+        t_floor = integrate(config, settings).termination.t_event
+        margin = recollapse_time_bound(config, RECOLLAPSE_V0) - (t_floor - t_v0)
+        verdict, t_escape = _probe_verdict(config, settings, None)
+        assert verdict == VERDICT_RECOLLAPSE
+        assert abs(t_escape - t_v0) <= margin / 10
+
     @pytest.mark.parametrize("velocity_floor", [-3.0, -2.5, -2.0])
     def test_caller_floor_at_or_above_v0_skips_the_certificate(
         self, monkeypatch, velocity_floor
