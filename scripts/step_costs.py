@@ -14,7 +14,14 @@ Times, as the minimum over --repeat rounds, in microseconds:
   ``limit_Cs``, at ``ORACLE_DT`` and twice it, each to its first settled
   sample.  With ``rk4_step_us`` it tells cheaper steps from fewer steps;
 * one ``constraint_terms`` call and one ``observables`` call, over the
-  samples of the sampled run;
+  samples of the sampled run, and one sample of ``max_ham_residual``, the
+  constraint monitor of that run's ``Trajectory``, which takes every sample
+  in one pass;
+* one DP5 event location (``event_location_us``): a short unsampled run of
+  ``EVENT_CONFIG`` whose y floor fires after 16 accepted steps, less the
+  same run with no floors and its horizon at the located time.  That run
+  takes the same steps but ends the last one on the horizon instead of
+  locating the crossing on the dense output;
 * one bisection probe, ``_probe_verdict``, of a recollapse near the upper
   n = 4 threshold (``PROBE_CONFIG``) at horizon 80, as ``bisect_critical`` runs
   it.  The screening run decides it, and ``probe_screen_steps`` counts its
@@ -31,13 +38,14 @@ import json
 import math
 import platform
 import sys
+from dataclasses import replace
 from time import perf_counter
 
 from cmcflow import (CurvatureSign, FlowConfig, IntegratorSettings, experiments,
                      integrate)
 from cmcflow.experiments import (ORACLE_DT, RUN_MAX_STEP, _oracle_limit,
                                  _probe_verdict)
-from cmcflow.integrate import integrate_oracle
+from cmcflow.integrate import EventSpec, integrate_oracle
 from cmcflow.products import constraint_terms, derivatives, observables
 
 # A complete row of the sweep-limits workload's kind: n = 4, between the
@@ -52,6 +60,11 @@ RHS_CALLS = 1000
 # horizon of the bisect-critical workload.
 PROBE_CONFIG = FlowConfig(m=2, sign=CurvatureSign.POSITIVE, s=1.5 + 1e-4)
 PROBE_HORIZON = 80.0
+# Past the upper n = 4 threshold y falls from the start; a floor just below
+# 0 fires early, so the two runs of the event figure are short.
+EVENT_CONFIG = FlowConfig(m=2, sign=CurvatureSign.POSITIVE, s=3.0)
+EVENT_FLOORS = EventSpec(y_floor=-0.01)
+NO_FLOORS = EventSpec(y_floor=-math.inf, velocity_floor=-math.inf)
 
 
 def probe_steps(settings: IntegratorSettings) -> int:
@@ -79,6 +92,15 @@ def measure(repeat: int) -> dict:
     probe_settings = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=PROBE_HORIZON,
                                         output_dt=math.inf)
     traj = integrate(CONFIG, sampled)
+    event_settings = replace(unsampled, t_max=1.0)
+    event_run = integrate(EVENT_CONFIG, event_settings, EVENT_FLOORS)
+    # The located run does not count the step in which the floor fired.
+    no_location_settings = replace(unsampled,
+                                   t_max=event_run.termination.t_event)
+    no_location_run = integrate(EVENT_CONFIG, no_location_settings, NO_FLOORS)
+    if (no_location_run.n_accepted, no_location_run.n_rejected) != (
+            event_run.n_accepted + 1, event_run.n_rejected):
+        raise RuntimeError("the two runs of the event figure step differently")
     late = traj.final_state()
     u = (late.x, late.y, late.xp, late.yp)
     f = derivatives(CONFIG)
@@ -113,6 +135,18 @@ def measure(repeat: int) -> dict:
             observables(CONFIG, state)
         return len(traj.samples)
 
+    def ham_monitor():
+        traj.max_ham_residual  # a property, computed at each read
+        return len(traj.samples)
+
+    def event_run_located():
+        integrate(EVENT_CONFIG, event_settings, EVENT_FLOORS)
+        return 1
+
+    def event_run_not_located():
+        integrate(EVENT_CONFIG, no_location_settings, NO_FLOORS)
+        return 1
+
     def probe():
         _probe_verdict(PROBE_CONFIG, probe_settings, None)
         return 1
@@ -125,7 +159,10 @@ def measure(repeat: int) -> dict:
         "oracle_pair_us": oracle_pair,
         "constraint_terms_us": monitor,
         "observables_us": observe,
+        "max_ham_residual_us": ham_monitor,
         "probe_screen_us": probe,
+        "event_run_located": event_run_located,
+        "event_run_not_located": event_run_not_located,
     }
     # Rounds visit every figure in turn, so a slow spell on the machine
     # touches them all alike; each figure keeps its least time per unit.
@@ -135,6 +172,8 @@ def measure(repeat: int) -> dict:
             start = perf_counter()
             units = run()
             best[name] = min(best[name], (perf_counter() - start) / units)
+    best["event_location_us"] = (best.pop("event_run_located")
+                                 - best.pop("event_run_not_located"))
     return {
         **{name: 1e6 * seconds for name, seconds in best.items()},
         "dp5_steps_per_run": traj.n_accepted + traj.n_rejected,

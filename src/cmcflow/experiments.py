@@ -29,7 +29,6 @@ from .integrate import (
     integrate_oracle,
 )
 from .products import (
-    BlowUpOverflow,
     FlowConfig,
     FlowState,
     derivatives,
@@ -582,10 +581,10 @@ def limit_Cs(
     region R (:func:`in_completeness_region`) at t = 0+.
 
     In this regime d = x - y = L + A e^(-2t) + B e^(-4t) + ..., so
-    L_2 = d + (3/4) d' + (1/8) d'', with d'' = x'' - y'' from the
-    right-hand side, cancels both terms.  Each run of the pair therefore
-    goes toward the horizon T only until the first sample t_s at which L_2
-    has moved less than ORACLE_SETTLE_TOL over the last
+    L_2 = d + (3/4) d' + (1/8) d'', with d'' = x'' - y'' from the oracle's
+    own right-hand side, cancels both terms.  Each run of the pair
+    therefore goes toward the horizon T only until the first sample t_s at
+    which L_2 has moved less than ORACLE_SETTLE_TOL over the last
     ORACLE_SETTLE_SAMPLES samples, and predicts its x - y at T as
     L_2 + a e^(-2(T - t_s)) + b e^(-4(T - t_s)), with a = -(d'' + 4d')/4
     and b = (d'' + 2d')/8 at t_s.  A run that reaches the horizon
@@ -666,24 +665,20 @@ def _oracle_limit(config: FlowConfig, dt: float, horizon: float) -> float:
 
     The run stops at its first settled sample and predicts the value there
     from the tail law d = x - y = L + A e^(-2t) + B e^(-4t) + ..., read off
-    d, d' and d'' at that sample; a run that reaches the horizon unsettled
-    gives its end value.
+    d, d' and d'' at that sample, with d'' from the accelerations the oracle
+    passes its hook, never from :func:`derivatives`; a run that reaches the
+    horizon unsettled gives its end value.
     """
-    f = derivatives(config)
-
-    def jet(state):
-        # d, d' and d'' at one sample; d'' from the right-hand side.
-        _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
-        return state.x - state.y, state.xp - state.yp, xpp - ypp
-
     window = deque(maxlen=ORACLE_SETTLE_SAMPLES)
+    d1 = d2 = None  # d' and d'' at the last sample offered
 
-    def settled(samples):
-        try:
-            d, d1, d2 = jet(samples[-1])
-        except BlowUpOverflow:
-            return False  # the run's next step overflows and ends it
-        window.append(d + 0.75 * d1 + 0.125 * d2)
+    def settled(samples, xpp, ypp):
+        # L_2 at the new sample, d'' from the oracle's own accelerations.
+        nonlocal d1, d2
+        state = samples[-1]
+        d1 = state.xp - state.yp
+        d2 = xpp - ypp
+        window.append(state.x - state.y + 0.75 * d1 + 0.125 * d2)
         return (len(window) == ORACLE_SETTLE_SAMPLES
                 and max(window) - min(window) < ORACLE_SETTLE_TOL)
 
@@ -696,9 +691,8 @@ def _oracle_limit(config: FlowConfig, dt: float, horizon: float) -> float:
     end = oracle.final_state()
     if end.t == horizon:
         return end.x - end.y
-    # With a = A e^(-2t_s) and b = B e^(-4t_s): d' = -2a - 4b and
-    # d'' = 4a + 16b at the settled sample t_s.
-    _, d1, d2 = jet(end)
+    # The run stopped at the settled sample t_s, the last one offered.  With
+    # a = A e^(-2t_s) and b = B e^(-4t_s): d' = -2a - 4b and d'' = 4a + 16b.
     a = -(d2 + 4.0 * d1) / 4.0
     b = (d2 + 2.0 * d1) / 8.0
     gap = horizon - end.t

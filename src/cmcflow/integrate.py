@@ -12,11 +12,22 @@ cross-check.  It keeps its own copy of the right-hand side, written out
 in the operand order of ``products.derivatives``, so a transcription
 error in either copy shows up as a cross-check failure instead of
 reaching both sides; the pinned bits of both steppers' runs in the tests
-tie the two copies together.  It shares with the adaptive path only the
-first-integral formula, the blow-up triggers (``_event_functions``) with
-their location tolerance ``_EVENT_T_TOL``, the horizon rule and
-``output_dt`` of ``IntegratorSettings``, and ``_finish``, where every run
-ends and its ``Trajectory`` is built.
+tie the two copies together.  The accelerations it hands its ``until``
+hook come from that copy too, so the limit's settle rule reads no other.
+It shares with the adaptive path only the first-integral formula of
+``products.first_integral_residual``, the blow-up triggers
+(``_event_functions``) with their location tolerance ``_EVENT_T_TOL``,
+the horizon rule and ``output_dt`` of ``IntegratorSettings``, and
+``_finish``, where every run ends and its ``Trajectory`` is built.
+
+Both step loops are hot: on the path of an ordinary step they call
+nothing but their right-hand side, the builtins ``abs`` and ``sqrt``, and
+``FlowState`` for each sample.  Their floor tests are the expressions of
+``_event_functions`` written out, DP5's step-size clamps are comparisons
+with ``min``'s and ``max``'s rule for ties and NaN, and the first-integral
+residual of each step is ``first_integral_residual`` written out in its
+operand order.  Only a step where a floor fired, and a run's first and
+last state, call the shared functions themselves.
 
 Termination is a three-way taxonomy:
 
@@ -44,7 +55,7 @@ from .products import (
     FlowConfig,
     FlowState,
     Observables,
-    constraint_terms,
+    constraint_terms_along,
     derivatives,
     first_integral_residual,
     initial_state,
@@ -201,9 +212,11 @@ class Trajectory:
     forward runs, decreasing for backward runs) and immutable once returned.
     ``max_first_integral_residual`` is taken over every accepted step
     endpoint, not just output samples.  ``observables``, the geometry of
-    each sample, is built once, at its first read.  ``max_ham_residual``
-    takes only the residual of :func:`constraint_terms` at each sample; it
-    skips NaNs, as a NaN never compares greater and the initial data is finite.
+    each sample, is built once, at its first read.  ``max_ham_residual``,
+    computed at each read, is the maximum over the samples of the residual
+    of :func:`constraint_terms`, taken in one pass that reads the config
+    once (:func:`constraint_terms_along`); it skips NaNs, as a NaN never
+    compares greater and the initial data is finite.
     """
 
     config: FlowConfig
@@ -219,8 +232,8 @@ class Trajectory:
 
     @property
     def max_ham_residual(self) -> float:
-        return max(abs(constraint_terms(self.config, state)[3])
-                   for state in self.samples)
+        return max(abs(terms[3])
+                   for terms in constraint_terms_along(self.config, self.samples))
 
     def final_state(self) -> FlowState:
         return self.samples[-1]
@@ -239,10 +252,11 @@ def _event_functions(events: EventSpec):
 
 def _dense(ext, theta):
     # The quartic continuous extension of one DP5 step at the fraction theta
-    # of it, from the coefficients (u, rc2, rc3, rc4, rc5) of its Horner form.
-    (u_0, u_1, u_2, u_3), (rc2_0, rc2_1, rc2_2, rc2_3), \
-        (rc3_0, rc3_1, rc3_2, rc3_3), (rc4_0, rc4_1, rc4_2, rc4_3), \
-        (rc5_0, rc5_1, rc5_2, rc5_3) = ext
+    # of it, from the coefficients u, rc2, rc3, rc4 and rc5 of its Horner
+    # form, held flat in that order, four components each.
+    (u_0, u_1, u_2, u_3, rc2_0, rc2_1, rc2_2, rc2_3,
+     rc3_0, rc3_1, rc3_2, rc3_3, rc4_0, rc4_1, rc4_2, rc4_3,
+     rc5_0, rc5_1, rc5_2, rc5_3) = ext
     th1 = 1.0 - theta
     return (
         u_0 + theta * (rc2_0 + th1 * (rc3_0 + theta * (rc4_0 + th1 * rc5_0))),
@@ -292,7 +306,8 @@ def integrate(
     t = 0.0
     t_end = settings.t_max
     event_fns = _event_functions(events)
-    (_, g_y), (_, g_v) = event_fns
+    y_floor = events.y_floor
+    v_floor = events.velocity_floor
 
     k1 = f(t, u)
     max_fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
@@ -409,19 +424,22 @@ def integrate(
         if err_norm <= 1.0:
             t_new = t_end if last_step else t + h
 
-            # The floors are tested at the step end; only a step that holds
-            # a grid point or a fired floor needs the continuous extension.
-            # A plain loop builds the fired list: a comprehension would make
-            # unew a cell variable, slower to read on every step.
+            # The floors are tested at the step end, in the expressions of
+            # _event_functions (at an infinite floor, u_1 <= y_floor would
+            # differ); only a step that holds a grid point or a fired floor
+            # needs the continuous extension.  A plain loop builds the fired
+            # list: a comprehension would make unew a cell variable, slower
+            # to read on every step.
             fired = ()
-            if g_y(unew) <= 0.0 or g_v(unew) <= 0.0:
+            if unew_1 - y_floor <= 0.0 or (unew_2 + unew_3) - v_floor <= 0.0:
                 fired = []
                 for event in event_fns:
                     if event[1](unew) <= 0.0:
                         fired.append(event)
             if fired or next_k * output_dt <= t_new:
                 # Quartic continuous extension over [t, t+h]: u and rc2 to
-                # rc5 are the coefficients of its Horner form in _dense().
+                # rc5 are the coefficients of its Horner form in _dense(),
+                # which the grid samples below evaluate written out.
                 rc2_0 = unew_0 - u_0
                 rc2_1 = unew_1 - u_1
                 rc2_2 = unew_2 - u_2
@@ -430,44 +448,56 @@ def integrate(
                 rc3_1 = h * k1_1 - rc2_1
                 rc3_2 = h * k1_2 - rc2_2
                 rc3_3 = h * k1_3 - rc2_3
-                ext = (
-                    u,
-                    (rc2_0, rc2_1, rc2_2, rc2_3),
-                    (rc3_0, rc3_1, rc3_2, rc3_3),
-                    (rc2_0 - h * k7_0 - rc3_0,
-                     rc2_1 - h * k7_1 - rc3_1,
-                     rc2_2 - h * k7_2 - rc3_2,
-                     rc2_3 - h * k7_3 - rc3_3),
-                    (h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0
-                          + _D6 * k6_0 + _D7 * k7_0),
-                     h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1
-                          + _D6 * k6_1 + _D7 * k7_1),
-                     h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2
-                          + _D6 * k6_2 + _D7 * k7_2),
-                     h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3
-                          + _D6 * k6_3 + _D7 * k7_3)),
-                )
+                rc4_0 = rc2_0 - h * k7_0 - rc3_0
+                rc4_1 = rc2_1 - h * k7_1 - rc3_1
+                rc4_2 = rc2_2 - h * k7_2 - rc3_2
+                rc4_3 = rc2_3 - h * k7_3 - rc3_3
+                rc5_0 = h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0
+                             + _D6 * k6_0 + _D7 * k7_0)
+                rc5_1 = h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1
+                             + _D6 * k6_1 + _D7 * k7_1)
+                rc5_2 = h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2
+                             + _D6 * k6_2 + _D7 * k7_2)
+                rc5_3 = h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3
+                             + _D6 * k6_3 + _D7 * k7_3)
 
                 hit_theta = None
                 hit_name = None
-                for name, g in fired:
-                    lo, hi = 0.0, 1.0
-                    while h * (hi - lo) > _EVENT_T_TOL:
-                        mid = 0.5 * (lo + hi)
-                        if g(_dense(ext, mid)) <= 0.0:
-                            hi = mid
-                        else:
-                            lo = mid
-                    if hit_theta is None or hi < hit_theta:
-                        hit_theta = hi
-                        hit_name = name
+                if fired:
+                    ext = (u_0, u_1, u_2, u_3, rc2_0, rc2_1, rc2_2, rc2_3,
+                           rc3_0, rc3_1, rc3_2, rc3_3,
+                           rc4_0, rc4_1, rc4_2, rc4_3,
+                           rc5_0, rc5_1, rc5_2, rc5_3)
+                    for name, g in fired:
+                        lo, hi = 0.0, 1.0
+                        while h * (hi - lo) > _EVENT_T_TOL:
+                            mid = 0.5 * (lo + hi)
+                            if g(_dense(ext, mid)) <= 0.0:
+                                hi = mid
+                            else:
+                                lo = mid
+                        if hit_theta is None or hi < hit_theta:
+                            hit_theta = hi
+                            hit_name = name
 
                 t_stop = t + hit_theta * h if hit_theta is not None else t_new
                 while True:
                     tg = next_k * output_dt
                     if tg > t_stop:
                         break
-                    samples.append(FlowState(tg, *_dense(ext, (tg - t) / h)))
+                    theta = (tg - t) / h
+                    th1 = 1.0 - theta
+                    samples.append(FlowState(
+                        tg,
+                        u_0 + theta * (rc2_0 + th1 * (rc3_0 + theta * (
+                            rc4_0 + th1 * rc5_0))),
+                        u_1 + theta * (rc2_1 + th1 * (rc3_1 + theta * (
+                            rc4_1 + th1 * rc5_1))),
+                        u_2 + theta * (rc2_2 + th1 * (rc3_2 + theta * (
+                            rc4_2 + th1 * rc5_2))),
+                        u_3 + theta * (rc2_3 + th1 * (rc3_3 + theta * (
+                            rc4_3 + th1 * rc5_3))),
+                    ))
                     next_k += 1
 
                 if hit_theta is not None:
@@ -485,7 +515,8 @@ def integrate(
                                               trigger=hit_name)
                     break
 
-            fir = abs(first_integral_residual(unew_2, unew_3, k7_2, k7_3))
+            # first_integral_residual(unew_2, unew_3, k7_2, k7_3), written out
+            fir = abs(k7_2 + k7_3 + unew_2 * unew_2 + unew_3 * unew_3 - 2.0)
             if fir > max_fir:
                 max_fir = fir
 
@@ -499,16 +530,22 @@ def integrate(
                 termination = Termination(REACHED_HORIZON)
                 break
 
-            fac11 = err_norm**_EXPO1
-            fac = fac11 / facold**_BETA
-            fac = max(_MIN_FAC, min(_MAX_SHRINK, fac / _SAFETY))
+            # The clamps are max(_MIN_FAC, min(_MAX_SHRINK, fac)) and
+            # max(err_norm, 1e-4) written as comparisons, with min's and
+            # max's rule for ties and NaN: a NaN factor is clamped to
+            # _MAX_SHRINK.
+            fac = err_norm**_EXPO1 / facold**_BETA / _SAFETY
+            if not fac < _MAX_SHRINK:
+                fac = _MAX_SHRINK
+            elif fac < _MIN_FAC:
+                fac = _MIN_FAC
             h = h / fac
-            facold = max(err_norm, 1e-4)
+            facold = 1e-4 if err_norm < 1e-4 else err_norm
             if h > max_step:
                 h = max_step
         else:
-            fac11 = err_norm**_EXPO1
-            h = h / min(_MAX_SHRINK, fac11 / _SAFETY)
+            fac = err_norm**_EXPO1 / _SAFETY
+            h = h / (fac if fac < _MAX_SHRINK else _MAX_SHRINK)
             n_rejected += 1
 
         if h < min_step:
@@ -560,7 +597,7 @@ def integrate_oracle(
     t_max: float,
     events: EventSpec | None = None,
     *,
-    until: Callable[[list[FlowState]], bool] | None = None,
+    until: Callable[[list[FlowState], float, float], bool] | None = None,
 ) -> Trajectory:
     """Fixed-step classical RK4 cross-check of :func:`integrate`.
 
@@ -583,11 +620,16 @@ def integrate_oracle(
     ``n_accepted`` counts the steps completed, as for :func:`integrate`;
     the partial step to an event is not counted.
 
-    ``until(samples) -> bool``, if given, is called with the list of samples
-    recorded so far each time one is recorded before t_max.  The run ends at
-    the first sample it accepts as it ends at t_max: ``ReachedHorizon``,
-    with the first integral evaluated at that sample, which is the terminal
-    state.  The run up to there is bit for bit the run without the hook.
+    ``until(samples, xpp, ypp) -> bool``, if given, is called each time a
+    sample is recorded before t_max, with the list of samples recorded so
+    far and the accelerations x'' and y'' at the last of them, from this
+    module's right-hand side.  The step from the sample computes them; if
+    that step overflows they are computed alone, and a sample past the
+    overflow floor is not offered, as the overflow ends the run there.  The
+    run ends at the first sample the hook accepts as it ends at t_max:
+    ``ReachedHorizon``, with the first integral evaluated at that sample,
+    which is the terminal state.  The run up to there is bit for bit the
+    run without the hook.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -595,7 +637,8 @@ def integrate_oracle(
     if events is None:
         events = EventSpec()
     event_fns = _event_functions(events)
-    (_, g_y), (_, g_v) = event_fns
+    y_floor = events.y_floor
+    v_floor = events.velocity_floor
 
     state0 = initial_state(config)
     u = (state0.x, state0.y, state0.xp, state0.yp)
@@ -673,32 +716,46 @@ def integrate_oracle(
 
     termination = None
     while t < t_max:
+        hooked = False
         if n_steps % k_sample == 0:
             samples.append(FlowState(t, *u))
-            if until is not None and until(samples):
-                break
+            hooked = until is not None
         h = dt if (n_steps + 1) * dt <= t_max else t_max - t
         try:
             x, y, xp, yp, xpp, ypp = rk4_step(t, u, h)
         except BlowUpOverflow:
-            termination = Termination(
-                BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
-            )
+            # The hook still judges a sample whose own accelerations are in
+            # range; past it, or where it declines, the overflow ends the run.
+            if hooked:
+                try:
+                    *_, xpp, ypp = rk4_step(t, u, 0.0)
+                except BlowUpOverflow:
+                    hooked = False
+                else:
+                    hooked = until(samples, xpp, ypp)
+            if not hooked:
+                termination = Termination(
+                    BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
+                )
             break
-        fir = abs(first_integral_residual(u[2], u[3], xpp, ypp))
+        # first_integral_residual at the step start, written out
+        _, _, u_2, u_3 = u
+        fir = abs(xpp + ypp + u_2 * u_2 + u_3 * u_3 - 2.0)
         if fir > max_fir:
             max_fir = fir
-        unew = (x, y, xp, yp)
+        if hooked and until(samples, xpp, ypp):
+            break
 
         # g(u) > 0: a step starts from the initial data or where none fired.
-        # Each floor that fired is located, in trigger order; the earliest
-        # crossing ends the run.  g reads only the state part of a step's
-        # result.
-        if g_y(unew) <= 0.0 or g_v(unew) <= 0.0:
+        # The floors are tested in the expressions of _event_functions, as
+        # in integrate.  Each floor that fired is located, in trigger order;
+        # the earliest crossing ends the run.  g reads only the state part
+        # of a step's result.
+        if x - y_floor <= 0.0 or (xp + yp) - v_floor <= 0.0:
             hit_h = None
             hit_name = None
             for name, g in event_fns:
-                if g(unew) <= 0.0:
+                if g((x, y, xp, yp)) <= 0.0:
                     lo, hi = 0.0, h
                     try:
                         while hi - lo > _EVENT_T_TOL:
@@ -717,7 +774,7 @@ def integrate_oracle(
             termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)
             break
 
-        u = unew
+        u = (x, y, xp, yp)
         n_steps += 1
         t = n_steps * dt if n_steps * dt <= t_max else t_max
     if termination is None:

@@ -128,11 +128,18 @@ class FlowState:
 
     # The steppers build one per sample.  A frozen dataclass's generated
     # __init__ sets each field with its own object.__setattr__ call, which
-    # more than doubles the cost; this one puts the fields in the instance
-    # dict, where those calls put them, at once.  The fields stay read-only,
-    # and equality, hashing, repr and replace() are the generated ones.
+    # more than doubles the cost; this one stores the fields in the instance
+    # dict, where those calls put them, by item assignment, which is cheaper
+    # than a keyword update (that builds a dict first).  The fields stay
+    # read-only, and equality, hashing, repr and replace() are the generated
+    # ones.
     def __init__(self, t: float, x: float, y: float, xp: float, yp: float):
-        self.__dict__.update(t=t, x=x, y=y, xp=xp, yp=yp)
+        fields = self.__dict__
+        fields["t"] = t
+        fields["x"] = x
+        fields["y"] = y
+        fields["xp"] = xp
+        fields["yp"] = yp
 
 
 @dataclass(frozen=True)
@@ -217,6 +224,48 @@ def _exp_or_inf(arg: float) -> float:
         return math.inf
 
 
+def constraint_terms_along(
+    config: FlowConfig, states
+) -> list[tuple[float, float, float, float]]:
+    """:func:`constraint_terms` of each state, in order, in one pass.
+
+    The config is read once, however many states follow; this is the one
+    home of the constraint arithmetic.  An exponential too large for a double
+    saturates to inf, as in :func:`_exp_or_inf`.
+    """
+    # Each constant below is a subexpression that the formulas evaluate
+    # first, left to right, so computing it once rounds nothing differently.
+    m = config.m
+    n = float(config.n)
+    neg_m = -m
+    half_m = 0.5 * m
+    curv_m = (1.0 if config.sign is CurvatureSign.POSITIVE else -1.0) * m
+    kx = config.kx
+    ky = config.ky
+    tau_sq_weight = (n - 1.0) / n
+    n_n1 = n * (n - 1.0)
+    exp = math.exp
+    terms = []
+    for state in states:
+        try:
+            ex = exp(-2.0 * state.x)
+        except OverflowError:
+            ex = math.inf
+        try:
+            ey = exp(-2.0 * state.y)
+        except OverflowError:
+            ey = math.inf
+        xp = state.xp
+        yp = state.yp
+        tau = neg_m * (xp + yp)
+        diff = xp - yp
+        sigma_sq = half_m * diff * diff
+        scalar_curv = curv_m * (kx * ex + ky * ey)
+        ham_residual = scalar_curv - sigma_sq + tau * tau * tau_sq_weight - n_n1
+        terms.append((tau, sigma_sq, scalar_curv, ham_residual))
+    return terms
+
+
 def constraint_terms(config: FlowConfig,
                      state: FlowState) -> tuple[float, float, float, float]:
     """tau, |Sigma|^2, R and the Hamiltonian-constraint residual at one state.
@@ -225,20 +274,7 @@ def constraint_terms(config: FlowConfig,
     three jointly.  Never raises: an exponential too large for a double
     saturates to inf, and the residual comes back non-finite instead.
     """
-    m = config.m
-    n = float(config.n)
-    ex = _exp_or_inf(-2.0 * state.x)
-    ey = _exp_or_inf(-2.0 * state.y)
-
-    tau = -m * (state.xp + state.yp)
-    diff = state.xp - state.yp
-    sigma_sq = 0.5 * m * diff * diff
-    curv = 1.0 if config.sign is CurvatureSign.POSITIVE else -1.0
-    scalar_curv = curv * m * (config.kx * ex + config.ky * ey)
-    ham_residual = (
-        scalar_curv - sigma_sq + tau * tau * ((n - 1.0) / n) - n * (n - 1.0)
-    )
-    return tau, sigma_sq, scalar_curv, ham_residual
+    return constraint_terms_along(config, (state,))[0]
 
 
 def observables(config: FlowConfig, state: FlowState) -> Observables:
@@ -246,7 +282,8 @@ def observables(config: FlowConfig, state: FlowState) -> Observables:
 
     Like :func:`constraint_terms` it never raises; ``h_red`` saturates to inf.
     """
-    tau, sigma_sq, scalar_curv, ham_residual = constraint_terms(config, state)
+    ((tau, sigma_sq, scalar_curv, ham_residual),) = constraint_terms_along(
+        config, (state,))
     m = config.m
     n = float(config.n)
     gap = gauge_gap(n, tau)

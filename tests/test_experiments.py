@@ -49,7 +49,7 @@ from cmcflow.integrate import (
     integrate,
     integrate_oracle,
 )
-from cmcflow.products import FlowConfig, FlowState, derivatives
+from cmcflow.products import BlowUpOverflow, FlowConfig, FlowState, derivatives
 
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
@@ -118,15 +118,22 @@ def _predicted_pair_ends(cfg, horizon):
     return tuple(pair)
 
 
-def _synthetic_oracle(samples, stops=None):
+def _synthetic_oracle(samples, stops=None, rhs=derivatives):
     """A stand-in for integrate_oracle that records the given samples, in
     order, until its hook accepts one; the time of that last sample is
-    appended to stops."""
+    appended to stops.  Each sample is offered with its accelerations from
+    rhs(cfg), as the oracle offers its own, except where rhs raises
+    BlowUpOverflow: the oracle's run would end there, and this one goes on."""
     def synthetic(cfg, dt, t_max, events=None, *, until):
+        f = rhs(cfg)
         recorded = []
         for state in samples:
             recorded.append(state)
-            if until(recorded):
+            try:
+                _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
+            except BlowUpOverflow:
+                continue
+            if until(recorded, xpp, ypp):
                 break
         if stops is not None:
             stops.append(recorded[-1].t)
@@ -961,9 +968,9 @@ class TestLimit:
     def test_sample_past_the_overflow_floor_leaves_the_run_to_the_oracle(
         self, monkeypatch
     ):
-        # The right-hand side raises at a sample below the floor; the hook
-        # reads it as unsettled, so the oracle's next step ends the run.
-        # Here that step is synthetic and the run goes on to settle.
+        # The oracle offers no sample below the floor to its hook: its step
+        # from there ends the run.  Here that step is synthetic and the run
+        # goes on, and the window fills from the samples after it.
         below = FlowState(0.0, -400.0, 0.0, 0.5, 0.0)
         samples = [below] + [FlowState(0.5 * k, 1.0, 0.0, 0.5, 0.0)
                              for k in range(1, 13)]
@@ -975,7 +982,7 @@ class TestLimit:
 
     def test_exact_two_term_tail_is_predicted_to_rounding(self, monkeypatch):
         # A synthetic run on the exact tail d = L + A e^(-2t) + B e^(-4t),
-        # with d'' from a stand-in right-hand side.  L_2 cancels both
+        # offering d'' from a stand-in right-hand side.  L_2 cancels both
         # terms, so the run settles at its eleventh sample, t = 1, and the
         # prediction at T = 1.5 is d(T) to rounding.  The e^(-4t) term
         # there is 5e-4: the first-order rule would neither settle nor
@@ -991,10 +998,9 @@ class TestLimit:
         samples = [FlowState(0.1 * k, tail(0.1 * k), 0.0, tail(0.1 * k, 1), 0.0)
                    for k in range(30)]
         stops = []
-        monkeypatch.setattr(experiments, "integrate_oracle",
-                            _synthetic_oracle(samples, stops))
-        monkeypatch.setattr(experiments, "derivatives", lambda cfg: (
-            lambda t, u: (u[2], u[3], tail(t, 2), 0.0)))
+        monkeypatch.setattr(experiments, "integrate_oracle", _synthetic_oracle(
+            samples, stops,
+            rhs=lambda cfg: lambda t, u: (u[2], u[3], tail(t, 2), 0.0)))
         value = experiments._oracle_limit(config(s=1.3), ORACLE_DT, 1.5)
         assert stops == [samples[10].t]
         assert abs(value - tail(1.5)) <= 4.0 * math.ulp(lim)

@@ -45,8 +45,10 @@ from cmcflow.integrate import (
     integrate_oracle,
 )
 from cmcflow.products import (
+    OVERFLOW_FLOOR,
     FlowConfig,
     FlowState,
+    constraint_terms,
     derivatives,
     first_integral_residual,
     initial_state,
@@ -54,6 +56,7 @@ from cmcflow.products import (
 
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
+NO_FLOORS = EventSpec(y_floor=-math.inf, velocity_floor=-math.inf)
 
 # Blow-up time of the n=4, s=2 positive run, frozen from the fixed-step
 # oracle at dt = 1e-4 (adaptive agrees to ~7e-11).
@@ -279,6 +282,17 @@ class TestEvents:
         )
         assert traj.termination.kind == BLOW_UP_EVENT
         assert traj.termination.trigger == "overflow"
+
+    def test_floors_at_minus_inf_never_fire(self):
+        # The last step ends at x' + y' = -inf.  The velocity test is
+        # (x' + y') - floor <= 0, as in _event_functions: -inf - -inf is NaN
+        # and does not fire, where x' + y' <= floor would.
+        traj = integrate_oracle(FlowConfig(m=3, sign=NEG, s=5.0), 0.5, 20.0,
+                                NO_FLOORS)
+        last = traj.samples[-1]
+        assert last.xp + last.yp == -math.inf
+        assert traj.termination == Termination(
+            BLOW_UP_EVENT, t_event=1.5, trigger=TRIGGER_OVERFLOW)
 
     def test_oracle_returns_on_state_past_double_range(self):
         # a coarse step reaches |x'+y'| ~ 1e133, where the reduced
@@ -614,23 +628,30 @@ class TestOracleCounters:
 
     def test_oracle_keeps_its_own_right_hand_side(self, monkeypatch):
         # The oracle steps, locates events and evaluates its first-integral
-        # residual from its own copy of the right-hand side, so an error in
-        # derivatives cannot reach both sides of the cross-check.  With
-        # derivatives unusable, every oracle run keeps its pinned bits.
-        module = importlib.import_module("cmcflow.integrate")
-
+        # residual from its own copy of the right-hand side, and the limit's
+        # settle rule reads the accelerations the oracle hands its hook, so
+        # an error in derivatives cannot reach both sides of the
+        # cross-check.  With derivatives unusable, every oracle run and
+        # every _oracle_limit keeps its pinned bits.
         def unusable(config):
-            raise AssertionError("integrate_oracle called derivatives")
+            raise AssertionError("the RK4 oracle called derivatives")
 
         runs = {name: entry for name, entry in GOLDEN.items()
                 if name.startswith("oracle-")}
         runs.update((name, (run, expected[0]))
                     for name, (run, expected) in STEPPING_CORE.items()
                     if name.startswith("oracle-"))
-        assert len(runs) == 5
-        monkeypatch.setattr(module, "derivatives", unusable)
+        assert len(runs) == 6
+        for module in ("cmcflow.integrate", "cmcflow.experiments"):
+            monkeypatch.setattr(importlib.import_module(module), "derivatives",
+                                unusable)
         for name, (run, expected) in runs.items():
             assert _fingerprint(run()) == expected, name
+        for (config, horizon), pair in ORACLE_LIMITS.items():
+            assert tuple(
+                experiments._oracle_limit(config, dt, horizon).hex()
+                for dt in (experiments.ORACLE_DT, 2.0 * experiments.ORACLE_DT)
+            ) == pair, (config, horizon)
 
 
 class TestOracleUntil:
@@ -643,25 +664,11 @@ class TestOracleUntil:
     @pytest.mark.parametrize("config", [
         FlowConfig(m=2, sign=POS, s=1.2), FlowConfig(m=3, sign=NEG, s=0.7),
     ])
-    def test_stopped_run_is_the_prefix_of_the_full_run(
-        self, monkeypatch, config, dt, stop
-    ):
-        # The full run's first-integral residuals, in order: one at each
-        # step start, then the closing one at t_max.
-        module = importlib.import_module("cmcflow.integrate")
-        residual = module.first_integral_residual
-        residuals = []
-
-        def recording(*args):
-            residuals.append(abs(residual(*args)))
-            return residual(*args)
-
-        monkeypatch.setattr(module, "first_integral_residual", recording)
+    def test_stopped_run_is_the_prefix_of_the_full_run(self, config, dt, stop):
         full = integrate_oracle(config, dt, 50.0)
-        monkeypatch.undo()
         seen = []
 
-        def until(samples):
+        def until(samples, xpp, ypp):
             seen.append(len(samples))
             return len(samples) == stop
 
@@ -673,15 +680,97 @@ class TestOracleUntil:
         assert stopped.n_accepted == (stop - 1) * round(0.1 / dt)
         assert stopped.final_state().t == stopped.n_accepted * dt
         # The residuals at the step starts up to the stop, the last one
-        # being the closing evaluation there.
-        assert stopped.max_first_integral_residual == max(
-            residuals[:stopped.n_accepted + 1])
+        # being the closing evaluation there: those of the run whose
+        # horizon is that sample, which has the same step starts and the
+        # same closing evaluation.
+        ended = integrate_oracle(config, dt, stopped.n_accepted * dt)
+        assert ended.final_state() == stopped.final_state()
+        assert (stopped.max_first_integral_residual.hex()
+                == ended.max_first_integral_residual.hex())
 
     def test_a_hook_that_never_accepts_changes_nothing(self):
         config = FlowConfig(m=2, sign=POS, s=1.2)
         full = integrate_oracle(config, experiments.ORACLE_DT, 20.0)
         assert integrate_oracle(config, experiments.ORACLE_DT, 20.0,
-                                until=lambda samples: False) == full
+                                until=lambda samples, xpp, ypp: False) == full
+
+    @pytest.mark.parametrize("config, dt, t_max, events", [
+        (FlowConfig(m=2, sign=POS, s=1.2), experiments.ORACLE_DT, 12.0, None),
+        (FlowConfig(m=1, sign=NEG, s=0.7), 2.0 * experiments.ORACLE_DT, 12.0,
+         None),
+        # the step from the last sample overflows
+        (FlowConfig(m=2, sign=POS, s=5.0), 0.5, 10.0,
+         EventSpec(y_floor=-1e6, velocity_floor=-1e6)),
+    ])
+    def test_hook_gets_the_accelerations_of_each_sample(self, config, dt,
+                                                        t_max, events):
+        offered = []
+
+        def until(samples, xpp, ypp):
+            offered.append((samples[-1], xpp.hex(), ypp.hex()))
+            return False
+
+        traj = integrate_oracle(config, dt, t_max, events, until=until)
+        # Every sample before t_max is offered: all of them but the terminal
+        # state at t_max, or all of them where a step overflowed.
+        recorded = traj.samples
+        if traj.termination.kind == REACHED_HORIZON:
+            recorded = recorded[:-1]
+        f = derivatives(config)
+        expected = []
+        for state in recorded:
+            _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
+            expected.append((state, xpp.hex(), ypp.hex()))
+        assert offered == expected
+
+    def test_a_sample_whose_step_overflows_can_end_the_run(self):
+        # The step from the third sample, at t = 1, leaves the double range.
+        # A hook that accepts that sample ends the run there, at the horizon
+        # rule's ReachedHorizon, as it would have ended before the step.
+        config = FlowConfig(m=2, sign=POS, s=5.0)
+        events = EventSpec(y_floor=-1e6, velocity_floor=-1e6)
+        full = integrate_oracle(config, 0.5, 10.0, events)
+        assert full.termination == Termination(
+            BLOW_UP_EVENT, t_event=1.0, trigger=TRIGGER_OVERFLOW)
+        stopped = integrate_oracle(config, 0.5, 10.0, events,
+                                   until=lambda samples, xpp, ypp:
+                                   len(samples) == 3)
+        assert stopped.termination == Termination(REACHED_HORIZON)
+        assert stopped.samples == full.samples
+        assert (stopped.max_first_integral_residual.hex()
+                == full.max_first_integral_residual.hex())
+
+    def test_a_sample_past_the_overflow_floor_is_not_offered(self):
+        # A coarse step lands at y = -3472, below the overflow floor, with
+        # no floor to stop it; the step from there overflows at once.
+        config = FlowConfig(m=2, sign=POS, s=3.0)
+        offered = []
+
+        def until(samples, xpp, ypp):
+            offered.append(len(samples))
+            return len(samples) == 4
+
+        traj = integrate_oracle(config, 0.5, 20.0, NO_FLOORS, until=until)
+        assert traj.samples[-1].y < OVERFLOW_FLOOR
+        assert offered == [1, 2, 3]
+        assert traj.termination == Termination(
+            BLOW_UP_EVENT, t_event=1.5, trigger=TRIGGER_OVERFLOW)
+
+
+# x - y at the horizon from _oracle_limit at ORACLE_DT and twice it, each
+# read at the run's first settled sample by the tail law, or at a horizon
+# reached unsettled (the n = 4 row at horizon 3).  Recorded while the settle
+# rule still read its accelerations from derivatives.
+ORACLE_LIMITS = {
+    (FlowConfig(m=2, sign=POS, s=1.2), 50.0):
+        ("0x1.b9a03e2163b57p-1", "0x1.b9a03e6a44520p-1"),
+    (FlowConfig(m=3, sign=NEG, s=0.7), 50.0):
+        ("0x1.a7296accf7654p-3", "0x1.a7296b861cfc0p-3"),
+    (FlowConfig(m=2, sign=POS, s=1.2), 3.0):
+        ("0x1.afee1349a890ep-1", "0x1.afee1388fdc38p-1"),
+    (FlowConfig(m=1, sign=NEG, s=0.7), 50.0):
+        ("0x1.2cc1d71e37727p-3", "0x1.2cc1d74fa335cp-3"),
+}
 
 
 def _fingerprint(traj):
@@ -957,6 +1046,29 @@ STEPPING_CORE = {
          (BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR, None), 16,
          "d8473ace2d5c5cba984774014d00697eb13aec40c5d01b74ceacce4f9bb48e04"),
     ),
+    # With both floors at -inf no floor fires: DP5 dives on to step-size
+    # collapse, and RK4 to overflow.
+    "dp5-recollapse-floors-at-minus-inf": (
+        lambda: integrate(FlowConfig(m=3, sign=POS, s=0.7),
+                          IntegratorSettings(**_CAPPED), NO_FLOORS),
+        ((("0x1.eacd74f2887e2p-1", "-0x1.b479ceb6d362fp+3",
+           "0x1.85f703cf057c1p+2", "-0x1.e409bccd50c53p+36",
+           "0x1.71c5ac105ef1dp+35"),
+          None, 1100, 1, "0x1.d2d8c00008000p+38", "0x1.5e227fffe2000p+40"),
+         (STEP_SIZE_COLLAPSE, None, "0x1.eacd74f2887e2p-1"), 11,
+         "776e74be10380b69695b9c05c46831d1c4978f6bae32af29e79c60f511bb360f"),
+    ),
+    "oracle-floors-at-minus-inf": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=2.0),
+                                 experiments.ORACLE_DT, 50.0, NO_FLOORS),
+        ((("0x1.6a7ef9db22d0ep+0", "0x1.21ee440ad3e1dp+5",
+           "-0x1.144c010831825p+7", "0x1.0da058ace400ep+22",
+           "-0x1.a27321dd63f95p+65"),
+          "0x1.6a7ef9db22d0ep+0", 177, 0,
+          "0x1.b8382e3798741p+400", "0x1.b8382e3798741p+401"),
+         (BLOW_UP_EVENT, TRIGGER_OVERFLOW, None), 16,
+         "70c71a74cd237571e2b7a1d1281ab0a79201d49fff837e6b332624e4729e97b9"),
+    ),
 }
 
 
@@ -974,6 +1086,46 @@ class TestSteppingCoreBits:
         # A local that a nested function or comprehension reads becomes a
         # cell, and every read of it in the step loop goes through the cell.
         assert integrate.__code__.co_cellvars == ()
+
+
+def _monitor_runs():
+    runs = {name: run for name, (run, _) in {**GOLDEN, **STEPPING_CORE}.items()}
+    assert len(runs) == len(GOLDEN) + len(STEPPING_CORE)
+    # A coarse RK4 step lands at x = -3472, where e^(-2x) overflows and the
+    # residual is inf.
+    runs["oracle-sample-past-the-floor"] = lambda: integrate_oracle(
+        FlowConfig(m=2, sign=POS, s=0.6), 0.5, 20.0, NO_FLOORS)
+    # The last sample has x' + y' = -inf and a NaN residual.
+    runs["oracle-nan-residual"] = lambda: integrate_oracle(
+        FlowConfig(m=3, sign=NEG, s=5.0), 0.5, 20.0, NO_FLOORS)
+    return runs
+
+
+class TestConstraintMonitor:
+    # max_ham_residual takes the constraint terms of every sample in one
+    # pass; it is the plain maximum over the samples, with max's rule for
+    # NaN: one after a finite first sample is never greater, so skipped.
+    @pytest.mark.parametrize("name", sorted(_monitor_runs()))
+    def test_is_the_maximum_over_the_samples(self, name):
+        traj = _monitor_runs()[name]()
+        assert traj.max_ham_residual.hex() == max(
+            abs(constraint_terms(traj.config, state)[3])
+            for state in traj.samples).hex()
+
+    def test_overflow_and_nan_samples(self):
+        runs = _monitor_runs()
+        past = runs["oracle-sample-past-the-floor"]()
+        assert past.samples[-1].x < -355.0
+        assert past.max_ham_residual == math.inf
+        nan = runs["oracle-nan-residual"]()
+        assert math.isnan(constraint_terms(nan.config, nan.samples[-1])[3])
+        assert nan.max_ham_residual == max(
+            abs(constraint_terms(nan.config, state)[3])
+            for state in nan.samples[:-1])
+        # A NaN between finite samples is skipped too.
+        first, *later = nan.samples
+        mixed = replace(nan, samples=(first, nan.samples[-1], *later[:-1]))
+        assert mixed.max_ham_residual == nan.max_ham_residual
 
 
 # Every valid floor is negative (-inf included); the initial data has y = 0
