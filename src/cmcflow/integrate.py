@@ -751,7 +751,7 @@ def integrate_oracle(
         # in integrate.  Each floor that fired is located, in trigger order;
         # the earliest crossing ends the run.  g reads only the state part
         # of a step's result.
-        if x - y_floor <= 0.0 or (xp + yp) - v_floor <= 0.0:
+        if y - y_floor <= 0.0 or (xp + yp) - v_floor <= 0.0:
             hit_h = None
             hit_name = None
             for name, g in event_fns:

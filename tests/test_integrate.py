@@ -57,6 +57,8 @@ from cmcflow.products import (
 NEG = CurvatureSign.NEGATIVE
 POS = CurvatureSign.POSITIVE
 NO_FLOORS = EventSpec(y_floor=-math.inf, velocity_floor=-math.inf)
+# The velocity floor far out of reach, so that only the y floor can fire.
+Y_FLOOR_ONLY = EventSpec(y_floor=-1.0, velocity_floor=-1e6)
 
 # Blow-up time of the n=4, s=2 positive run, frozen from the fixed-step
 # oracle at dt = 1e-4 (adaptive agrees to ~7e-11).
@@ -265,6 +267,28 @@ class TestEvents:
         assert t_vel.termination.t_event < t_y.termination.t_event
         assert both.termination.trigger == "velocity_floor"
         assert both.termination.t_event == t_vel.termination.t_event
+
+    @pytest.mark.parametrize("stepper", ["dp5", "oracle"])
+    @pytest.mark.parametrize("trigger, m, s, events", [
+        (TRIGGER_Y_FLOOR, 2, 3.0, Y_FLOOR_ONLY),
+        (TRIGGER_VELOCITY_FLOOR, 3, 0.7,
+         EventSpec(y_floor=-math.inf, velocity_floor=-100.0)),
+    ])
+    def test_each_floor_fires_alone(self, stepper, trigger, m, s, events):
+        # Both step loops write the floor tests out; here each floor fires
+        # on its own, and the shared _event_functions agree: every g is
+        # positive at every sample before the last, and at the last only
+        # the reported trigger's g has crossed.
+        config = FlowConfig(m=m, sign=POS, s=s)
+        if stepper == "dp5":
+            traj = integrate(config, IntegratorSettings(**_CAPPED), events)
+        else:
+            traj = integrate_oracle(config, experiments.ORACLE_DT, 50.0, events)
+        assert traj.termination.trigger == trigger
+        *before, last = ((st.x, st.y, st.xp, st.yp) for st in traj.samples)
+        for name, g in _event_functions(events):
+            assert all(g(u) > 0.0 for u in before)
+            assert (g(last) <= 0.0) == (name == trigger)
 
     def test_event_agreement_with_oracle(self):
         for s in (2.0, 3.0, 5.0):
@@ -641,7 +665,7 @@ class TestOracleCounters:
         runs.update((name, (run, expected[0]))
                     for name, (run, expected) in STEPPING_CORE.items()
                     if name.startswith("oracle-"))
-        assert len(runs) == 6
+        assert len(runs) == 8
         for module in ("cmcflow.integrate", "cmcflow.experiments"):
             monkeypatch.setattr(importlib.import_module(module), "derivatives",
                                 unusable)
@@ -1068,6 +1092,54 @@ STEPPING_CORE = {
           "0x1.b8382e3798741p+400", "0x1.b8382e3798741p+401"),
          (BLOW_UP_EVENT, TRIGGER_OVERFLOW, None), 16,
          "70c71a74cd237571e2b7a1d1281ab0a79201d49fff837e6b332624e4729e97b9"),
+    ),
+    # Each stepper writes out the floor tests of _event_functions.  The
+    # velocity floor fires on its own in the recollapse and event runs above
+    # (y stays above -20 there); these fire the y floor on its own, and test
+    # the y floor on a run where x, not y, falls below it.
+    "dp5-y-floor-only": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0),
+                          IntegratorSettings(**_CAPPED), Y_FLOOR_ONLY),
+        ((("0x1.fb401a9a70491p-1", "0x1.3f293b819db86p+0",
+           "-0x1.00000000c2cbfp+0", "0x1.a0b76f0a1fe20p+1",
+           "-0x1.6899486ea42ddp+2"),
+          "0x1.fb401a9a70491p-1", 117, 1,
+          "0x1.4f6d800000000p-28", "0x1.4f6d900000000p-27"),
+         (BLOW_UP_EVENT, TRIGGER_Y_FLOOR, None), 11,
+         "8e2315b06c804c284f9ef57d0fd77cd531919d39f80e1f788df2e2ee268168b8"),
+    ),
+    "oracle-y-floor-only": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=3.0),
+                                 experiments.ORACLE_DT, 50.0, Y_FLOOR_ONLY),
+        ((("0x1.fb401c54fdf3bp-1", "0x1.3f293ca89f156p+0",
+           "-0x1.00000000addc2p+0", "0x1.a0b773dc43b90p+1",
+           "-0x1.6899550e23f44p+2"),
+          "0x1.fb401c54fdf3bp-1", 123, 0,
+          "0x1.94e5ba1600000p-17", "0x1.e666339600000p-16"),
+         (BLOW_UP_EVENT, TRIGGER_Y_FLOOR, None), 12,
+         "5fbc946852bb4632beb0f9889f4d57f1cdd59f8763a296dbd7c6863aedc24d3c"),
+    ),
+    "dp5-x-below-y-floor": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=0.6),
+                          IntegratorSettings(**_CAPPED), Y_FLOOR_ONLY),
+        ((("0x1.1872effd4e34cp+0", "-0x1.27706a35071cfp+3",
+           "0x1.d9b7fd02385b7p+1", "-0x1.4d8b9ce9e59e4p+20",
+           "0x1.6599c6a454bcfp+18"),
+          "0x1.1872effd4e34cp+0", 617, 1,
+          "0x1.7e0f100000000p+5", "0x1.7e0e000000000p+6"),
+         (BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR, None), 12,
+         "74e9fc5218a2821e6550713fc6c4c149cb1c781fdf75e1a229fb8e2a5504ee6d"),
+    ),
+    "oracle-x-below-y-floor": (
+        lambda: integrate_oracle(FlowConfig(m=2, sign=POS, s=0.6),
+                                 experiments.ORACLE_DT, 50.0, Y_FLOOR_ONLY),
+        ((("0x1.189374bc6a7f0p+0", "-0x1.1d4581b6d4f5fp+2",
+           "0x1.3563ca84519f5p+1", "-0x1.f3c9b90ddfc78p+9",
+           "0x1.0eeb474f9c042p+8"),
+          "0x1.189374bc6a7f0p+0", 137, 0,
+          "0x1.9e8a4ebebac68p+14", "0x1.9e8a4ebebac60p+15"),
+         (BLOW_UP_EVENT, TRIGGER_OVERFLOW, None), 13,
+         "03daad7417a9e3dd128db50f5d96434eca3e58e364a93fb3b4914f2f9ae3cad1"),
     ),
 }
 
