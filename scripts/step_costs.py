@@ -10,9 +10,11 @@ Times, as the minimum over --repeat rounds, in microseconds:
   run), divided by their accepted plus rejected steps;
 * one RK4 step, from an ``integrate_oracle`` run of step ``ORACLE_DT`` to
   t = 12 (``RK4_T``), divided by its steps;
-* the oracle pair of the T = 50 limit row: both ``_oracle_limit`` runs of
-  ``limit_Cs``, at ``ORACLE_DT`` and twice it, each to its first settled
-  sample.  With ``rk4_step_us`` it tells cheaper steps from fewer steps;
+* the oracle pair of the T = 50 limit row, ``_oracle_pair``: both RK4 runs
+  of ``limit_Cs``, at ``ORACLE_DT`` and twice it on the finer run's step
+  plan, each to its first settled sample.  ``oracle_pair_steps`` counts the
+  steps of both runs; with ``rk4_step_us`` it tells cheaper steps from
+  fewer steps;
 * one ``constraint_terms`` call and one ``observables`` call, over the
   samples of the sampled run, and one sample of ``max_ham_residual``, the
   constraint monitor of that run's ``Trajectory``, which takes every sample
@@ -43,7 +45,7 @@ from time import perf_counter
 
 from cmcflow import (CurvatureSign, FlowConfig, IntegratorSettings, experiments,
                      integrate)
-from cmcflow.experiments import (ORACLE_DT, RUN_MAX_STEP, _oracle_limit,
+from cmcflow.experiments import (ORACLE_DT, RUN_MAX_STEP, _oracle_pair,
                                  _probe_verdict)
 from cmcflow.integrate import EventSpec, integrate_oracle
 from cmcflow.products import constraint_terms, derivatives, observables
@@ -85,6 +87,24 @@ def probe_steps(settings: IntegratorSettings) -> int:
     return sum(steps)
 
 
+def oracle_pair() -> int:
+    """Both runs of the limit's oracle pair; returns their steps."""
+    steps = []
+    real = experiments.integrate_oracle
+
+    def counted(*args, **kwargs):
+        done = real(*args, **kwargs)
+        steps.append(done.n_accepted)
+        return done
+
+    experiments.integrate_oracle = counted
+    try:
+        _oracle_pair(CONFIG, HORIZON)
+    finally:
+        experiments.integrate_oracle = real
+    return sum(steps)
+
+
 def measure(repeat: int) -> dict:
     sampled = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=HORIZON)
     unsampled = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=HORIZON,
@@ -120,9 +140,8 @@ def measure(repeat: int) -> dict:
     def rk4_steps():
         return integrate_oracle(CONFIG, ORACLE_DT, RK4_T).n_accepted
 
-    def oracle_pair():
-        _oracle_limit(CONFIG, ORACLE_DT, HORIZON)
-        _oracle_limit(CONFIG, 2.0 * ORACLE_DT, HORIZON)
+    def pair():
+        oracle_pair()
         return 1
 
     def monitor():
@@ -156,7 +175,7 @@ def measure(repeat: int) -> dict:
         "dp5_step_sampled_us": dp5_steps(sampled),
         "dp5_step_unsampled_us": dp5_steps(unsampled),
         "rk4_step_us": rk4_steps,
-        "oracle_pair_us": oracle_pair,
+        "oracle_pair_us": pair,
         "constraint_terms_us": monitor,
         "observables_us": observe,
         "max_ham_residual_us": ham_monitor,
@@ -177,6 +196,7 @@ def measure(repeat: int) -> dict:
     return {
         **{name: 1e6 * seconds for name, seconds in best.items()},
         "dp5_steps_per_run": traj.n_accepted + traj.n_rejected,
+        "oracle_pair_steps": oracle_pair(),
         "probe_screen_steps": probe_steps(probe_settings),
         "repeat": repeat,
         "python": platform.python_version(),

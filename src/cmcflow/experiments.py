@@ -67,11 +67,21 @@ ORACLE_DT = 8e-3
 
 # Each run of the RK4 pair stops at its first sample where the extrapolated
 # limit L_2 = d + (3/4) d' + (1/8) d'' of d = x - y has moved less than
-# ORACLE_SETTLE_TOL over its last ORACLE_SETTLE_SAMPLES samples (0.96 in t
-# at the default step), and predicts x - y at the horizon from the
-# e^(-2t), e^(-4t) tail law.  See limit_Cs.
+# ORACLE_SETTLE_TOL over its settle window, ORACLE_SETTLE_SAMPLES samples
+# on uniform steps (0.96 in t at the default step) and that span of time
+# on widened ones, and predicts x - y at the horizon from the e^(-2t),
+# e^(-4t) tail law.  See limit_Cs.
 ORACLE_SETTLE_TOL = 1e-13
 ORACLE_SETTLE_SAMPLES = 11
+
+# Once the transient has passed, the RK4 pair widens its step.  The finer
+# run makes the plan: every ORACLE_PLAN_STEPS steps of ORACLE_DT (t a
+# multiple of 0.384, every fourth sample of either run at the default
+# step), it takes the widest multiple of its step whose bound the spread of
+# L_2 over its settle window is below.  The coarser run widens at the same
+# times by the same multiples.  See limit_Cs.
+ORACLE_PLAN_STEPS = 48
+ORACLE_WIDENING = ((1e-2, 2), (1e-4, 4), (1e-6, 8))
 
 # Default step cap of the runs that report no h_red series (classify,
 # bisect_critical, sweep and limit_Cs; see IntegratorSettings).  A
@@ -562,12 +572,15 @@ def limit_Cs(
     coupling, positive products strictly between the thresholds.  The
     caller's settings govern the run whose x - y at the horizon is
     ``value``; without settings its step cap is RUN_MAX_STEP.  That
-    value is cross-checked against an independent fixed-step RK4 pair: two
-    runs, at the finer step ORACLE_DT = 8e-3 and at 2 * ORACLE_DT, give
-    L_a and L_b, their x - y at the horizon.  RK4's global error is
-    C h^4 + O(h^5), so the paired value L_a + (L_a - L_b)/15 cancels the
-    h^4 term (global Richardson extrapolation), and ``cross_check_delta``
-    is the distance from ``value`` to it.
+    value is cross-checked against an independent RK4 pair: two runs, at
+    the finer step ORACLE_DT = 8e-3 and at 2 * ORACLE_DT, give L_a and
+    L_b, their x - y at the horizon.  Both follow one step plan theta(t),
+    the finer run at theta * ORACLE_DT and the coarser at twice that, so
+    RK4's global error is C h^4 + O(h^5) for both with one C, the paired
+    value L_a + (L_a - L_b)/15 cancels the h^4 term (global Richardson
+    extrapolation with variable steps; Hairer, Norsett & Wanner, Solving
+    ODEs I, section II.8), and ``cross_check_delta`` is the distance from
+    ``value`` to it.
     ``oracle_error_estimate`` = |L_a - L_b|/15 estimates the error of the
     finer run alone; the pair is more accurate than that run, so the
     estimate is a conservative error bar for the paired value.
@@ -584,17 +597,30 @@ def limit_Cs(
     L_2 = d + (3/4) d' + (1/8) d'', with d'' = x'' - y'' from the oracle's
     own right-hand side, cancels both terms.  Each run of the pair
     therefore goes toward the horizon T only until the first sample t_s at
-    which L_2 has moved less than ORACLE_SETTLE_TOL over the last
-    ORACLE_SETTLE_SAMPLES samples, and predicts its x - y at T as
+    which L_2 has moved less than ORACLE_SETTLE_TOL over its settle
+    window, and predicts its x - y at T as
     L_2 + a e^(-2(T - t_s)) + b e^(-4(T - t_s)), with a = -(d'' + 4d')/4
     and b = (d'' + 2d')/8 at t_s.  A run that reaches the horizon
     unsettled uses its end value as it is.  Far from a threshold at n >= 4
-    the runs settle by t = 4.6-10.8; n = 6 rows gain most over the
-    first-order rule, while n = 4 rows keep a resonant t e^(-4t) term.
-    Within about 1e-3 of a threshold, and at n = 2, where the free mode
-    e^(-nt) decays like the forcing, they settle later (t = 14.3-16.2 on
-    n = 2 rows).  ``value`` is always the raw x - y of the trajectory at
-    the horizon.
+    the runs settle by t = 5.8-14.6 (4.2-10.8 on uniform steps); n = 6
+    rows gain most over the first-order rule, while n = 4 rows keep a
+    resonant t e^(-4t) term.  Within about 1e-3 of a threshold, and at
+    n = 2, where the free mode e^(-nt) decays like the forcing, they
+    settle later (t = 14.4-16.5 on n = 2 rows).  ``value`` is always the
+    raw x - y of the trajectory at the horizon.
+
+    The plan widens the step once the transient has passed, where the
+    pair makes almost none of its error.  The finer run makes it: at
+    every ORACLE_PLAN_STEPS-th step of ORACLE_DT (t a multiple of 0.384)
+    it takes the widest of 2, 4 and 8 times its step whose bound, 1e-2,
+    1e-4 or 1e-6, the spread of L_2 over its settle window is below.  The
+    plan is read off the run's own spread, never a clock: near a
+    threshold the slow free mode keeps the spread up and the steps
+    short.  The coarser run widens at the same samples by the same
+    multiples, so its mesh is every other point of the finer run's.
+    Each run's settle window spans the same time whatever its step:
+    back to its latest sample 10 first sample intervals (0.96) before
+    the last one, the last 11 samples on uniform steps.
 
     Measured at horizon 50 on the 64 limit rows of the benchmark's seed-1
     sweep-limits operations, against a single run of step 2.5e-4, the
@@ -608,13 +634,15 @@ def limit_Cs(
     pair 8e-3 / 1.6e-2 to t_s = 12       2250  5.79e-11
     pair to first settled L_ext          1679  5.79e-11
     pair to first settled L_2            1423  5.79e-11
+    pair on its step plan to L_2          680  5.61e-11
     pair 1e-2 / 2e-2 to T = 50           7500  1.73e-10
     ==================================  =====  ===========
 
     L_ext = d + d'/2 is the first-order rule, which cancels only the
     e^(-2t) term; L_2 is the default.  The steps of the settled pairs are
-    a mean over the rows; every one of those rows settles before t = 12,
-    and ``oracle_error_estimate`` reaches at most 2.25e-9.  Both lie far
+    a mean over the rows; every one of those rows settles before t = 12
+    on uniform steps, and on the step plan the runs stop at t = 6.7-14.2.
+    ``oracle_error_estimate`` reaches at most 2.33e-9.  Both lie far
     inside the 1e-6 bound that cross_check_delta must meet.  A run of the
     pair that stops short of its end time raises RegimeError, which names
     its step.
@@ -647,8 +675,7 @@ def _limit(config: FlowConfig, traj: Trajectory, horizon: float) -> LimitEstimat
     tail = diffs[-max(2, len(diffs) // 5) :]
     tail_variation = max(tail) - min(tail)
 
-    fine = _oracle_limit(config, ORACLE_DT, horizon)
-    coarse = _oracle_limit(config, 2.0 * ORACLE_DT, horizon)
+    fine, coarse = _oracle_pair(config, horizon)
     paired = fine + (fine - coarse) / 15.0
 
     return LimitEstimate(
@@ -660,27 +687,80 @@ def _limit(config: FlowConfig, traj: Trajectory, horizon: float) -> LimitEstimat
     )
 
 
-def _oracle_limit(config: FlowConfig, dt: float, horizon: float) -> float:
-    """x - y at the horizon from one RK4 oracle run of step dt.
+def _oracle_pair(config: FlowConfig, horizon: float) -> tuple[float, float]:
+    """L_a and L_b of limit_Cs: x - y at the horizon from the RK4 runs at
+    ORACLE_DT and twice it, the coarser one on the finer one's step plan."""
+    fine, plan = _oracle_limit(config, ORACLE_DT, horizon)
+    coarse, _ = _oracle_limit(config, 2.0 * ORACLE_DT, horizon, plan)
+    return fine, coarse
+
+
+def _oracle_limit(
+    config: FlowConfig,
+    dt: float,
+    horizon: float,
+    plan: tuple[tuple[float, int], ...] | None = None,
+) -> tuple[float, tuple[tuple[float, int], ...]]:
+    """x - y at the horizon from one RK4 oracle run of step dt, and the run's
+    step plan: the (t, multiple) at which it widened its step to multiple * dt.
 
     The run stops at its first settled sample and predicts the value there
     from the tail law d = x - y = L + A e^(-2t) + B e^(-4t) + ..., read off
     d, d' and d'' at that sample, with d'' from the accelerations the oracle
     passes its hook, never from :func:`derivatives`; a run that reaches the
-    horizon unsettled gives its end value.
+    horizon unsettled gives its end value.  Without a plan the run makes
+    its own: at every ORACLE_PLAN_STEPS-th step of dt where its settle
+    window is full, it widens to the largest multiple of ORACLE_WIDENING
+    whose bound the window's spread is below.  Given a plan, it widens at
+    the plan's times, at the first sample at or past each, whatever its own
+    spread; the empty plan gives the uniform run.
     """
-    window = deque(maxlen=ORACLE_SETTLE_SAMPLES)
+    # The settle window: the times and L_2 of the samples back to the latest
+    # one ORACLE_SETTLE_SAMPLES - 1 first sample intervals before the last,
+    # the last ORACLE_SETTLE_SAMPLES samples while the step is not widened.
+    # Sample gaps are whole numbers of intervals, so half an interval less
+    # tells them apart whatever their rounding.
+    times = deque()
+    window = deque()
     d1 = d2 = None  # d' and d'' at the last sample offered
+    pending = None if plan is None else deque(plan)
+    made = []
+    multiple = 1
 
     def settled(samples, xpp, ypp):
         # L_2 at the new sample, d'' from the oracle's own accelerations.
-        nonlocal d1, d2
+        nonlocal d1, d2, multiple
         state = samples[-1]
+        t = state.t
         d1 = state.xp - state.yp
         d2 = xpp - ypp
+        times.append(t)
         window.append(state.x - state.y + 0.75 * d1 + 0.125 * d2)
-        return (len(window) == ORACLE_SETTLE_SAMPLES
-                and max(window) - min(window) < ORACLE_SETTLE_TOL)
+        full = False
+        if len(samples) > 1:
+            reach = (ORACLE_SETTLE_SAMPLES - 1.5) * (samples[1].t - samples[0].t)
+            while len(times) > 1 and t - times[1] >= reach:
+                times.popleft()
+                window.popleft()
+            full = t - times[0] >= reach
+        if full:
+            spread = max(window) - min(window)
+            if spread < ORACLE_SETTLE_TOL:
+                return True
+        if pending is None:
+            if not full or round(t / dt) % ORACLE_PLAN_STEPS:
+                return False
+            wider = max([m for bound, m in ORACLE_WIDENING if spread < bound],
+                        default=multiple)
+        elif pending and t >= pending[0][0]:
+            wider = pending.popleft()[1]
+        else:
+            return False
+        if wider <= multiple:
+            return False
+        multiple = wider
+        made.append((t, wider))
+        return wider
 
     oracle = integrate_oracle(config, dt, horizon, until=settled)
     if oracle.termination.kind != REACHED_HORIZON:
@@ -690,13 +770,14 @@ def _oracle_limit(config: FlowConfig, dt: float, horizon: float) -> float:
         )
     end = oracle.final_state()
     if end.t == horizon:
-        return end.x - end.y
+        return end.x - end.y, tuple(made)
     # The run stopped at the settled sample t_s, the last one offered.  With
     # a = A e^(-2t_s) and b = B e^(-4t_s): d' = -2a - 4b and d'' = 4a + 16b.
     a = -(d2 + 4.0 * d1) / 4.0
     b = (d2 + 2.0 * d1) / 8.0
     gap = horizon - end.t
-    return window[-1] + a * math.exp(-2.0 * gap) + b * math.exp(-4.0 * gap)
+    return (window[-1] + a * math.exp(-2.0 * gap) + b * math.exp(-4.0 * gap),
+            tuple(made))
 
 
 def hamiltonian_audit(

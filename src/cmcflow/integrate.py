@@ -1,4 +1,4 @@
-"""Adaptive and fixed-step time integration for the product systems.
+"""Adaptive and fixed-plan time integration for the product systems.
 
 The primary integrator is an embedded Dormand-Prince 5(4) pair with
 proportional-integral step-size control, the standard quartic continuous
@@ -7,8 +7,8 @@ section II.6), and event location by bisection on the dense output.  The
 floors are tested at each accepted step end, and the extension is built
 only for a step that holds a grid point or where a floor fired; no other
 step evaluates it, so stepping never depends on output_dt.  A classical
-fixed-step fourth-order Runge-Kutta scheme is kept as an independent
-cross-check.  It keeps its own copy of the right-hand side, written out
+fourth-order Runge-Kutta scheme on a fixed plan of steps, whole multiples
+of one dt chosen by its caller, is kept as an independent cross-check.  It keeps its own copy of the right-hand side, written out
 in the operand order of ``products.derivatives``, so a transcription
 error in either copy shows up as a cross-check failure instead of
 reaching both sides; the pinned bits of both steppers' runs in the tests
@@ -597,18 +597,21 @@ def integrate_oracle(
     t_max: float,
     events: EventSpec | None = None,
     *,
-    until: Callable[[list[FlowState], float, float], bool] | None = None,
+    until: Callable[[list[FlowState], float, float], bool | int] | None = None,
 ) -> Trajectory:
-    """Fixed-step classical RK4 cross-check of :func:`integrate`.
+    """Classical RK4 cross-check of :func:`integrate` on a fixed step plan.
 
     Intended for verification only.  The horizon rule and output_dt (0.1)
-    are those of ``IntegratorSettings(t_max=t_max)``.  A step is a full dt
-    while the step count times dt stays within t_max, and a last, shorter
-    step ends on t_max, so a run to t_max = k*dt ends bit for bit on the
-    k-th state of any longer run.  The right-hand side is the module's own
-    copy, never :func:`derivatives`.  A sample is recorded
-    every k = max(1, round(0.1 / dt)) steps, with no interpolation, so
-    sample times are the true step times, k*dt apart.  They lie on the 0.1
+    are those of ``IntegratorSettings(t_max=t_max)``.  Every step is a
+    whole multiple m*dt, m = 1 until the ``until`` hook widens it.  The
+    time after j whole dts is j*dt; a step is full while that product at
+    its end stays within t_max, and a last, shorter step ends on t_max, so
+    a run to t_max = k*dt ends bit for bit on the k-th state of any longer
+    run at m = 1.  The right-hand side is the module's own
+    copy, never :func:`derivatives`.  A sample is recorded at each step
+    end after a multiple of k = max(1, round(0.1 / dt)) whole dts, with no
+    interpolation, so sample times are true step times, k*dt apart at
+    m = 1.  They lie on the 0.1
     grid that :func:`integrate` uses at default settings only when dt
     divides 0.1: at dt = 8e-3 and 1.6e-2 they fall every 0.096, and at
     dt = 3e-2 every 0.09.  The terminal
@@ -617,19 +620,30 @@ def integrate_oracle(
     detected by a sign change across a step and then located by bisection
     over partial steps restarted from the step start, so the reported time
     does not inherit the full-step error.
-    ``n_accepted`` counts the steps completed, as for :func:`integrate`;
-    the partial step to an event is not counted.
+    ``n_accepted`` counts the steps completed, whatever their size, as for
+    :func:`integrate`; the partial step to an event is not counted.
 
-    ``until(samples, xpp, ypp) -> bool``, if given, is called each time a
-    sample is recorded before t_max, with the list of samples recorded so
-    far and the accelerations x'' and y'' at the last of them, from this
-    module's right-hand side.  The step from the sample computes them; if
-    that step overflows they are computed alone, and a sample past the
-    overflow floor is not offered, as the overflow ends the run there.  The
-    run ends at the first sample the hook accepts as it ends at t_max:
-    ``ReachedHorizon``, with the first integral evaluated at that sample,
-    which is the terminal state.  The run up to there is bit for bit the
-    run without the hook.
+    ``until(samples, xpp, ypp)``, if given, is called each time a sample
+    is recorded before t_max, with the list of samples recorded so far and
+    the accelerations x'' and y'' at the last of them, from this module's
+    right-hand side.  The step from the sample computes them; if that step
+    overflows they are computed alone, and a sample past the overflow
+    floor is not offered, as the overflow ends the run there.  The hook
+    returns one of:
+
+    * an ``int`` m, wider than the multiple in use: the run steps by m*dt
+      from this sample on, beginning with the step from it, taken again
+      at the new size.  An ``int`` that does not widen raises ValueError.
+      A ``bool`` is never read as a multiple, though ``True == 1``.  At a
+      sample whose own step overflows, a multiple does not save the run;
+    * any other true value, such as ``True``: the run ends at this sample
+      as it ends at t_max, ``ReachedHorizon``, with the first integral
+      evaluated at that sample, which is the terminal state;
+    * any other false value, such as ``False``: the run goes on.
+
+    Up to the first sample where the hook returns more than a false value,
+    the run is bit for bit the run without the hook; a hook that never
+    widens ends a prefix of that run.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -711,16 +725,19 @@ def integrate_oracle(
         )
 
     n_steps = 0
+    units = 0  # whole dts run so far: t = units * dt
+    multiple = 1  # the step is multiple * dt
+    step = dt
     max_fir = 0.0
     k_sample = max(1, int(round(settings.output_dt / dt)))
 
     termination = None
     while t < t_max:
         hooked = False
-        if n_steps % k_sample == 0:
+        if units % k_sample == 0:
             samples.append(FlowState(t, *u))
             hooked = until is not None
-        h = dt if (n_steps + 1) * dt <= t_max else t_max - t
+        h = step if (units + multiple) * dt <= t_max else t_max - t
         try:
             x, y, xp, yp, xpp, ypp = rk4_step(t, u, h)
         except BlowUpOverflow:
@@ -732,7 +749,8 @@ def integrate_oracle(
                 except BlowUpOverflow:
                     hooked = False
                 else:
-                    hooked = until(samples, xpp, ypp)
+                    verdict = until(samples, xpp, ypp)
+                    hooked = type(verdict) is not int and verdict
             if not hooked:
                 termination = Termination(
                     BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
@@ -743,8 +761,27 @@ def integrate_oracle(
         fir = abs(xpp + ypp + u_2 * u_2 + u_3 * u_3 - 2.0)
         if fir > max_fir:
             max_fir = fir
-        if hooked and until(samples, xpp, ypp):
-            break
+        if hooked:
+            verdict = until(samples, xpp, ypp)
+            if type(verdict) is int:
+                # A wider step from this sample on: the step just taken is
+                # taken again at the new size.
+                if verdict <= multiple:
+                    raise ValueError(
+                        f"until may only widen the step: {verdict} after "
+                        f"{multiple}")
+                multiple = verdict
+                step = multiple * dt
+                h = step if (units + multiple) * dt <= t_max else t_max - t
+                try:
+                    x, y, xp, yp, _, _ = rk4_step(t, u, h)
+                except BlowUpOverflow:
+                    termination = Termination(
+                        BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
+                    )
+                    break
+            elif verdict:
+                break
 
         # g(u) > 0: a step starts from the initial data or where none fired.
         # The floors are tested in the expressions of _event_functions, as
@@ -776,7 +813,8 @@ def integrate_oracle(
 
         u = (x, y, xp, yp)
         n_steps += 1
-        t = n_steps * dt if n_steps * dt <= t_max else t_max
+        units += multiple
+        t = units * dt if units * dt <= t_max else t_max
     if termination is None:
         # The loop reached t_max, or until accepted a sample.
         termination = Termination(REACHED_HORIZON)

@@ -22,8 +22,10 @@ from cmcflow.experiments import (
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
     ORACLE_DT,
+    ORACLE_PLAN_STEPS,
     ORACLE_SETTLE_SAMPLES,
     ORACLE_SETTLE_TOL,
+    ORACLE_WIDENING,
     PROBE_ABS_TOL,
     PROBE_REL_TOL,
     RECOLLAPSE_V0,
@@ -64,10 +66,31 @@ def config(m=2, sign=POS, s=1.0, **kw):
     return FlowConfig(m=m, sign=sign, s=s, **kw)
 
 
+def _following(plan):
+    """An oracle hook that widens the step at each (t, multiple) of the plan,
+    at the sample at exactly that t, and never ends the run."""
+    pending = list(plan)
+
+    def until(samples, xpp, ypp):
+        if pending and samples[-1].t == pending[0][0]:
+            return pending.pop(0)[1]
+        return False
+
+    return until
+
+
+def _pair_runs(cfg, horizon):
+    """Oracle runs at ORACLE_DT and twice it to the horizon, both on the step
+    plan that the limit's fine run makes."""
+    _, plan = experiments._oracle_limit(cfg, ORACLE_DT, horizon)
+    return [integrate_oracle(cfg, dt, horizon, until=_following(plan))
+            for dt in (ORACLE_DT, 2.0 * ORACLE_DT)]
+
+
 def _oracle_pair_ends(cfg, horizon):
-    """x - y at the horizon from oracle runs at ORACLE_DT and twice it."""
-    ends = (integrate_oracle(cfg, dt, horizon).final_state()
-            for dt in (ORACLE_DT, 2.0 * ORACLE_DT))
+    """x - y at the horizon from oracle runs at ORACLE_DT and twice it, on
+    the limit's step plan."""
+    ends = (traj.final_state() for traj in _pair_runs(cfg, horizon))
     return tuple(end.x - end.y for end in ends)
 
 
@@ -94,24 +117,39 @@ def _tail_prediction(cfg, st, horizon):
             + ((d2 + 2.0 * d1) / 8.0) * math.exp(-4.0 * gap))
 
 
+def _window_start(samples, k):
+    """Where the settle window of the k-th sample starts: at the latest
+    sample ORACLE_SETTLE_SAMPLES - 1 first sample intervals or more before
+    it, or None if there is none.  On evenly spaced samples the window
+    holds the last ORACLE_SETTLE_SAMPLES of them."""
+    base = samples[1].t - samples[0].t
+    for start in range(k, -1, -1):
+        if (round((samples[k].t - samples[start].t) / base)
+                >= ORACLE_SETTLE_SAMPLES - 1):
+            return start
+    return None
+
+
 def _first_settled(cfg, samples):
     """The first of the samples at which L_2 has moved less than
-    ORACLE_SETTLE_TOL over the last ORACLE_SETTLE_SAMPLES samples, or None."""
+    ORACLE_SETTLE_TOL over its settle window, or None."""
     l2 = [_l2(cfg, st) for st in samples]
-    for k in range(ORACLE_SETTLE_SAMPLES, len(samples) + 1):
-        window = l2[k - ORACLE_SETTLE_SAMPLES:k]
-        if max(window) - min(window) < ORACLE_SETTLE_TOL:
-            return samples[k - 1]
+    for k, st in enumerate(samples):
+        start = _window_start(samples, k)
+        if start is not None:
+            window = l2[start:k + 1]
+            if max(window) - min(window) < ORACLE_SETTLE_TOL:
+                return st
     return None
 
 
 def _predicted_pair_ends(cfg, horizon):
-    """x - y at the horizon from oracle runs at ORACLE_DT and twice it, each
-    read at its first settled sample before the horizon by the tail law, or
-    at its end if none settled."""
+    """x - y at the horizon from oracle runs at ORACLE_DT and twice it, on
+    the limit's step plan, each read at its first settled sample before the
+    horizon by the tail law, or at its end if none settled."""
     pair = []
-    for dt in (ORACLE_DT, 2.0 * ORACLE_DT):
-        *grid, end = integrate_oracle(cfg, dt, horizon).samples
+    for traj in _pair_runs(cfg, horizon):
+        *grid, end = traj.samples
         settled = _first_settled(cfg, grid)
         pair.append(end.x - end.y if settled is None
                     else _tail_prediction(cfg, settled, horizon))
@@ -133,7 +171,8 @@ def _synthetic_oracle(samples, stops=None, rhs=derivatives):
                 _, _, xpp, ypp = f(state.t, (state.x, state.y, state.xp, state.yp))
             except BlowUpOverflow:
                 continue
-            if until(recorded, xpp, ypp):
+            verdict = until(recorded, xpp, ypp)
+            if type(verdict) is not int and verdict:
                 break
         if stops is not None:
             stops.append(recorded[-1].t)
@@ -835,9 +874,10 @@ class TestLimit:
     @pytest.mark.parametrize("sign, frozen", [(POS, CS_POS_13), (NEG, CS_NEG_13)])
     def test_default_oracle_step_meets_frozen_limits(self, sign, frozen):
         # Measured: the paired value predicted from the first settled
-        # sample (t = 9.504 positive, 7.584 negative) is 1.93e-11 and
-        # 4.8e-12 from the frozen limit, and the error bar is 8.3e-10 and
-        # 1.2e-10; the pair run to 40 reads 1.95e-11 and 4.9e-12.
+        # sample (t = 9.6 positive, 7.488 negative) is 1.91e-11 and
+        # 4.7e-12 from the frozen limit, and the error bar is 8.5e-10 and
+        # 1.3e-10; the pair run to 40 on the same step plan reads 1.91e-11
+        # and 4.7e-12.
         cfg = config(sign=sign, s=1.3)
         paired_errors = [
             abs(fine + (fine - coarse) / 15.0 - frozen)
@@ -852,7 +892,7 @@ class TestLimit:
 
     @pytest.mark.parametrize("sign", [POS, NEG])
     def test_limit_and_sweep_share_the_oracle_step(self, sign):
-        # The fine runs settle at t_s = 9.504 (positive) and 7.584
+        # The fine runs settle at t_s = 9.6 (positive) and 7.488
         # (negative).  At horizon 14 the e^(-2(T - t_s)) and e^(-4(T - t_s))
         # terms move the fine run's prediction by 1.2e-11 (positive) and
         # 9e-14 (negative); at 40 they are below rounding.
@@ -873,9 +913,9 @@ class TestLimit:
         self, monkeypatch, sign, s, horizon
     ):
         # Neither run settles before the horizon (the negative s = 0.7 pair
-        # settles at t = 7.68, the positive s = 0.9 pair at 8.928), so both
+        # settles at t = 7.68, the positive s = 0.9 pair at 9.024), so both
         # run to it and no prediction is made: the check is that of the
-        # full-run pair.
+        # full-run pair on the same step plan.
         stops = _record_oracle_stops(monkeypatch)
         cfg = config(sign=sign, s=s)
         est = limit_Cs(cfg, horizon)
@@ -889,9 +929,10 @@ class TestLimit:
     @pytest.mark.parametrize("m, s", [(2, 0.75001), (2, 1.49999), (1, 0.501)])
     def test_near_threshold_pair_settles_late(self, monkeypatch, m, s):
         # Within 1e-3 of a threshold the slow free mode keeps L_2 moving
-        # past t = 12 (measured: the fine run settles at t = 14.496, 15.264
+        # past t = 12 (measured: the fine run settles at t = 14.592, 15.36
         # and 19.968), so each run goes on toward the horizon, in one call,
-        # until it settles.
+        # until it settles.  Each end agrees with the full runs on the same
+        # step plan.
         stops = _record_oracle_stops(monkeypatch)
         cfg = config(m=m, s=s)
         est = limit_Cs(cfg, 50.0)
@@ -907,7 +948,7 @@ class TestLimit:
     @pytest.mark.parametrize("sign, s", [(NEG, 0.7), (NEG, 2.0), (POS, 0.7)])
     def test_n2_rows_settle_before_the_horizon(self, monkeypatch, sign, s):
         # At n = 2 the free mode e^(-nt) decays like the forcing, so L_2
-        # settles late (t = 14.3 to 16.2 on these rows), yet well before T.
+        # settles late (t = 14.4 to 16.5 on these rows), yet well before T.
         stops = _record_oracle_stops(monkeypatch)
         cfg = config(m=1, sign=sign, s=s)
         est = limit_Cs(cfg, 50.0)
@@ -939,7 +980,8 @@ class TestLimit:
         # one's fine run had the least settle margin at t = 12 under the
         # first-order rule L_ext = (x - y) + (x' - y')/2: a spread of
         # 9.87e-14 against ORACLE_SETTLE_TOL = 1e-13.  Each run now stops at
-        # its first settled sample, t = 5.76 and 6.816, in one call.
+        # its first settled sample, t = 9.792 and 11.52 on the widened steps
+        # (5.76 and 6.816 on uniform ones), in one call.
         stops = _record_oracle_stops(monkeypatch)
         (row,) = sweep(6, NEG, [0.6169990715195376], 50.0)
         assert row.limit is not None and row.error is None
@@ -961,7 +1003,7 @@ class TestLimit:
             for k, t in enumerate(times)]
         monkeypatch.setattr(experiments, "integrate_oracle",
                             _synthetic_oracle(samples))
-        value = experiments._oracle_limit(cfg, ORACLE_DT, 14.0)
+        value, _ = experiments._oracle_limit(cfg, ORACLE_DT, 14.0)
         stop = samples[10 if spike is None else spike + 11]
         assert value == _tail_prediction(cfg, stop, 14.0)
 
@@ -1001,7 +1043,7 @@ class TestLimit:
         monkeypatch.setattr(experiments, "integrate_oracle", _synthetic_oracle(
             samples, stops,
             rhs=lambda cfg: lambda t, u: (u[2], u[3], tail(t, 2), 0.0)))
-        value = experiments._oracle_limit(config(s=1.3), ORACLE_DT, 1.5)
+        value, _ = experiments._oracle_limit(config(s=1.3), ORACLE_DT, 1.5)
         assert stops == [samples[10].t]
         assert abs(value - tail(1.5)) <= 4.0 * math.ulp(lim)
         assert abs(amp4 * math.exp(-4.0 * 1.5)) > 1e-4
@@ -1020,6 +1062,137 @@ class TestLimit:
         fine = limit_Cs(config(s=1.2 + 1e-4), 40.0).value
         assert abs(fine - base) < abs(coarse - base)
         assert abs(fine - base) < 1e-3
+
+
+def _record_oracle_switches(monkeypatch):
+    """(dt, [(t, multiple), ...]) of every oracle run from here on, in
+    order: the samples at which its hook widened the step."""
+    runs = []
+
+    def recording(cfg, dt, t_max, events=None, *, until):
+        switches = []
+
+        def hook(samples, xpp, ypp):
+            verdict = until(samples, xpp, ypp)
+            if type(verdict) is int:
+                switches.append((samples[-1].t, verdict))
+            return verdict
+
+        runs.append((dt, switches))
+        return integrate_oracle(cfg, dt, t_max, events, until=hook)
+
+    monkeypatch.setattr(experiments, "integrate_oracle", recording)
+    return runs
+
+
+# Rows of the accuracy guard: 1e-5 and 1e-7 inside each n = 4 and n = 6
+# threshold, n = 2 of both signs and n = 8 negative, none of them a
+# benchmark row, and four rows of the benchmark's kind.
+_GUARD_ROWS = [
+    (n, POS, s)
+    for n in (4, 6)
+    for d in (1e-5, 1e-7)
+    for s in (thresholds(n)[0] + d, thresholds(n)[1] - d)
+] + [
+    (2, POS, 0.7), (2, NEG, 2.0), (8, NEG, 0.7),
+    (4, POS, 1.2), (4, NEG, 2.0), (6, POS, 1.1), (6, NEG, 0.7),
+]
+
+
+class TestOraclePlan:
+    @pytest.mark.parametrize("m, sign, s", [
+        (2, POS, 1.2), (2, NEG, 2.0), (3, POS, 1.1), (3, NEG, 0.7),
+        (2, POS, 0.75001), (1, NEG, 0.7),
+    ])
+    def test_coarse_run_widens_at_the_fine_runs_switch_times(
+        self, monkeypatch, m, sign, s
+    ):
+        # The fine run makes the plan from its own spread; the coarse run
+        # widens at the same samples by the same multiples, so every one of
+        # its samples up to the fine run's stop is a fine sample too.
+        runs = _record_oracle_switches(monkeypatch)
+        stops = []
+        real = experiments.integrate_oracle
+
+        def stopping(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            stops.append(traj)
+            return traj
+
+        monkeypatch.setattr(experiments, "integrate_oracle", stopping)
+        limit_Cs(config(m=m, sign=sign, s=s), 50.0)
+        (fine_dt, fine), (coarse_dt, coarse) = runs
+        assert (fine_dt, coarse_dt) == (ORACLE_DT, 2.0 * ORACLE_DT)
+        assert [multiple for _, multiple in fine] == [2, 4, 8]
+        assert coarse == fine
+        for t, _ in fine:
+            assert round(t / ORACLE_DT) % ORACLE_PLAN_STEPS == 0
+        fine_run, coarse_run = stops
+        t_stop = fine_run.final_state().t
+        fine_times = {st.t for st in fine_run.samples}
+        assert {st.t for st in coarse_run.samples if st.t <= t_stop} <= fine_times
+
+    @pytest.mark.parametrize("m, sign, s", [
+        (2, POS, 1.2), (3, NEG, 0.7), (2, POS, 1.49999), (1, POS, 0.7),
+    ])
+    def test_fine_run_widens_where_its_window_allows(self, m, sign, s):
+        # The plan derived again from the fine run's samples: at every
+        # ORACLE_PLAN_STEPS-th step of ORACLE_DT whose settle window is
+        # full and unsettled, the widest multiple whose bound the window's
+        # spread is below, if wider than the step in use.
+        cfg = config(m=m, sign=sign, s=s)
+        _, plan = experiments._oracle_limit(cfg, ORACLE_DT, 50.0)
+        fine, _ = _pair_runs(cfg, 50.0)
+        samples = fine.samples
+        stop = samples.index(_first_settled(cfg, samples[:-1]))
+        expected, multiple = [], 1
+        for k in range(stop):
+            start = _window_start(samples, k)
+            if (start is None
+                    or round(samples[k].t / ORACLE_DT) % ORACLE_PLAN_STEPS):
+                continue
+            window = [_l2(cfg, st) for st in samples[start:k + 1]]
+            spread = max(window) - min(window)
+            wider = max([wide for bound, wide in ORACLE_WIDENING
+                         if spread < bound], default=1)
+            if wider > multiple:
+                multiple = wider
+                expected.append((samples[k].t, wider))
+        assert plan == tuple(expected)
+        assert expected
+
+    def test_a_uniform_plan_is_the_run_of_one_step(self, monkeypatch):
+        # The empty plan widens nothing: each run is the prefix of the run
+        # without a hook, up to its first settled sample.
+        cfg = config(s=1.2)
+        for dt in (ORACLE_DT, 2.0 * ORACLE_DT):
+            stops = _record_oracle_stops(monkeypatch)
+            experiments._oracle_limit(cfg, dt, 50.0, ())
+            monkeypatch.undo()
+            *grid, _ = integrate_oracle(cfg, dt, 50.0).samples
+            assert stops == [(dt, 50.0, _first_settled(cfg, grid).t)]
+
+    @pytest.mark.parametrize("n, sign, s", _GUARD_ROWS)
+    def test_widened_pair_is_as_accurate_as_the_uniform_pair(self, n, sign, s):
+        # Against a settled Richardson pair at 1e-3 and 2e-3, the pair on
+        # its step plan is within 1e-12 of the error of the pair on uniform
+        # steps (the empty plan).  Measured: on every row the widened pair
+        # is the closer of the two.  Widening at fixed times instead (twice
+        # the step at t = 0.96, four times at 2.88) misses the bound on 10
+        # of these 15 rows.
+        cfg = config(m=n // 2, sign=sign, s=s)
+
+        def paired(fine_dt, plan):
+            fine, plan = experiments._oracle_limit(cfg, fine_dt, 50.0, plan)
+            coarse, _ = experiments._oracle_limit(cfg, 2.0 * fine_dt, 50.0, plan)
+            return fine + (fine - coarse) / 15.0
+
+        reference = paired(1e-3, ())
+        uniform = abs(paired(ORACLE_DT, ()) - reference)
+        widened = abs(paired(ORACLE_DT, None) - reference)
+        est = limit_Cs(cfg, 50.0)
+        assert abs(est.value - paired(ORACLE_DT, None)) == est.cross_check_delta
+        assert widened <= uniform + 1e-12
 
 
 class TestHamiltonianAudit:
@@ -1282,12 +1455,14 @@ _CAP_GRIDS = {
     (6, NEG): [0.6, 1.3, 3.0],
 }
 # sha256 of repr([astuple(row) for row in rows]) for each grid's sweep at
-# max_step 0.03, the IntegratorSettings default.
+# max_step 0.03, the IntegratorSettings default.  Recorded with the RK4
+# pair's step plan, which moves only cross_check_delta and
+# oracle_error_estimate.
 _CAP_003_SHA256 = {
-    (4, POS): "c538e4ec7d5608dc4335e85bbf54c3d6aed51160c288cee74b916215a9d408a3",
-    (6, POS): "a3d5ed7efed9d570d1bf2e113e388d00dc38990dc7debb5d78f3708a2dbb299f",
-    (4, NEG): "d3d297bd181217a33cb283150e786e53deeced5715de5bf1c84203a43aa475f5",
-    (6, NEG): "5edb2c7b3bffeb3f6091650f1599f6ae2a27b327b17a4e94796f0e8a80dece0d",
+    (4, POS): "f9cde7319fd84549a5980051edb86db0111b3bddb67c933477a13915478b8f72",
+    (6, POS): "5698d9779cb8bdc12bbb45296118cf8b9b5ba694af2dd124c8c09936a7161a36",
+    (4, NEG): "fb3f1046dce68e7ea2bcccf23478f44d908ec1838e9d3c48db748a3dc5b42933",
+    (6, NEG): "dcaffd87cb6ee009c6ae9ac69eb8479786521e57831f58043c96b8a74505cd58",
 }
 
 

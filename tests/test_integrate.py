@@ -673,8 +673,7 @@ class TestOracleCounters:
             assert _fingerprint(run()) == expected, name
         for (config, horizon), pair in ORACLE_LIMITS.items():
             assert tuple(
-                experiments._oracle_limit(config, dt, horizon).hex()
-                for dt in (experiments.ORACLE_DT, 2.0 * experiments.ORACLE_DT)
+                end.hex() for end in experiments._oracle_pair(config, horizon)
             ) == pair, (config, horizon)
 
 
@@ -781,19 +780,100 @@ class TestOracleUntil:
             BLOW_UP_EVENT, t_event=1.5, trigger=TRIGGER_OVERFLOW)
 
 
-# x - y at the horizon from _oracle_limit at ORACLE_DT and twice it, each
-# read at the run's first settled sample by the tail law, or at a horizon
-# reached unsettled (the n = 4 row at horizon 3).  Recorded while the settle
-# rule still read its accelerations from derivatives.
+class TestOracleWidening:
+    # A hook may return a whole multiple of dt wider than the step in use;
+    # the run steps by it from that sample on.
+    @staticmethod
+    def _widen_at(t_switch, multiple, seen=None):
+        def until(samples, xpp, ypp):
+            if seen is not None:
+                seen.append(samples[-1].t)
+            return multiple if samples[-1].t == t_switch else False
+        return until
+
+    @pytest.mark.parametrize("multiple", [2, 4])
+    @pytest.mark.parametrize("config", [
+        FlowConfig(m=2, sign=POS, s=1.2), FlowConfig(m=3, sign=NEG, s=0.7),
+    ])
+    def test_widening_at_the_start_is_the_run_at_the_wider_step(
+        self, config, multiple
+    ):
+        # 2 and 4 times ORACLE_DT sample every 0.096 too, and a power of two
+        # times dt is exact, so the two runs take the same steps to the
+        # same sample times and the same shorter last step.
+        dt = experiments.ORACLE_DT
+        widened = integrate_oracle(config, dt, 20.0,
+                                   until=self._widen_at(0.0, multiple))
+        assert widened == integrate_oracle(config, multiple * dt, 20.0)
+
+    def test_a_run_widened_mid_way_keeps_its_prefix(self):
+        # Up to the switch the run is the uniform run; past it the samples
+        # fall on the wider steps, every 0.192 at 8 times dt.
+        config = FlowConfig(m=2, sign=POS, s=1.2)
+        dt = experiments.ORACLE_DT
+        t_switch = 48 * dt
+        full = integrate_oracle(config, dt, 10.0)
+        seen = []
+        widened = integrate_oracle(config, dt, 10.0,
+                                   until=self._widen_at(t_switch, 8, seen))
+        k = full.samples.index(next(st for st in full.samples
+                                    if st.t == t_switch))
+        assert widened.samples[:k + 1] == full.samples[:k + 1]
+        assert [round((b - a) / dt) for a, b in zip(seen[k:], seen[k + 1:])] == (
+            [24] * (len(seen) - k - 1))
+        assert widened.n_accepted == 48 + math.ceil((10.0 - t_switch) / (8 * dt))
+        assert widened.final_state().t == 10.0
+        assert abs(widened.final_state().x - full.final_state().x) < 1e-6
+
+    def test_a_widened_step_that_overflows_ends_the_run(self):
+        # With no floors the run at dt = 0.25 overflows in the step from
+        # t = 1.  Widened eightfold at t = 0.75, the step from there
+        # overflows at once, and the run ends there as at any overflowing
+        # step; asked to widen at t = 1, whose own step overflows, the
+        # hook does not save the run.
+        config = FlowConfig(m=2, sign=POS, s=5.0)
+        full = integrate_oracle(config, 0.25, 10.0, NO_FLOORS)
+        assert full.termination == Termination(
+            BLOW_UP_EVENT, t_event=1.0, trigger=TRIGGER_OVERFLOW)
+        early = integrate_oracle(config, 0.25, 10.0, NO_FLOORS,
+                                 until=self._widen_at(0.75, 8))
+        assert early.termination == Termination(
+            BLOW_UP_EVENT, t_event=0.75, trigger=TRIGGER_OVERFLOW)
+        assert early.samples == full.samples[:4]
+        assert early.n_accepted == 3
+        late = integrate_oracle(config, 0.25, 10.0, NO_FLOORS,
+                                until=self._widen_at(1.0, 4))
+        assert late == full
+
+    @pytest.mark.parametrize("verdicts", [[1], [2, 2], [4, 2]])
+    def test_a_hook_may_only_widen(self, verdicts):
+        # 1 keeps the step in use, so it is refused; True, which equals 1,
+        # still ends the run.
+        config = FlowConfig(m=2, sign=POS, s=1.2)
+        returned = iter(verdicts)
+        with pytest.raises(ValueError, match="until may only widen the step"):
+            integrate_oracle(config, experiments.ORACLE_DT, 5.0,
+                             until=lambda samples, xpp, ypp: next(returned))
+        stopped = integrate_oracle(config, experiments.ORACLE_DT, 5.0,
+                                   until=lambda samples, xpp, ypp: True)
+        assert len(stopped.samples) == 1 and stopped.n_accepted == 0
+
+
+# x - y at the horizon from _oracle_pair: _oracle_limit at ORACLE_DT and
+# twice it, the coarse run on the fine run's step plan, each read at the
+# run's first settled sample by the tail law, or at a horizon reached
+# unsettled (the n = 4 row at horizon 3, which widens no step before it).
+# Recorded with the step plan's ORACLE_WIDENING; the horizon-3 pair is
+# that of the uniform steps.
 ORACLE_LIMITS = {
     (FlowConfig(m=2, sign=POS, s=1.2), 50.0):
-        ("0x1.b9a03e2163b57p-1", "0x1.b9a03e6a44520p-1"),
+        ("0x1.b9a03e2187812p-1", "0x1.b9a03e6c83b50p-1"),
     (FlowConfig(m=3, sign=NEG, s=0.7), 50.0):
-        ("0x1.a7296accf7654p-3", "0x1.a7296b861cfc0p-3"),
+        ("0x1.a7296acdfee6ep-3", "0x1.a7296b9603d78p-3"),
     (FlowConfig(m=2, sign=POS, s=1.2), 3.0):
         ("0x1.afee1349a890ep-1", "0x1.afee1388fdc38p-1"),
     (FlowConfig(m=1, sign=NEG, s=0.7), 50.0):
-        ("0x1.2cc1d71e37727p-3", "0x1.2cc1d74fa335cp-3"),
+        ("0x1.2cc1d71e3c059p-3", "0x1.2cc1d74fe919ep-3"),
 }
 
 
