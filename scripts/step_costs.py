@@ -27,7 +27,11 @@ Times, as the minimum over --repeat rounds, in microseconds:
 * one bisection probe, ``_probe_verdict``, of a recollapse near the upper
   n = 4 threshold (``PROBE_CONFIG``) at horizon 80, as ``bisect_critical`` runs
   it.  The screening run decides it, and ``probe_screen_steps`` counts its
-  accepted plus rejected DP5 steps.
+  accepted plus rejected DP5 steps;
+* one ``bisect_critical`` solve shaped like an operation of the
+  bisect-critical benchmark workload (``BISECT_ARGS``: n = 4, bracket
+  [1.47, 1.55] around the upper threshold, tol 1e-6, horizon 80).
+  ``bisect_solve_runs`` counts the DP5 runs its probes make.
 
 The minimum is the figure least disturbed by other work on the machine.
 The figures are printed and written to --out as JSON.
@@ -46,7 +50,7 @@ from time import perf_counter
 from cmcflow import (CurvatureSign, FlowConfig, IntegratorSettings, experiments,
                      integrate)
 from cmcflow.experiments import (ORACLE_DT, RUN_MAX_STEP, _oracle_pair,
-                                 _probe_verdict)
+                                 _probe_verdict, bisect_critical)
 from cmcflow.integrate import EventSpec, integrate_oracle
 from cmcflow.products import constraint_terms, derivatives, observables
 
@@ -67,10 +71,13 @@ PROBE_HORIZON = 80.0
 EVENT_CONFIG = FlowConfig(m=2, sign=CurvatureSign.POSITIVE, s=3.0)
 EVENT_FLOORS = EventSpec(y_floor=-0.01)
 NO_FLOORS = EventSpec(y_floor=-math.inf, velocity_floor=-math.inf)
+# n, sign, bracket ends, tol and horizon of one bisection solve.
+BISECT_ARGS = (4, CurvatureSign.POSITIVE, 1.47, 1.55, 1e-6, 80.0)
 
 
-def probe_steps(settings: IntegratorSettings) -> int:
-    """DP5 steps, accepted plus rejected, of every run of one probe."""
+def dp5_runs(work) -> list[int]:
+    """DP5 steps, accepted plus rejected, of each run that work() makes
+    through ``experiments``."""
     steps = []
     real = experiments.integrate
 
@@ -81,10 +88,10 @@ def probe_steps(settings: IntegratorSettings) -> int:
 
     experiments.integrate = counted
     try:
-        _probe_verdict(PROBE_CONFIG, settings, None)
+        work()
     finally:
         experiments.integrate = real
-    return sum(steps)
+    return steps
 
 
 def oracle_pair() -> int:
@@ -170,6 +177,10 @@ def measure(repeat: int) -> dict:
         _probe_verdict(PROBE_CONFIG, probe_settings, None)
         return 1
 
+    def bisect_solve():
+        bisect_critical(*BISECT_ARGS)
+        return 1
+
     timed = {
         "rhs_call_us": rhs_calls,
         "dp5_step_sampled_us": dp5_steps(sampled),
@@ -180,6 +191,7 @@ def measure(repeat: int) -> dict:
         "observables_us": observe,
         "max_ham_residual_us": ham_monitor,
         "probe_screen_us": probe,
+        "bisect_solve_us": bisect_solve,
         "event_run_located": event_run_located,
         "event_run_not_located": event_run_not_located,
     }
@@ -197,7 +209,8 @@ def measure(repeat: int) -> dict:
         **{name: 1e6 * seconds for name, seconds in best.items()},
         "dp5_steps_per_run": traj.n_accepted + traj.n_rejected,
         "oracle_pair_steps": oracle_pair(),
-        "probe_screen_steps": probe_steps(probe_settings),
+        "probe_screen_steps": sum(dp5_runs(probe)),
+        "bisect_solve_runs": len(dp5_runs(bisect_solve)),
         "repeat": repeat,
         "python": platform.python_version(),
     }

@@ -338,7 +338,7 @@ def _probe_verdict(
     rest = initial_state(config)
     u = (rest.x, rest.y, rest.xp, rest.yp)
     _, _, xpp, ypp = derivatives(config)(rest.t, u)
-    if in_completeness_region(config, replace(rest, xp=xpp, yp=ypp)):
+    if in_completeness_region(config, FlowState(rest.t, rest.x, rest.y, xpp, ypp)):
         return VERDICT_COMPLETE, None
     events = events or EventSpec()
     bound = recollapse_time_bound(config, RECOLLAPSE_V0)

@@ -27,7 +27,12 @@ nothing but their right-hand side, the builtins ``abs`` and ``sqrt``, and
 with ``min``'s and ``max``'s rule for ties and NaN, and the first-integral
 residual of each step is ``first_integral_residual`` written out in its
 operand order.  Only a step where a floor fired, and a run's first and
-last state, call the shared functions themselves.
+last state, call the shared functions themselves.  DP5's loop also reads
+only local names: one unpack of ``_DP5_NAMES`` binds the module's
+constants, ``abs`` and ``FlowState`` to locals before it, and the step's
+start state and first slope are carried as scalars.  Each of its stages
+is still a call of the right-hand side that ``products.derivatives``
+returns.
 
 Termination is a three-way taxonomy:
 
@@ -115,6 +120,21 @@ _MIN_FAC = 1.0 / _MAX_GROW
 
 _INITIAL_STEP = 0.01
 _EVENT_T_TOL = 1e-10
+
+# Every module-level and builtin name the DP5 step loop reads, which
+# integrate binds to locals of the same names in one unpack: a local read
+# is cheaper than a global or builtin lookup, and an ordinary step reads
+# these more than a hundred times.
+_DP5_NAMES = (
+    _C2, _C3, _C4, _C5,
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65,
+    _B1, _B3, _B4, _B5, _B6,
+    _E1, _E3, _E4, _E5, _E6, _E7,
+    _D1, _D3, _D4, _D5, _D6, _D7,
+    _EXPO1, _BETA, _SAFETY, _MAX_SHRINK, _MIN_FAC,
+    _EVENT_T_TOL, abs, FlowState,
+)
 
 TRIGGER_Y_FLOOR = "y_floor"
 TRIGGER_VELOCITY_FLOOR = "velocity_floor"
@@ -298,20 +318,30 @@ def integrate(
     accepted step before an overflow or a step-size collapse.  Blow-up
     triggers are located on the dense output to within 1e-10 in t.
     """
+    (_C2, _C3, _C4, _C5,
+     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+     _A61, _A62, _A63, _A64, _A65,
+     _B1, _B3, _B4, _B5, _B6,
+     _E1, _E3, _E4, _E5, _E6, _E7,
+     _D1, _D3, _D4, _D5, _D6, _D7,
+     _EXPO1, _BETA, _SAFETY, _MAX_SHRINK, _MIN_FAC,
+     _EVENT_T_TOL, abs, FlowState) = _DP5_NAMES
     settings = settings or IntegratorSettings()
     events = events or EventSpec()
     f = derivatives(config)
     state0 = initial_state(config)
-    u = (state0.x, state0.y, state0.xp, state0.yp)
     t = 0.0
     t_end = settings.t_max
     event_fns = _event_functions(events)
     y_floor = events.y_floor
     v_floor = events.velocity_floor
 
-    k1 = f(t, u)
-    max_fir = abs(first_integral_residual(u[2], u[3], k1[2], k1[3]))
-    samples = [FlowState(t, *u)]
+    # The state the step starts from, and its slope, which is the last
+    # stage of the step before (first same as last).
+    u_0, u_1, u_2, u_3 = state0.x, state0.y, state0.xp, state0.yp
+    k1_0, k1_1, k1_2, k1_3 = f(t, (u_0, u_1, u_2, u_3))
+    max_fir = abs(first_integral_residual(u_2, u_3, k1_2, k1_3))
+    samples = [FlowState(t, u_0, u_1, u_2, u_3)]
     n_accepted = 0
     n_rejected = 0
 
@@ -321,7 +351,10 @@ def integrate(
     min_step = settings.min_step
     output_dt = settings.output_dt
     sqrt = math.sqrt
+    # Grid point k is at k * output_dt, computed afresh for each k: a sum
+    # of output_dts would drift off the grid.
     next_k = 1
+    t_grid = next_k * output_dt
     h = max(min_step, min(_INITIAL_STEP, max_step, settings.t_max))
     facold = 1e-4
     # |u_i| of the state the step starts from.  The error scale of component
@@ -329,7 +362,7 @@ def integrate(
     # |unew_i| is the next step's |u_i|, so each is taken once, and
     # "an if an > au else au" is max(au, an) with max's own rule for ties
     # and NaN: the first argument unless the second is greater.
-    au_0, au_1, au_2, au_3 = abs(u[0]), abs(u[1]), abs(u[2]), abs(u[3])
+    au_0, au_1, au_2, au_3 = abs(u_0), abs(u_1), abs(u_2), abs(u_3)
 
     # The stages are written out per component (suffix _i is component i of
     # the state u = (x, y, x', y')); every sum keeps the operand order of the
@@ -340,8 +373,6 @@ def integrate(
             h = t_end - t
             last_step = True
 
-        u_0, u_1, u_2, u_3 = u
-        k1_0, k1_1, k1_2, k1_3 = k1
         try:
             k2_0, k2_1, k2_2, k2_3 = f(t + _C2 * h, (
                 u_0 + h * (_A21 * k1_0),
@@ -389,8 +420,7 @@ def integrate(
                                 + _B5 * k5_2 + _B6 * k6_2)
             unew_3 = u_3 + h * (_B1 * k1_3 + _B3 * k3_3 + _B4 * k4_3
                                 + _B5 * k5_3 + _B6 * k6_3)
-            unew = (unew_0, unew_1, unew_2, unew_3)
-            k7 = f(t + h, unew)
+            k7_0, k7_1, k7_2, k7_3 = f(t + h, (unew_0, unew_1, unew_2, unew_3))
         except BlowUpOverflow:
             # The state one step ahead is past the representable range; the
             # last accepted time is the last safe one.
@@ -398,7 +428,6 @@ def integrate(
                 BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
             )
             break
-        k7_0, k7_1, k7_2, k7_3 = k7
 
         # Scaled error of each component, combined as a root mean square.
         an_0 = abs(unew_0)
@@ -428,15 +457,15 @@ def integrate(
             # _event_functions (at an infinite floor, u_1 <= y_floor would
             # differ); only a step that holds a grid point or a fired floor
             # needs the continuous extension.  A plain loop builds the fired
-            # list: a comprehension would make unew a cell variable, slower
-            # to read on every step.
+            # list: a comprehension would make unew a cell variable.
             fired = ()
             if unew_1 - y_floor <= 0.0 or (unew_2 + unew_3) - v_floor <= 0.0:
                 fired = []
+                unew = (unew_0, unew_1, unew_2, unew_3)
                 for event in event_fns:
                     if event[1](unew) <= 0.0:
                         fired.append(event)
-            if fired or next_k * output_dt <= t_new:
+            if fired or t_grid <= t_new:
                 # Quartic continuous extension over [t, t+h]: u and rc2 to
                 # rc5 are the coefficients of its Horner form in _dense(),
                 # which the grid samples below evaluate written out.
@@ -481,14 +510,11 @@ def integrate(
                             hit_name = name
 
                 t_stop = t + hit_theta * h if hit_theta is not None else t_new
-                while True:
-                    tg = next_k * output_dt
-                    if tg > t_stop:
-                        break
-                    theta = (tg - t) / h
+                while t_grid <= t_stop:
+                    theta = (t_grid - t) / h
                     th1 = 1.0 - theta
                     samples.append(FlowState(
-                        tg,
+                        t_grid,
                         u_0 + theta * (rc2_0 + th1 * (rc3_0 + theta * (
                             rc4_0 + th1 * rc5_0))),
                         u_1 + theta * (rc2_1 + th1 * (rc3_1 + theta * (
@@ -499,14 +525,14 @@ def integrate(
                             rc4_3 + th1 * rc5_3))),
                     ))
                     next_k += 1
+                    t_grid = next_k * output_dt
 
                 if hit_theta is not None:
                     t = t_stop
-                    u = _dense(ext, hit_theta)
+                    u_0, u_1, u_2, u_3 = _dense(ext, hit_theta)
                     try:
-                        k = f(t, u)
-                        fir = abs(first_integral_residual(u[2], u[3],
-                                                          k[2], k[3]))
+                        _, _, xpp, ypp = f(t, (u_0, u_1, u_2, u_3))
+                        fir = abs(first_integral_residual(u_2, u_3, xpp, ypp))
                     except BlowUpOverflow:
                         fir = max_fir  # floors set beyond the representable range
                     if fir > max_fir:
@@ -521,9 +547,18 @@ def integrate(
                 max_fir = fir
 
             t = t_new
-            u = unew
-            k1 = k7
-            au_0, au_1, au_2, au_3 = an_0, an_1, an_2, an_3
+            u_0 = unew_0
+            u_1 = unew_1
+            u_2 = unew_2
+            u_3 = unew_3
+            k1_0 = k7_0
+            k1_1 = k7_1
+            k1_2 = k7_2
+            k1_3 = k7_3
+            au_0 = an_0
+            au_1 = an_1
+            au_2 = an_2
+            au_3 = an_3
             n_accepted += 1
 
             if last_step:
@@ -552,8 +587,8 @@ def integrate(
             termination = Termination(STEP_SIZE_COLLAPSE, t_last=t)
             break
 
-    return _finish(config, samples, t, u, termination, max_fir,
-                   n_accepted, n_rejected)
+    return _finish(config, samples, t, (u_0, u_1, u_2, u_3), termination,
+                   max_fir, n_accepted, n_rejected)
 
 
 def backward_integrate(

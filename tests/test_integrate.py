@@ -1,5 +1,6 @@
 """Tests for the adaptive integrator, the fixed-step oracle and events."""
 
+import dis
 import hashlib
 import importlib
 import json
@@ -154,6 +155,22 @@ class TestSampling:
         assert ts[-1] == 3.0
         for k, t in enumerate(ts[:-1]):
             assert t == k * 0.25
+
+    @pytest.mark.parametrize("output_dt, count", [(0.1, 501), (0.07, 716)])
+    def test_grid_times_are_whole_multiples(self, output_dt, count):
+        # Grid time k is k * output_dt, computed for each k: a running sum
+        # of output_dt drifts off it, at 488 of the 500 grid times past 0
+        # at 0.1, and 699 of 714 at 0.07.
+        traj = integrate(FlowConfig(m=2, sign=POS, s=1.2),
+                         IntegratorSettings(max_step=RUN_MAX_STEP, t_max=50.0,
+                                            output_dt=output_dt))
+        assert traj.termination.kind == REACHED_HORIZON
+        ts = [st.t for st in traj.samples]
+        assert len(ts) == count
+        assert ts[-1] == 50.0
+        # The terminal state is a grid sample only where t_max is on the grid.
+        on_grid = ts if ts[-1] == (count - 1) * output_dt else ts[:-1]
+        assert on_grid == [k * output_dt for k in range(len(on_grid))]
 
     def test_strictly_increasing_and_termination_consistent(self):
         config = FlowConfig(m=2, sign=POS, s=3.0)
@@ -1233,6 +1250,51 @@ class TestSteppingCoreBits:
         t_last = None if term.t_last is None else term.t_last.hex()
         assert (_fingerprint(traj), (term.kind, term.trigger, t_last),
                 len(traj.samples), _samples_digest(traj)) == expected
+
+    def test_dp5_stages_come_from_derivatives(self, monkeypatch):
+        # Every DP5 stage is a call of derivatives' right-hand side, six per
+        # step attempt (an accepted step's last stage is the next one's
+        # first); a stage written into the loop would escape this count,
+        # and the tracer's RHS count with it.
+        # The counterpart of test_oracle_keeps_its_own_right_hand_side.
+        module = importlib.import_module("cmcflow.integrate")
+        real = module.derivatives
+        calls = 0
+
+        def counted(config):
+            f = real(config)
+
+            def rhs(t, u):
+                nonlocal calls
+                calls += 1
+                return f(t, u)
+
+            return rhs
+
+        monkeypatch.setattr(module, "derivatives", counted)
+        runs = {name: entry[0] for name, entry in {**GOLDEN,
+                                                   **STEPPING_CORE}.items()
+                if not name.startswith("oracle-")}
+        assert len(runs) == 17
+        for name, run in runs.items():
+            calls = 0
+            traj = run()
+            assert calls >= 6 * (traj.n_accepted + traj.n_rejected), name
+
+    def test_dp5_loop_reads_its_constants_as_locals(self):
+        # The tableau, the controller constants, abs and FlowState are
+        # bound from _DP5_NAMES before the loop; the globals integrate
+        # still reads serve its set-up and the ends of a run.
+        module = importlib.import_module("cmcflow.integrate")
+        read = {ins.argval for ins in dis.get_instructions(module.integrate)
+                if ins.opname == "LOAD_GLOBAL"}
+        assert read == {
+            "BLOW_UP_EVENT", "BlowUpOverflow", "EventSpec",
+            "IntegratorSettings", "REACHED_HORIZON", "STEP_SIZE_COLLAPSE",
+            "TRIGGER_OVERFLOW", "Termination", "_DP5_NAMES", "_INITIAL_STEP",
+            "_dense", "_event_functions", "_finish", "derivatives",
+            "first_integral_residual", "initial_state", "math", "max", "min",
+        }
 
     def test_dp5_loop_has_no_cell_variables(self):
         # A local that a nested function or comprehension reads becomes a
