@@ -26,12 +26,14 @@ Times, as the minimum over --repeat rounds, in microseconds:
   locating the crossing on the dense output;
 * one bisection probe, ``_probe_verdict``, of a recollapse near the upper
   n = 4 threshold (``PROBE_CONFIG``) at horizon 80, as ``bisect_critical`` runs
-  it.  The screening run decides it, and ``probe_screen_steps`` counts its
-  accepted plus rejected DP5 steps;
+  it, with the screen that ``bisect_critical`` builds once per solve.  The
+  screening run decides it, and ``probe_screen_steps`` counts its accepted
+  plus rejected DP5 steps;
 * one ``bisect_critical`` solve shaped like an operation of the
   bisect-critical benchmark workload (``BISECT_ARGS``: n = 4, bracket
   [1.47, 1.55] around the upper threshold, tol 1e-6, horizon 80).
-  ``bisect_solve_runs`` counts the DP5 runs its probes make.
+  ``bisect_solve_runs`` counts the DP5 runs its probes make, and
+  ``bisect_solve_steps`` their accepted plus rejected steps.
 
 The minimum is the figure least disturbed by other work on the machine.
 The figures are printed and written to --out as JSON.
@@ -50,7 +52,7 @@ from time import perf_counter
 from cmcflow import (CurvatureSign, FlowConfig, IntegratorSettings, experiments,
                      integrate)
 from cmcflow.experiments import (ORACLE_DT, RUN_MAX_STEP, _oracle_pair,
-                                 _probe_verdict, bisect_critical)
+                                 _probe_verdict, _screen, bisect_critical)
 from cmcflow.integrate import EventSpec, integrate_oracle
 from cmcflow.products import constraint_terms, derivatives, observables
 
@@ -118,6 +120,7 @@ def measure(repeat: int) -> dict:
                                    output_dt=math.inf)
     probe_settings = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=PROBE_HORIZON,
                                         output_dt=math.inf)
+    probe_screen = _screen(probe_settings, None)
     traj = integrate(CONFIG, sampled)
     event_settings = replace(unsampled, t_max=1.0)
     event_run = integrate(EVENT_CONFIG, event_settings, EVENT_FLOORS)
@@ -174,7 +177,7 @@ def measure(repeat: int) -> dict:
         return 1
 
     def probe():
-        _probe_verdict(PROBE_CONFIG, probe_settings, None)
+        _probe_verdict(PROBE_CONFIG, probe_settings, None, probe_screen)
         return 1
 
     def bisect_solve():
@@ -211,6 +214,7 @@ def measure(repeat: int) -> dict:
         "oracle_pair_steps": oracle_pair(),
         "probe_screen_steps": sum(dp5_runs(probe)),
         "bisect_solve_runs": len(dp5_runs(bisect_solve)),
+        "bisect_solve_steps": sum(dp5_runs(bisect_solve)),
         "repeat": repeat,
         "python": platform.python_version(),
     }

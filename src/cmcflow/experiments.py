@@ -89,9 +89,10 @@ ORACLE_WIDENING = ((1e-2, 2), (1e-4, 4), (1e-6, 8))
 # certificate, steps no tighter than PROBE_REL_TOL and PROBE_ABS_TOL; the
 # full run, whose verdict is that of the horizon or the caller's events,
 # keeps the caller's settings, so each bracket end classifies as classify
-# does at those settings (_probe_verdict).  The screen moves an escape
-# time by at most 4.4e-4 at rel_tol 1e-7, 7.6e-4 at 1e-6 and 3.0e-4 at
-# 1e-5, against a certificate margin of at least 0.047.
+# does at those settings (_probe_verdict).  Under the predictive step
+# control of integrate, the screen moves an escape time by at most 4.4e-4
+# at rel_tol 1e-7, 7.6e-4 at 1e-6 and 3.0e-4 at 1e-5, against a
+# certificate margin of at least 0.047.
 RUN_MAX_STEP = 0.3
 PROBE_REL_TOL = 1e-6
 PROBE_ABS_TOL = 1e-8
@@ -292,10 +293,33 @@ def recollapse_time_bound(config: FlowConfig, v0: float) -> float | None:
     return math.log((v0 - 2.0) / (v0 + 2.0)) / (2.0 * config.n)
 
 
+def _screen(
+    settings: IntegratorSettings, events: EventSpec | None
+) -> tuple[IntegratorSettings, EventSpec] | None:
+    """Settings and events of the screening run of probes at these settings.
+
+    The screen steps no tighter than PROBE_REL_TOL and PROBE_ABS_TOL, with
+    the velocity floor raised to RECOLLAPSE_V0.  None when the caller's
+    floor is not below RECOLLAPSE_V0: then no screen can certify anything.
+    """
+    events = events or EventSpec()
+    if not events.velocity_floor < RECOLLAPSE_V0:
+        return None
+    return (replace(settings, rel_tol=max(settings.rel_tol, PROBE_REL_TOL),
+                    abs_tol=max(settings.abs_tol, PROBE_ABS_TOL)),
+            replace(events, velocity_floor=RECOLLAPSE_V0))
+
+
 def _probe_verdict(
-    config: FlowConfig, settings: IntegratorSettings, events: EventSpec | None
+    config: FlowConfig,
+    settings: IntegratorSettings,
+    events: EventSpec | None,
+    screen: tuple[IntegratorSettings, EventSpec] | None,
 ) -> tuple[str, float | None]:
     """Verdict of one bisection probe at horizon settings.t_max, and its escape time.
+
+    ``screen`` is ``_screen(settings, events)``, which bisect_critical builds
+    once per solve, since its settings and events never change.
 
     A probe is decided by one of three things, and each gives the verdict of
     the full run:
@@ -307,24 +331,24 @@ def _probe_verdict(
     * The recollapse certificate.  Otherwise, for positive curvature and a
       velocity floor below RECOLLAPSE_V0, a screening run is made with the
       velocity floor raised to RECOLLAPSE_V0, at tolerances no tighter than
-      PROBE_REL_TOL and PROBE_ABS_TOL.  If the raised floor fires at t with
-      t + recollapse_time_bound < t_max, the solution blows up inside the
-      horizon: Recollapse.  Near a threshold the run follows the boundary
-      solution y = 0 (x = 0 near the lower one), a subspace that every
-      explicit Runge-Kutta stage maps to itself, so the stepper's error
-      scales with the departure from it.  The escape time therefore only
-      has to fall well inside the certificate's margin: the bound less the
-      time from RECOLLAPSE_V0 to the default floor, at least 0.047.
-      Measured against runs at the default tolerances, at n = 4, 6, 8,
-      both thresholds and |s - s*| from 5e-2 to 5e-14 on the recollapse
-      side, the screen moves the escape time by at most 4.4e-4 at rel_tol
-      1e-7, 7.6e-4 at 1e-6 and 3.0e-4 at 1e-5, each worst at 5e-14, where
-      rounding in ky, not the tolerance, sets it.  At 1e-2 it moves by
-      8.2e-2, past the margin.  1e-5 would take 31% fewer DP5 steps than
-      1e-6 on the bisect-critical benchmark's solves, but that benchmark
-      keeps a record per completed operation, so its peak memory then
-      reads near its 10% bound; 1e-5 waits until those records stop
-      growing with the run (ROADMAP item 3).
+      PROBE_REL_TOL and PROBE_ABS_TOL (``screen``).  If the raised floor
+      fires at t with t + recollapse_time_bound < t_max, the solution blows
+      up inside the horizon: Recollapse.  Near a threshold the run follows
+      the boundary solution y = 0 (x = 0 near the lower one), a subspace
+      that every explicit Runge-Kutta stage maps to itself, so the
+      stepper's error scales with the departure from it.  The escape time
+      therefore only has to fall well inside the certificate's margin: the
+      bound less the time from RECOLLAPSE_V0 to the default floor, at least
+      0.047.  Measured under integrate's predictive step control against
+      runs at the default tolerances, at n = 4, 6, 8, both thresholds and
+      |s - s*| from 5e-2 to 5e-14 on the recollapse side, the screen moves
+      the escape time by at most 4.4e-4 at rel_tol 1e-7, 7.6e-4 at 1e-6 and
+      3.0e-4 at 1e-5, each worst at 5e-14, where rounding in ky, not the
+      tolerance, sets it.  At 1e-2 it moves by 8.2e-2, past the margin.
+      1e-5 would take 34% fewer DP5 steps than 1e-6 on the bisect-critical
+      benchmark's solves, but that benchmark keeps a record per completed
+      operation, so its peak memory then reads near its 10% bound; 1e-5
+      waits until those records stop growing with the run (ROADMAP item 3).
     * The full run, at the caller's settings and events, in every other
       case.  It is the run classify makes at the same settings.
 
@@ -340,15 +364,10 @@ def _probe_verdict(
     _, _, xpp, ypp = derivatives(config)(rest.t, u)
     if in_completeness_region(config, FlowState(rest.t, rest.x, rest.y, xpp, ypp)):
         return VERDICT_COMPLETE, None
-    events = events or EventSpec()
     bound = recollapse_time_bound(config, RECOLLAPSE_V0)
     t_escape = None
-    if bound is not None and events.velocity_floor < RECOLLAPSE_V0:
-        screen = replace(settings, rel_tol=max(settings.rel_tol, PROBE_REL_TOL),
-                         abs_tol=max(settings.abs_tol, PROBE_ABS_TOL))
-        term = integrate(
-            config, screen, replace(events, velocity_floor=RECOLLAPSE_V0)
-        ).termination
+    if bound is not None and screen is not None:
+        term = integrate(config, *screen).termination
         if term.trigger == TRIGGER_VELOCITY_FLOOR:
             t_escape = term.t_event
             if t_escape + bound < settings.t_max:
@@ -491,12 +510,13 @@ def bisect_critical(
         )
 
     run_settings = replace(_settings_for(horizon, settings), output_dt=math.inf)
+    screen = _screen(run_settings, events)
     rate = escape_rate(n)
     escapes = []  # (t_esc, s) of the recollapse probes
 
     def verdict_at(s):
         config = FlowConfig(m=n // 2, sign=sign, s=s)
-        verdict, t_escape = _probe_verdict(config, run_settings, events)
+        verdict, t_escape = _probe_verdict(config, run_settings, events, screen)
         if verdict == VERDICT_RECOLLAPSE and t_escape is not None:
             escapes.append((t_escape, s))
         return verdict

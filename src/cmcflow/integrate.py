@@ -3,17 +3,27 @@
 The primary integrator is an embedded Dormand-Prince 5(4) pair with
 proportional-integral step-size control, the standard quartic continuous
 extension for dense output (Hairer, Norsett & Wanner, Solving ODEs I,
-section II.6), and event location by bisection on the dense output.  The
-floors are tested at each accepted step end, and the extension is built
-only for a step that holds a grid point or where a floor fired; no other
-step evaluates it, so stepping never depends on output_dt.  A classical
-fourth-order Runge-Kutta scheme on a fixed plan of steps, whole multiples
-of one dt chosen by its caller, is kept as an independent cross-check.  It keeps its own copy of the right-hand side, written out
-in the operand order of ``products.derivatives``, so a transcription
-error in either copy shows up as a cross-check failure instead of
-reaching both sides; the pinned bits of both steppers' runs in the tests
-tie the two copies together.  The accelerations it hands its ``until``
-hook come from that copy too, so the limit's settle rule reads no other.
+section II.6), and event location by bisection on the dense output.  On
+an accepted step shorter than the step accepted before it, the
+controller also takes Gustafsson's predictive factor (K. Gustafsson, ACM
+TOMS 20 (1994) 496-517), in the form RADAU5 uses (Hairer & Wanner,
+Solving ODEs II, section IV.8), and proposes the shorter of the two next
+steps.  Near a blow-up each step must be shorter than the last, and the
+PI proposal alone is then too long and rejected at almost every step;
+the predictive one follows the shrinking steps.  RADAU5 applies the
+factor on every step; here an ordinary step pays one compare and one
+store for it.  The floors are tested at each accepted step end, and the
+extension is built only for a step that holds a grid point or where a
+floor fired; no other step evaluates it, so stepping never depends on
+output_dt.  A classical fourth-order Runge-Kutta scheme on a fixed plan
+of steps, whole multiples of one dt chosen by its caller, is kept as an
+independent cross-check.  It keeps its own copy of the right-hand side,
+written out in the operand order of ``products.derivatives``, so a
+transcription error in either copy shows up as a cross-check failure
+instead of reaching both sides; the pinned bits of both steppers' runs
+in the tests tie the two copies together.  The accelerations it hands
+its ``until`` hook come from that copy too, so the limit's settle rule
+reads no other.
 It shares with the adaptive path only the first-integral formula of
 ``products.first_integral_residual``, the blow-up triggers
 (``_event_functions``) with their location tolerance ``_EVENT_T_TOL``,
@@ -111,6 +121,10 @@ _D6 = -1453857185.0 / 822651844.0
 _D7 = 69997945.0 / 29380423.0
 
 # PI controller constants (safety factor, integral gain, growth bounds).
+# The predictive factor on a shrinking step, h < h_acc, is
+# h_acc / h * (err^2 / max(err_acc, 1e-2))^(1/5) / _SAFETY, with err_acc the
+# error of the step accepted before, of length h_acc; the larger of it and
+# the PI factor divides h, and the clamps apply to the result.
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
@@ -357,6 +371,7 @@ def integrate(
     t_grid = next_k * output_dt
     h = max(min_step, min(_INITIAL_STEP, max_step, settings.t_max))
     facold = 1e-4
+    h_acc = 0.0  # the step accepted before; none yet
     # |u_i| of the state the step starts from.  The error scale of component
     # i is abs_tol + rel_tol * max(|u_i|, |unew_i|); an accepted step's
     # |unew_i| is the next step's |u_i|, so each is taken once, and
@@ -568,8 +583,17 @@ def integrate(
             # The clamps are max(_MIN_FAC, min(_MAX_SHRINK, fac)) and
             # max(err_norm, 1e-4) written as comparisons, with min's and
             # max's rule for ties and NaN: a NaN factor is clamped to
-            # _MAX_SHRINK.
+            # _MAX_SHRINK.  The predictive factor (see the controller
+            # constants) reads facold before its update, as the previous
+            # step's error; its max(facold, 1e-2) and max(fac, gus) are
+            # comparisons too.
             fac = err_norm**_EXPO1 / facold**_BETA / _SAFETY
+            if h < h_acc:
+                gus = h_acc / h * (err_norm * err_norm / (
+                    1e-2 if 1e-2 > facold else facold)) ** 0.2 / _SAFETY
+                if gus > fac:
+                    fac = gus
+            h_acc = h
             if not fac < _MAX_SHRINK:
                 fac = _MAX_SHRINK
             elif fac < _MIN_FAC:

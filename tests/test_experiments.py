@@ -202,9 +202,9 @@ def _count_probes(monkeypatch):
     probe = experiments._probe_verdict
     probes = []
 
-    def counted(config, settings, events):
+    def counted(config, settings, events, screen):
         probes.append(config.s)
-        return probe(config, settings, events)
+        return probe(config, settings, events, screen)
 
     monkeypatch.setattr(experiments, "_probe_verdict", counted)
     return probes
@@ -428,7 +428,7 @@ class TestBisect:
         bracket = [s_lo, s_hi]
         probes = []
 
-        def verdict(config, settings, events):
+        def verdict(config, settings, events, screen):
             s = config.s
             probes.append(s)
             if len(probes) <= 2:  # the ends, s_lo then s_hi
@@ -495,7 +495,7 @@ class TestBisect:
                     break
             return lo, hi
 
-        def verdict(config, settings, events):
+        def verdict(config, settings, events, screen):
             s = config.s
             if len(probes) >= 2:  # past the two ends
                 assert known[0] < s < known[1]
@@ -668,9 +668,9 @@ class TestBisect:
                 full_runs.append(config.s)
             return integrate(config, settings, events)
 
-        def counted_probe(config, settings, events):
+        def counted_probe(config, settings, events, screen):
             probes.append(config.s)
-            return probe(config, settings, events)
+            return probe(config, settings, events, screen)
 
         monkeypatch.setattr(experiments, "integrate", counted)
         monkeypatch.setattr(experiments, "_probe_verdict", counted_probe)
@@ -718,7 +718,7 @@ class TestBisect:
                     res.verdict_lo, res.verdict_hi)
 
         screened = solve()
-        # At 0 the max() in _probe_verdict keeps the caller's tolerances, so
+        # At 0 the max() in _screen keeps the caller's tolerances, so
         # every raised-floor run steps as the full run does.
         monkeypatch.setattr(experiments, "PROBE_REL_TOL", 0.0)
         monkeypatch.setattr(experiments, "PROBE_ABS_TOL", 0.0)

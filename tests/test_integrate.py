@@ -21,6 +21,7 @@ from cmcflow.experiments import (
     VERDICT_COMPLETE,
     VERDICT_RECOLLAPSE,
     _probe_verdict,
+    _screen,
     bisect_critical,
     classify,
     in_completeness_region,
@@ -60,6 +61,12 @@ POS = CurvatureSign.POSITIVE
 NO_FLOORS = EventSpec(y_floor=-math.inf, velocity_floor=-math.inf)
 # The velocity floor far out of reach, so that only the y floor can fire.
 Y_FLOOR_ONLY = EventSpec(y_floor=-1.0, velocity_floor=-1e6)
+
+
+def _probe(config, settings, events=None):
+    """A bisection probe with the screen bisect_critical builds for it."""
+    return _probe_verdict(config, settings, events, _screen(settings, events))
+
 
 # Blow-up time of the n=4, s=2 positive run, frozen from the fixed-step
 # oracle at dt = 1e-4 (adaptive agrees to ~7e-11).
@@ -197,7 +204,7 @@ class TestSampling:
             # Both floors fire in one step; the earlier crossing is kept.
             (2, POS, 3.0, {}, EventSpec(y_floor=-5.0, velocity_floor=-20.0),
              BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR),
-            (2, POS, 3.0, dict(rel_tol=1e-2, abs_tol=1e-2, t_max=20.0), None,
+            (2, POS, 3.0, dict(rel_tol=1e-1, abs_tol=1e-1, t_max=20.0), None,
              BLOW_UP_EVENT, TRIGGER_OVERFLOW),
             (2, POS, 3.0, {}, EventSpec(y_floor=-1e12, velocity_floor=-1e300),
              STEP_SIZE_COLLAPSE, None),
@@ -422,7 +429,7 @@ class TestBackward:
             (2, 2.0, None, None, BLOW_UP_EVENT, TRIGGER_VELOCITY_FLOOR),
             (2, 3.0, None, EventSpec(y_floor=-1.0),
              BLOW_UP_EVENT, TRIGGER_Y_FLOOR),
-            (2, 3.0, IntegratorSettings(rel_tol=1e-2, abs_tol=1e-2), None,
+            (2, 3.0, IntegratorSettings(rel_tol=1e-1, abs_tol=1e-1), None,
              BLOW_UP_EVENT, TRIGGER_OVERFLOW),
             (2, 3.0, IntegratorSettings(t_max=5.0),
              EventSpec(y_floor=-1e12, velocity_floor=-1e300),
@@ -960,16 +967,28 @@ GOLDEN = {
          "0x1.67d5792d0e560p+0", 1405, 0,
          "0x1.0b4c41b400000p-8", "0x1.69fcd2e800000p-7"),
     ),
-    # loose tolerances step past the representable range at t ~ 1.0835
+    # loose tolerances step past the representable range at t = 1.09
     "integrate-pos-3.0-overflow": (
+        lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0),
+                          IntegratorSettings(rel_tol=1e-1, abs_tol=1e-1,
+                                             t_max=20.0)),
+        (("0x1.170a3d70a3d74p+0", "0x1.f6c4b6c4a6f33p+0",
+          "-0x1.6fb8692694c23p+1", "0x1.0e1d2e6c0abb0p+5",
+          "-0x1.bf555d8436e59p+6"),
+         "0x1.170a3d70a3d74p+0", 37, 0,
+         "0x1.93e2d74472f00p+6", "0x1.93e2d74472f00p+7"),
+    ),
+    # at 1e-2 the predictive controller follows the singularity down to
+    # the velocity floor, which it locates at t ~ 1.0907
+    "integrate-pos-3.0-loose-velocity-floor": (
         lambda: integrate(FlowConfig(m=2, sign=POS, s=3.0),
                           IntegratorSettings(rel_tol=1e-2, abs_tol=1e-2,
                                              t_max=20.0)),
-        (("0x1.156169d5139cap+0", "0x1.cf314c2fe57c7p+0",
-          "-0x1.304c626b1247ap+1", "0x1.1d67158b884e4p+4",
-          "-0x1.b9658c59eb94dp+5"),
-         "0x1.156169d5139cap+0", 37, 1,
-         "0x1.4a46f6856e000p-2", "0x1.4a46f6856a000p-1"),
+        (("0x1.1739ff9f9b232p+0", "0x1.ffb5e1633dab1p+0",
+          "-0x1.7ee8a59282f8ep+1", "0x1.5190d8e487fb4p+5",
+          "-0x1.1c6436522ea1ep+7"),
+         "0x1.1739ff9f9b232p+0", 38, 2,
+         "0x1.70afe64b02400p+4", "0x1.70afe64b02000p+5"),
     ),
     # floors out of reach: the singularity exhausts min_step
     "integrate-pos-3.0-collapse": (
@@ -1035,8 +1054,10 @@ SAMPLE_SHA256 = {
         "e64c1736c6de4a76796aa550c73ccda85e61e37274cb2888193bc4d302d21fd7",
     "integrate-pos-3.0-collapse":
         "14bbf1827d84f5d2f773fd9ed0ae4ac1a79ac65256e82f2389d82c5de3e4d84f",
+    "integrate-pos-3.0-loose-velocity-floor":
+        "bbcbcf7a54770e2d2fd2877113124949debf934708a6cca493bbe45c51f1159c",
     "integrate-pos-3.0-overflow":
-        "b2fb7ff60387cb5b2d07b3a0ab84fd9b2a6fc267f58345526aa12fb3f81f9a0f",
+        "dffeb5e91b827f8f7ef61e6f8fed6bed61b9212f0676d14b7cee6dcf0b6739ee",
     "integrate-pos-3.0-y-floor":
         "ef774093bd4e4eaecd33bec902c22ff3811edca0b497083d230d67cd8922dd41",
     "oracle-pos-1.3":
@@ -1275,7 +1296,7 @@ class TestSteppingCoreBits:
         runs = {name: entry[0] for name, entry in {**GOLDEN,
                                                    **STEPPING_CORE}.items()
                 if not name.startswith("oracle-")}
-        assert len(runs) == 17
+        assert len(runs) == 18
         for name, run in runs.items():
             calls = 0
             traj = run()
@@ -1400,7 +1421,7 @@ class TestCompletenessCertificate:
             elif full.termination.kind == REACHED_HORIZON:
                 never_entered.append((n, s))
             # The bisection probe gives the verdict of the full run.
-            verdict, _ = _probe_verdict(config, settings, None)
+            verdict, _ = _probe(config, settings)
             assert verdict == classify(config, _CERT_HORIZON).verdict, (n, s)
         # Only the boundary solutions, at both thresholds of n = 4, 6, 8,
         # stay complete outside R.
@@ -1488,7 +1509,7 @@ def _record_runs(monkeypatch, config, settings, events=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "integrate", recording)
-        verdict, _ = _probe_verdict(config, settings, events)
+        verdict, _ = _probe(config, settings, events)
     return seen, verdict
 
 
@@ -1570,17 +1591,17 @@ class TestRecollapseCertificate:
         t_v0 = integrate(config, screen,
                          EventSpec(velocity_floor=RECOLLAPSE_V0)
                          ).termination.t_event
-        assert _probe_verdict(config, settings, None) == (VERDICT_RECOLLAPSE, t_v0)
+        assert _probe(config, settings) == (VERDICT_RECOLLAPSE, t_v0)
         # A run the full horizon decides keeps its escape time.
         horizon = 0.5 * (t_v0 + T_BLOWUP_S2)
-        assert _probe_verdict(config, IntegratorSettings(t_max=horizon), None) == (
+        assert _probe(config, IntegratorSettings(t_max=horizon)) == (
             VERDICT_COMPLETE, t_v0)
         # None when region R decides (s = 1.3), and when the full run does
         # after a raised run that ends another way (the boundary solution
         # s = 1.5) or without a certificate (negative curvature).
         for sign, s in [(POS, 1.3), (POS, 1.5), (NEG, 2.0)]:
             config = FlowConfig(m=2, sign=sign, s=s)
-            assert _probe_verdict(config, settings, None)[1] is None
+            assert _probe(config, settings)[1] is None
 
     # The screen may move an escape time only well inside the certificate's
     # margin: the bound less the time from RECOLLAPSE_V0 to the default
@@ -1602,9 +1623,28 @@ class TestRecollapseCertificate:
                          ).termination.t_event
         t_floor = integrate(config, settings).termination.t_event
         margin = recollapse_time_bound(config, RECOLLAPSE_V0) - (t_floor - t_v0)
-        verdict, t_escape = _probe_verdict(config, settings, None)
+        verdict, t_escape = _probe(config, settings)
         assert verdict == VERDICT_RECOLLAPSE
         assert abs(t_escape - t_v0) <= margin / 10
+
+    def test_screen_follows_the_blow_up_without_rejected_steps(self):
+        # On the approach to the raised floor x' + y' steepens like a
+        # Riccati blow-up, and each accepted step must be shorter than the
+        # last.  The predictive factor proposes such a step where the PI
+        # controller alone proposes one too long, rejected and retried:
+        # 9 of 46 attempts of this screen.  The escape time stays within a
+        # tenth of the margin of the default-tolerance run's.
+        config = FlowConfig(m=2, sign=POS, s=thresholds(4)[1] + 0.03)
+        settings = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=80.0)
+        screen = replace(settings, rel_tol=PROBE_REL_TOL, abs_tol=PROBE_ABS_TOL)
+        raised_floor = EventSpec(velocity_floor=RECOLLAPSE_V0)
+        screened = integrate(config, screen, raised_floor)
+        assert screened.termination.trigger == TRIGGER_VELOCITY_FLOOR
+        assert screened.n_rejected == 0
+        t_v0 = integrate(config, settings, raised_floor).termination.t_event
+        t_floor = integrate(config, settings).termination.t_event
+        margin = recollapse_time_bound(config, RECOLLAPSE_V0) - (t_floor - t_v0)
+        assert abs(screened.termination.t_event - t_v0) <= margin / 10
 
     @pytest.mark.parametrize("velocity_floor", [-3.0, -2.5, -2.0])
     def test_caller_floor_at_or_above_v0_skips_the_certificate(
