@@ -25,7 +25,9 @@ in the tests tie the two copies together.  The accelerations it hands
 its ``until`` hook come from that copy too, so the limit's settle rule
 reads no other.
 It shares with the adaptive path only the first-integral formula of
-``products.first_integral_residual``, the blow-up triggers
+``products.first_integral_residual``, which it writes out at each step
+start, a run's last state included unless it is a located event, and does
+not call; the blow-up triggers
 (``_event_functions``) with their location tolerance ``_EVENT_T_TOL``,
 the horizon rule and ``output_dt`` of ``IntegratorSettings``, and
 ``_finish``, where every run ends and its ``Trajectory`` is built.
@@ -36,13 +38,14 @@ nothing but their right-hand side, the builtins ``abs`` and ``sqrt``, and
 ``_event_functions`` written out, DP5's step-size clamps are comparisons
 with ``min``'s and ``max``'s rule for ties and NaN, and the first-integral
 residual of each step is ``first_integral_residual`` written out in its
-operand order.  Only a step where a floor fired, and a run's first and
-last state, call the shared functions themselves.  DP5's loop also reads
-only local names: one unpack of ``_DP5_NAMES`` binds the module's
-constants, ``abs`` and ``FlowState`` to locals before it, and the step's
-start state and first slope are carried as scalars.  Each of its stages
-is still a call of the right-hand side that ``products.derivatives``
-returns.
+operand order.  Only a step where a floor fired, and DP5's first state,
+call the shared functions themselves; the oracle computes the
+accelerations at each step start once, from its own copy of the
+right-hand side.  DP5's loop also reads only local names: one unpack of
+``_DP5_NAMES`` binds the module's constants, ``abs`` and ``FlowState`` to
+locals before it, and the step's start state and first slope are carried
+as scalars.  Each of its stages is still a call of the right-hand side
+that ``products.derivatives`` returns.
 
 Termination is a three-way taxonomy:
 
@@ -683,21 +686,23 @@ def integrate_oracle(
     :func:`integrate`; the partial step to an event is not counted.
 
     ``until(samples, xpp, ypp)``, if given, is called each time a sample
-    is recorded before t_max, with the list of samples recorded so far and
-    the accelerations x'' and y'' at the last of them, from this module's
-    right-hand side.  The step from the sample computes them; if that step
-    overflows they are computed alone, and a sample past the overflow
-    floor is not offered, as the overflow ends the run there.  The hook
+    is recorded before t_max, before the step from it, with the list of
+    samples recorded so far and the accelerations x'' and y'' at the last
+    of them.  They are computed at the sample, from this module's
+    right-hand side, once: the same two numbers are the first stage of
+    the step from it and enter its first-integral residual.  A sample past
+    the overflow floor is not offered, as the run ends on it.  The hook
     returns one of:
 
     * an ``int`` m, wider than the multiple in use: the run steps by m*dt
-      from this sample on, beginning with the step from it, taken again
-      at the new size.  An ``int`` that does not widen raises ValueError.
-      A ``bool`` is never read as a multiple, though ``True == 1``.  At a
-      sample whose own step overflows, a multiple does not save the run;
+      from this sample on, beginning with the step from it.  An ``int``
+      that does not widen raises ValueError.  A ``bool`` is never read as
+      a multiple, though ``True == 1``.  At a sample whose step at the
+      old size would overflow, the run takes the wider step, and ends on
+      the overflow only if that step overflows too;
     * any other true value, such as ``True``: the run ends at this sample
-      as it ends at t_max, ``ReachedHorizon``, with the first integral
-      evaluated at that sample, which is the terminal state;
+      as it ends at t_max, ``ReachedHorizon``, with the sample as the
+      terminal state;
     * any other false value, such as ``False``: the run goes on.
 
     Up to the first sample where the hook returns more than a false value,
@@ -721,8 +726,9 @@ def integrate_oracle(
 
     # The right-hand side of products.derivatives, written out: the same
     # coefficients with the curvature sign folded in, the same expressions
-    # in the same operand order, and the same BlowUpOverflow below the
-    # floor, tested on every stage state.
+    # in the same operand order, and the same floor, tested on every stage
+    # state: the loop tests the step start and ends the run there, and
+    # rk4_step raises BlowUpOverflow at a later stage.
     n = float(config.n)
     half_n = 0.5 * n
     if config.sign is CurvatureSign.POSITIVE:
@@ -732,19 +738,11 @@ def integrate_oracle(
     exp = math.exp
     floor = OVERFLOW_FLOOR
 
-    # One step of size h from (t0, us): the new state, then the
-    # accelerations at the step start, which the caller needs for the
-    # first-integral residual.  A stage's slope in x and y is its own x'
-    # and y', so stage states are written from them directly.  At h = 0
-    # every stage state is us (or NaN past an infinite slope), so only us
-    # can raise, and the accelerations are those of us alone.
-    def rk4_step(t0, us, h):
-        u_0, u_1, u_2, u_3 = us
-        if u_0 < floor or u_1 < floor:
-            raise BlowUpOverflow(t0)
-        cross = u_2 * u_3
-        ka_2 = n + kx * exp(-2.0 * u_0) - half_n * (u_2 * u_2 + cross)
-        ka_3 = n + ky * exp(-2.0 * u_1) - half_n * (u_3 * u_3 + cross)
+    # One step of size h from the state (t0, u_0..u_3), whose accelerations
+    # ka_2 and ka_3 the caller has computed; it returns the new state.  A
+    # stage's slope in x and y is its own x' and y', so stage states are
+    # written from them directly.
+    def rk4_step(t0, u_0, u_1, u_2, u_3, ka_2, ka_3, h):
         half = 0.5 * h
         b_0 = u_0 + half * u_2
         b_1 = u_1 + half * u_3
@@ -779,8 +777,6 @@ def integrate_oracle(
             u_1 + sixth * (u_3 + 2.0 * b_3 + 2.0 * c_3 + d_3),
             u_2 + sixth * (ka_2 + 2.0 * kb_2 + 2.0 * kc_2 + kd_2),
             u_3 + sixth * (ka_3 + 2.0 * kb_3 + 2.0 * kc_3 + kd_3),
-            ka_2,
-            ka_3,
         )
 
     n_steps = 0
@@ -790,63 +786,59 @@ def integrate_oracle(
     max_fir = 0.0
     k_sample = max(1, int(round(settings.output_dt / dt)))
 
-    termination = None
-    while t < t_max:
-        hooked = False
-        if units % k_sample == 0:
-            samples.append(FlowState(t, *u))
-            hooked = until is not None
-        h = step if (units + multiple) * dt <= t_max else t_max - t
-        try:
-            x, y, xp, yp, xpp, ypp = rk4_step(t, u, h)
-        except BlowUpOverflow:
-            # The hook still judges a sample whose own accelerations are in
-            # range; past it, or where it declines, the overflow ends the run.
-            if hooked:
-                try:
-                    *_, xpp, ypp = rk4_step(t, u, 0.0)
-                except BlowUpOverflow:
-                    hooked = False
-                else:
-                    verdict = until(samples, xpp, ypp)
-                    hooked = type(verdict) is not int and verdict
-            if not hooked:
+    # The run reaches t_max, or until accepts a sample, unless it ends
+    # another way.
+    termination = Termination(REACHED_HORIZON)
+    while True:
+        u_0, u_1, u_2, u_3 = u
+        if u_0 < floor or u_1 < floor:
+            # The state is past the representable range: a step from it
+            # would overflow, so the run ends on it.
+            if t < t_max:
                 termination = Termination(
                     BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
                 )
             break
-        # first_integral_residual at the step start, written out
-        _, _, u_2, u_3 = u
-        fir = abs(xpp + ypp + u_2 * u_2 + u_3 * u_3 - 2.0)
+        # The accelerations at the step start: the first stage, the
+        # first-integral residual and the hook's x'' and y''.
+        cross = u_2 * u_3
+        ka_2 = n + kx * exp(-2.0 * u_0) - half_n * (u_2 * u_2 + cross)
+        ka_3 = n + ky * exp(-2.0 * u_1) - half_n * (u_3 * u_3 + cross)
+        # first_integral_residual(u_2, u_3, ka_2, ka_3), written out
+        fir = abs(ka_2 + ka_3 + u_2 * u_2 + u_3 * u_3 - 2.0)
         if fir > max_fir:
             max_fir = fir
-        if hooked:
-            verdict = until(samples, xpp, ypp)
-            if type(verdict) is int:
-                # A wider step from this sample on: the step just taken is
-                # taken again at the new size.
-                if verdict <= multiple:
-                    raise ValueError(
-                        f"until may only widen the step: {verdict} after "
-                        f"{multiple}")
-                multiple = verdict
-                step = multiple * dt
-                h = step if (units + multiple) * dt <= t_max else t_max - t
-                try:
-                    x, y, xp, yp, _, _ = rk4_step(t, u, h)
-                except BlowUpOverflow:
-                    termination = Termination(
-                        BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
-                    )
+        if not t < t_max:
+            break
+        if units % k_sample == 0:
+            samples.append(FlowState(t, *u))
+            if until is not None:
+                verdict = until(samples, ka_2, ka_3)
+                if type(verdict) is int:
+                    # A wider step from this sample on.
+                    if verdict <= multiple:
+                        raise ValueError(
+                            f"until may only widen the step: {verdict} after "
+                            f"{multiple}")
+                    multiple = verdict
+                    step = multiple * dt
+                elif verdict:
                     break
-            elif verdict:
-                break
+        h = step if (units + multiple) * dt <= t_max else t_max - t
+        try:
+            x, y, xp, yp = rk4_step(t, u_0, u_1, u_2, u_3, ka_2, ka_3, h)
+        except BlowUpOverflow:
+            # The state one step ahead is past the representable range; the
+            # step start is the last safe state.
+            termination = Termination(
+                BLOW_UP_EVENT, t_event=t, trigger=TRIGGER_OVERFLOW
+            )
+            break
 
         # g(u) > 0: a step starts from the initial data or where none fired.
         # The floors are tested in the expressions of _event_functions, as
         # in integrate.  Each floor that fired is located, in trigger order;
-        # the earliest crossing ends the run.  g reads only the state part
-        # of a step's result.
+        # the earliest crossing ends the run.
         if y - y_floor <= 0.0 or (xp + yp) - v_floor <= 0.0:
             hit_h = None
             hit_name = None
@@ -856,7 +848,8 @@ def integrate_oracle(
                     try:
                         while hi - lo > _EVENT_T_TOL:
                             mid = 0.5 * (lo + hi)
-                            if g(rk4_step(t, u, mid)) <= 0.0:
+                            if g(rk4_step(t, u_0, u_1, u_2, u_3, ka_2, ka_3,
+                                          mid)) <= 0.0:
                                 hi = mid
                             else:
                                 lo = mid
@@ -865,7 +858,7 @@ def integrate_oracle(
                     if hit_h is None or hi < hit_h:
                         hit_h = hi
                         hit_name = name
-            u = rk4_step(t, u, hit_h)[:4]
+            u = rk4_step(t, u_0, u_1, u_2, u_3, ka_2, ka_3, hit_h)
             t = t + hit_h
             termination = Termination(BLOW_UP_EVENT, t_event=t, trigger=hit_name)
             break
@@ -874,18 +867,5 @@ def integrate_oracle(
         n_steps += 1
         units += multiple
         t = units * dt if units * dt <= t_max else t_max
-    if termination is None:
-        # The loop reached t_max, or until accepted a sample.
-        termination = Termination(REACHED_HORIZON)
-    if termination.trigger in (None, TRIGGER_OVERFLOW):
-        # The residual at the last completed state: the terminal one, or
-        # the start of the step that overflowed, if it is itself in range.
-        try:
-            *_, xpp, ypp = rk4_step(t, u, 0.0)
-            fir = abs(first_integral_residual(u[2], u[3], xpp, ypp))
-            if fir > max_fir:
-                max_fir = fir
-        except BlowUpOverflow:
-            pass
 
     return _finish(config, samples, t, u, termination, max_fir, n_steps, 0)

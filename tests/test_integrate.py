@@ -735,10 +735,23 @@ class TestOracleUntil:
         assert (stopped.max_first_integral_residual.hex()
                 == ended.max_first_integral_residual.hex())
 
-    def test_a_hook_that_never_accepts_changes_nothing(self):
-        config = FlowConfig(m=2, sign=POS, s=1.2)
-        full = integrate_oracle(config, experiments.ORACLE_DT, 20.0)
-        assert integrate_oracle(config, experiments.ORACLE_DT, 20.0,
+    @pytest.mark.parametrize("config, dt, t_max, events, termination", [
+        (FlowConfig(m=2, sign=POS, s=1.2), experiments.ORACLE_DT, 20.0, None,
+         REACHED_HORIZON),
+        (FlowConfig(m=3, sign=NEG, s=0.7), experiments.ORACLE_DT, 20.0, None,
+         REACHED_HORIZON),
+        (FlowConfig(m=2, sign=POS, s=3.0), experiments.ORACLE_DT, 20.0, None,
+         TRIGGER_VELOCITY_FLOOR),
+        (FlowConfig(m=2, sign=POS, s=5.0), 0.25, 10.0, NO_FLOORS,
+         TRIGGER_OVERFLOW),
+    ])
+    def test_a_hook_that_never_accepts_changes_nothing(self, config, dt, t_max,
+                                                       events, termination):
+        # The hook is offered each sample before the step from it, however
+        # the run ends: at t_max, at a located floor or on an overflow.
+        full = integrate_oracle(config, dt, t_max, events)
+        assert (full.termination.trigger or full.termination.kind) == termination
+        assert integrate_oracle(config, dt, t_max, events,
                                 until=lambda samples, xpp, ypp: False) == full
 
     @pytest.mark.parametrize("config, dt, t_max, events", [
@@ -748,6 +761,8 @@ class TestOracleUntil:
         # the step from the last sample overflows
         (FlowConfig(m=2, sign=POS, s=5.0), 0.5, 10.0,
          EventSpec(y_floor=-1e6, velocity_floor=-1e6)),
+        # the velocity floor is located at t = 1.0908, after 12 samples
+        (FlowConfig(m=2, sign=POS, s=3.0), experiments.ORACLE_DT, 12.0, None),
     ])
     def test_hook_gets_the_accelerations_of_each_sample(self, config, dt,
                                                         t_max, events):
@@ -758,10 +773,11 @@ class TestOracleUntil:
             return False
 
         traj = integrate_oracle(config, dt, t_max, events, until=until)
-        # Every sample before t_max is offered: all of them but the terminal
-        # state at t_max, or all of them where a step overflowed.
+        # Every sample is offered but a terminal state that _finish appends,
+        # at t_max or at a located event; where a step overflowed, the last
+        # sample is the start of that step, and it is offered too.
         recorded = traj.samples
-        if traj.termination.kind == REACHED_HORIZON:
+        if traj.termination.trigger != TRIGGER_OVERFLOW:
             recorded = recorded[:-1]
         f = derivatives(config)
         expected = []
@@ -802,6 +818,47 @@ class TestOracleUntil:
         assert offered == [1, 2, 3]
         assert traj.termination == Termination(
             BLOW_UP_EVENT, t_event=1.5, trigger=TRIGGER_OVERFLOW)
+
+
+class TestOracleResidual:
+    # At dt = 0.1, 0.25 and 0.5, max(1, round(0.1 / dt)) is 1: every step
+    # start is a sample.
+    @pytest.mark.parametrize("config, dt, t_max, events, stop", [
+        (FlowConfig(m=2, sign=POS, s=1.2), 0.1, 10.0, None, None),
+        (FlowConfig(m=3, sign=NEG, s=0.7), 0.1, 10.0, None, None),
+        (FlowConfig(m=3, sign=NEG, s=0.7), 0.1, 10.0, None, 30),
+        (FlowConfig(m=2, sign=POS, s=3.0), 0.1, 10.0,
+         EventSpec(y_floor=-0.5, velocity_floor=-5.0), None),
+        (FlowConfig(m=2, sign=POS, s=1.8), 0.1, 20.0, None, None),
+        # the horizon just before that floor: the residual grows toward the
+        # blow-up, so the terminal state at t_max holds the largest
+        (FlowConfig(m=2, sign=POS, s=1.8), 0.1, 1.5, None, None),
+        (FlowConfig(m=2, sign=POS, s=5.0), 0.25, 10.0, NO_FLOORS, None),
+        # the last step lands past the overflow floor
+        (FlowConfig(m=2, sign=POS, s=3.0), 0.5, 20.0, NO_FLOORS, None),
+    ])
+    def test_the_residual_is_that_of_derivatives_at_each_step_start(
+        self, config, dt, t_max, events, stop
+    ):
+        # The oracle writes the first-integral residual out on its own
+        # accelerations; here it is recomputed from derivatives and
+        # first_integral_residual at every step start, the terminal state
+        # included unless it is a located event or past the overflow floor.
+        until = None if stop is None else (
+            lambda samples, xpp, ypp: len(samples) == stop)
+        traj = integrate_oracle(config, dt, t_max, events, until=until)
+        starts = traj.samples
+        if traj.termination.trigger not in (None, TRIGGER_OVERFLOW):
+            starts = starts[:-1]
+        if stop is not None:
+            assert len(starts) == stop
+        f = derivatives(config)
+        expected = max(
+            abs(first_integral_residual(
+                st.xp, st.yp, *f(st.t, (st.x, st.y, st.xp, st.yp))[2:]))
+            for st in starts
+            if st.x >= OVERFLOW_FLOOR and st.y >= OVERFLOW_FLOOR)
+        assert traj.max_first_integral_residual.hex() == expected.hex()
 
 
 class TestOracleWidening:
@@ -853,8 +910,8 @@ class TestOracleWidening:
         # With no floors the run at dt = 0.25 overflows in the step from
         # t = 1.  Widened eightfold at t = 0.75, the step from there
         # overflows at once, and the run ends there as at any overflowing
-        # step; asked to widen at t = 1, whose own step overflows, the
-        # hook does not save the run.
+        # step.  Widened fourfold at t = 1, whose step at dt overflows, the
+        # run takes the wider step, which overflows too, and ends there.
         config = FlowConfig(m=2, sign=POS, s=5.0)
         full = integrate_oracle(config, 0.25, 10.0, NO_FLOORS)
         assert full.termination == Termination(
