@@ -15,6 +15,11 @@ Times, as the minimum over --repeat rounds, in microseconds:
   plan, each to its first settled sample.  ``oracle_pair_steps`` counts the
   steps of both runs; with ``rk4_step_us`` it tells cheaper steps from
   fewer steps;
+* the T = 50 limit row as ``sweep`` computes it (``limit_row_us``): its
+  one DP5 run, sampled at the default output_dt and stopped at its first
+  settled sample, its classification and its limit with the oracle pair.
+  ``limit_row_steps`` counts the accepted plus rejected steps of that DP5
+  run; the runs of ``dp5_step_sampled_us`` go on to T;
 * one ``constraint_terms`` call and one ``observables`` call, over the
   samples of the sampled run, and one sample of ``max_ham_residual``, the
   constraint monitor of that run's ``Trajectory``, which takes every sample
@@ -52,7 +57,8 @@ from time import perf_counter
 from cmcflow import (CurvatureSign, FlowConfig, IntegratorSettings, experiments,
                      integrate)
 from cmcflow.experiments import (ORACLE_DT, RUN_MAX_STEP, _oracle_pair,
-                                 _probe_verdict, _screen, bisect_critical)
+                                 _probe_verdict, _screen, bisect_critical,
+                                 sweep)
 from cmcflow.integrate import EventSpec, integrate_oracle
 from cmcflow.products import constraint_terms, derivatives, observables
 
@@ -83,8 +89,8 @@ def dp5_runs(work) -> list[int]:
     steps = []
     real = experiments.integrate
 
-    def counted(config, settings, events=None):
-        done = real(config, settings, events)
+    def counted(*args, **kwargs):
+        done = real(*args, **kwargs)
         steps.append(done.n_accepted + done.n_rejected)
         return done
 
@@ -154,6 +160,10 @@ def measure(repeat: int) -> dict:
         oracle_pair()
         return 1
 
+    def limit_row():
+        sweep(CONFIG.n, CONFIG.sign, [CONFIG.s], HORIZON)
+        return 1
+
     def monitor():
         for state in traj.samples:
             constraint_terms(CONFIG, state)
@@ -190,6 +200,7 @@ def measure(repeat: int) -> dict:
         "dp5_step_unsampled_us": dp5_steps(unsampled),
         "rk4_step_us": rk4_steps,
         "oracle_pair_us": pair,
+        "limit_row_us": limit_row,
         "constraint_terms_us": monitor,
         "observables_us": observe,
         "max_ham_residual_us": ham_monitor,
@@ -212,6 +223,7 @@ def measure(repeat: int) -> dict:
         **{name: 1e6 * seconds for name, seconds in best.items()},
         "dp5_steps_per_run": traj.n_accepted + traj.n_rejected,
         "oracle_pair_steps": oracle_pair(),
+        "limit_row_steps": sum(dp5_runs(limit_row)),
         "probe_screen_steps": sum(dp5_runs(probe)),
         "bisect_solve_runs": len(dp5_runs(bisect_solve)),
         "bisect_solve_steps": sum(dp5_runs(bisect_solve)),

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from .background import BackgroundModel, CurvatureSign, gauge_gap
 from .integrate import (
     REACHED_HORIZON,
+    SETTLED,
     STEP_SIZE_COLLAPSE,
     TRIGGER_VELOCITY_FLOOR,
     EventSpec,
@@ -65,11 +66,12 @@ RECOLLAPSE_V0 = -3.0
 # run steps by twice this); limit_Cs states its measured error.
 ORACLE_DT = 8e-3
 
-# Each run of the RK4 pair stops at its first sample where the extrapolated
-# limit L_2 = d + (3/4) d' + (1/8) d'' of d = x - y has moved less than
-# ORACLE_SETTLE_TOL over its settle window, ORACLE_SETTLE_SAMPLES samples
-# on uniform steps (0.96 in t at the default step) and that span of time
-# on widened ones, and predicts x - y at the horizon from the e^(-2t),
+# A limit's DP5 run and each run of its RK4 pair stop at their first sample
+# where the extrapolated limit L_2 = d + (3/4) d' + (1/8) d'' of d = x - y
+# has moved less than ORACLE_SETTLE_TOL over its settle window,
+# ORACLE_SETTLE_SAMPLES samples on even spacing (0.96 in t at the oracle's
+# default step, 1.0 at the default output_dt) and that span of time on
+# widened steps, and predict x - y at the horizon from the e^(-2t),
 # e^(-4t) tail law.  See limit_Cs.
 ORACLE_SETTLE_TOL = 1e-13
 ORACLE_SETTLE_SAMPLES = 11
@@ -144,9 +146,14 @@ class BisectionResult:
 class LimitEstimate:
     """Late-time limit of x - y with its own quality measures.
 
-    ``decay_rate`` is the fitted exponential rate of |x' - y'| (negative in
-    the convergent regime); it is None when the difference mode sits at
-    rounding level throughout, as happens for the symmetric coupling s = 1.
+    ``value`` is x - y at the horizon: the tail law's prediction from the
+    DP5 run's first settled sample, or the run's own end value if it
+    reached the horizon unsettled; ``tail_variation`` is the spread of
+    L_2 over the settle window, or of x - y over the last fifth of the
+    samples (:func:`limit_Cs`).  ``decay_rate`` is the fitted exponential
+    rate of |x' - y'| (negative in the convergent regime); it is None when
+    the difference mode sits at rounding level throughout, as happens for
+    the symmetric coupling s = 1.
     ``cross_check_delta`` is the distance from ``value`` to the
     Richardson-paired RK4 value, and ``oracle_error_estimate`` the pair's own
     error bar (:func:`limit_Cs`).
@@ -237,7 +244,11 @@ def classify(
 
 
 def _verdict(term: Termination) -> str:
-    return VERDICT_COMPLETE if term.kind == REACHED_HORIZON else VERDICT_RECOLLAPSE
+    # A run ends Settled only in the convergent regime, where completeness
+    # is proven (limit_Cs).
+    if term.kind in (REACHED_HORIZON, SETTLED):
+        return VERDICT_COMPLETE
+    return VERDICT_RECOLLAPSE
 
 
 def _classification(
@@ -347,8 +358,9 @@ def _probe_verdict(
       tolerance, sets it.  At 1e-2 it moves by 8.2e-2, past the margin.
       1e-5 would take 34% fewer DP5 steps than 1e-6 on the bisect-critical
       benchmark's solves, but that benchmark keeps a record per completed
-      operation, so its peak memory then reads near its 10% bound; 1e-5
-      waits until those records stop growing with the run (ROADMAP item 3).
+      operation, so its peak memory then reads +9.7% (30.88 to 33.87 MB,
+      one run), against a 10% bound; 1e-5 waits until those records stop
+      growing with the run (ROADMAP item 3).
     * The full run, at the caller's settings and events, in every other
       case.  It is the run classify makes at the same settings.
 
@@ -586,12 +598,12 @@ def limit_Cs(
     horizon: float,
     settings: IntegratorSettings | None = None,
 ) -> LimitEstimate:
-    """Estimate lim (x - y) by reading off the trajectory at the horizon.
+    """Estimate lim (x - y) from the tail of one DP5 run toward the horizon.
 
     Valid in the convergent regime only: negative products for any
     coupling, positive products strictly between the thresholds.  The
-    caller's settings govern the run whose x - y at the horizon is
-    ``value``; without settings its step cap is RUN_MAX_STEP.  That
+    caller's settings govern the DP5 run that gives ``value``, x - y at
+    the horizon; without settings its step cap is RUN_MAX_STEP.  That
     value is cross-checked against an independent RK4 pair: two runs, at
     the finer step ORACLE_DT = 8e-3 and at 2 * ORACLE_DT, give L_a and
     L_b, their x - y at the horizon.  Both follow one step plan theta(t),
@@ -614,20 +626,37 @@ def limit_Cs(
     region R (:func:`in_completeness_region`) at t = 0+.
 
     In this regime d = x - y = L + A e^(-2t) + B e^(-4t) + ..., so
-    L_2 = d + (3/4) d' + (1/8) d'', with d'' = x'' - y'' from the oracle's
-    own right-hand side, cancels both terms.  Each run of the pair
-    therefore goes toward the horizon T only until the first sample t_s at
-    which L_2 has moved less than ORACLE_SETTLE_TOL over its settle
-    window, and predicts its x - y at T as
-    L_2 + a e^(-2(T - t_s)) + b e^(-4(T - t_s)), with a = -(d'' + 4d')/4
-    and b = (d'' + 2d')/8 at t_s.  A run that reaches the horizon
-    unsettled uses its end value as it is.  Far from a threshold at n >= 4
-    the runs settle by t = 5.8-14.6 (4.2-10.8 on uniform steps); n = 6
-    rows gain most over the first-order rule, while n = 4 rows keep a
-    resonant t e^(-4t) term.  Within about 1e-3 of a threshold, and at
-    n = 2, where the free mode e^(-nt) decays like the forcing, they
-    settle later (t = 14.4-16.5 on n = 2 rows).  ``value`` is always the
-    raw x - y of the trajectory at the horizon.
+    L_2 = d + (3/4) d' + (1/8) d'', with d'' = x'' - y'' from the run's
+    own right-hand side, cancels both terms.  Each run, the DP5 run and
+    both of the pair, therefore goes toward the horizon T only until the
+    first sample t_s at which L_2 has moved less than ORACLE_SETTLE_TOL
+    over its settle window (:class:`_Settle`), and predicts its x - y at
+    T as L_2 + a e^(-2(T - t_s)) + b e^(-4(T - t_s)), with
+    a = -(d'' + 4d')/4 and b = (d'' + 2d')/8 at t_s.  A run that reaches
+    the horizon unsettled uses its end value as it is.  Far from a
+    threshold at n >= 4 the pair settles by t = 5.8-14.6 (4.2-10.8 on
+    uniform steps); n = 6 rows gain most over the first-order rule, while
+    n = 4 rows keep a resonant t e^(-4t) term.  Within about 1e-3 of a
+    threshold, and at n = 2, where the free mode e^(-nt) decays like the
+    forcing, the runs settle later (t = 14.4-16.5 on n = 2 rows).
+
+    The DP5 run's settle window is that of its output_dt grid, 1.0 in t
+    at the default 0.1, and a settled run ends ``Settled``
+    (integrate's ``until``), which reads as complete: completeness in this
+    regime is proven, not read off the horizon.  Most of the DP5 steps
+    past t_s would be sized by the stability interval of DP5 (h 2n up to
+    about 3.3; Hairer & Wanner, Solving ODEs II, section IV.2), not by the
+    tolerance.  On the 64 limit rows of the first 8 seed-1 operations of
+    the sweep-limits benchmark, at horizon 50, the DP5 runs settle at
+    t = 10.13 on average, 14.60 at worst.  A settled run's ``value`` is
+    the tail law's prediction, and ``tail_variation`` the spread of L_2
+    over its settle window.  A run that reaches the horizon unsettled,
+    such as one at an infinite output_dt, whose window never fills, reads
+    ``value`` as its raw x - y at the horizon and ``tail_variation`` as
+    the spread of x - y over the last fifth of its samples.  Either way
+    ``decay_rate`` is fitted to the run's own samples (:func:`_decay_rate`)
+    and the residual maxima of the row are taken over its own samples and
+    steps.
 
     The plan widens the step once the transient has passed, where the
     pair makes almost none of its error.  The finer run makes it: at
@@ -672,9 +701,10 @@ def limit_Cs(
             f"coupling s={config.s} is outside the open convergent "
             f"interval {thresholds(config.n)} for n={config.n}"
         )
-    run_settings = _settings_for(horizon, settings)
-    traj = integrate(config, run_settings)
-    return _limit(config, traj, horizon)
+    settle = _Settle()
+    traj = integrate(config, _settings_for(horizon, settings),
+                     until=settle.settled)
+    return _limit(config, traj, horizon, settle)
 
 
 def _convergent(config: FlowConfig) -> bool:
@@ -684,16 +714,82 @@ def _convergent(config: FlowConfig) -> bool:
     return config.s > lower and (upper is None or config.s < upper)
 
 
-def _limit(config: FlowConfig, traj: Trajectory, horizon: float) -> LimitEstimate:
-    if traj.termination.kind != REACHED_HORIZON:
+class _Settle:
+    """The settle window of one run's samples and the tail law read at its
+    last sample; the run's until hook fills it, one sample at a time.
+
+    In the convergent regime d = x - y = L + A e^(-2t) + B e^(-4t) + ...,
+    and L_2 = d + (3/4) d' + (1/8) d'' cancels both terms.  The window
+    holds the times and L_2 of the samples back to the latest one
+    ORACLE_SETTLE_SAMPLES - 1 first sample intervals before the last, the
+    last ORACLE_SETTLE_SAMPLES samples on evenly spaced ones.  Sample gaps
+    are whole numbers of intervals, so half an interval less tells them
+    apart whatever their rounding.  The run has settled at the first sample
+    whose full window spreads less than ORACLE_SETTLE_TOL.
+    """
+
+    def __init__(self):
+        self.times = deque()
+        self.window = deque()
+        self.t = self.d1 = self.d2 = None  # at the last sample offered
+        self.spread = None  # of L_2 over the window, once it is full
+
+    def offer(self, samples, xpp, ypp) -> float | None:
+        """Take the last of the samples, with x'' and y'' there from the
+        run's right-hand side; the window's spread, or None while it is
+        not full."""
+        state = samples[-1]
+        t = self.t = state.t
+        d1 = self.d1 = state.xp - state.yp
+        d2 = self.d2 = xpp - ypp
+        times = self.times
+        window = self.window
+        times.append(t)
+        window.append(state.x - state.y + 0.75 * d1 + 0.125 * d2)
+        if len(samples) < 2:
+            return None
+        reach = (ORACLE_SETTLE_SAMPLES - 1.5) * (samples[1].t - samples[0].t)
+        while len(times) > 1 and t - times[1] >= reach:
+            times.popleft()
+            window.popleft()
+        if t - times[0] < reach:
+            return None
+        self.spread = max(window) - min(window)
+        return self.spread
+
+    def settled(self, samples, xpp, ypp) -> bool:
+        """The until hook of a run that ends at its first settled sample."""
+        spread = self.offer(samples, xpp, ypp)
+        return spread is not None and spread < ORACLE_SETTLE_TOL
+
+    def predict(self, horizon: float) -> float:
+        """x - y at the horizon by the tail law read at the last sample t_s:
+        L_2 + a e^(-2(T - t_s)) + b e^(-4(T - t_s))."""
+        # With a = A e^(-2t_s) and b = B e^(-4t_s): d' = -2a - 4b and
+        # d'' = 4a + 16b.
+        a = -(self.d2 + 4.0 * self.d1) / 4.0
+        b = (self.d2 + 2.0 * self.d1) / 8.0
+        gap = horizon - self.t
+        return (self.window[-1] + a * math.exp(-2.0 * gap)
+                + b * math.exp(-4.0 * gap))
+
+
+def _limit(config: FlowConfig, traj: Trajectory, horizon: float,
+           settle: _Settle) -> LimitEstimate:
+    """The LimitEstimate of a DP5 run whose until hook was settle.settled."""
+    kind = traj.termination.kind
+    if kind == SETTLED:
+        value = settle.predict(horizon)
+        tail_variation = settle.spread
+    elif kind == REACHED_HORIZON:
+        diffs = [state.x - state.y for state in traj.samples]
+        value = diffs[-1]
+        tail = diffs[-max(2, len(diffs) // 5) :]
+        tail_variation = max(tail) - min(tail)
+    else:
         raise RegimeError(
             f"trajectory did not reach the horizon: {traj.termination}"
         )
-
-    diffs = [state.x - state.y for state in traj.samples]
-    value = diffs[-1]
-    tail = diffs[-max(2, len(diffs) // 5) :]
-    tail_variation = max(tail) - min(tail)
 
     fine, coarse = _oracle_pair(config, horizon)
     paired = fine + (fine - coarse) / 15.0
@@ -725,50 +821,28 @@ def _oracle_limit(
     step plan: the (t, multiple) at which it widened its step to multiple * dt.
 
     The run stops at its first settled sample and predicts the value there
-    from the tail law d = x - y = L + A e^(-2t) + B e^(-4t) + ..., read off
-    d, d' and d'' at that sample, with d'' from the accelerations the oracle
-    passes its hook, never from :func:`derivatives`; a run that reaches the
-    horizon unsettled gives its end value.  Without a plan the run makes
-    its own: at every ORACLE_PLAN_STEPS-th step of dt where its settle
-    window is full, it widens to the largest multiple of ORACLE_WIDENING
-    whose bound the window's spread is below.  Given a plan, it widens at
-    the plan's times, at the first sample at or past each, whatever its own
-    spread; the empty plan gives the uniform run.
+    by the tail law (:class:`_Settle`), with d'' from the accelerations the
+    oracle passes its hook, never from :func:`derivatives`; a run that
+    reaches the horizon unsettled gives its end value.  Without a plan the
+    run makes its own: at every ORACLE_PLAN_STEPS-th step of dt where its
+    settle window is full, it widens to the largest multiple of
+    ORACLE_WIDENING whose bound the window's spread is below.  Given a
+    plan, it widens at the plan's times, at the first sample at or past
+    each, whatever its own spread; the empty plan gives the uniform run.
     """
-    # The settle window: the times and L_2 of the samples back to the latest
-    # one ORACLE_SETTLE_SAMPLES - 1 first sample intervals before the last,
-    # the last ORACLE_SETTLE_SAMPLES samples while the step is not widened.
-    # Sample gaps are whole numbers of intervals, so half an interval less
-    # tells them apart whatever their rounding.
-    times = deque()
-    window = deque()
-    d1 = d2 = None  # d' and d'' at the last sample offered
+    settle = _Settle()
     pending = None if plan is None else deque(plan)
     made = []
     multiple = 1
 
-    def settled(samples, xpp, ypp):
-        # L_2 at the new sample, d'' from the oracle's own accelerations.
-        nonlocal d1, d2, multiple
-        state = samples[-1]
-        t = state.t
-        d1 = state.xp - state.yp
-        d2 = xpp - ypp
-        times.append(t)
-        window.append(state.x - state.y + 0.75 * d1 + 0.125 * d2)
-        full = False
-        if len(samples) > 1:
-            reach = (ORACLE_SETTLE_SAMPLES - 1.5) * (samples[1].t - samples[0].t)
-            while len(times) > 1 and t - times[1] >= reach:
-                times.popleft()
-                window.popleft()
-            full = t - times[0] >= reach
-        if full:
-            spread = max(window) - min(window)
-            if spread < ORACLE_SETTLE_TOL:
-                return True
+    def hook(samples, xpp, ypp):
+        nonlocal multiple
+        spread = settle.offer(samples, xpp, ypp)
+        if spread is not None and spread < ORACLE_SETTLE_TOL:
+            return True
+        t = settle.t
         if pending is None:
-            if not full or round(t / dt) % ORACLE_PLAN_STEPS:
+            if spread is None or round(t / dt) % ORACLE_PLAN_STEPS:
                 return False
             wider = max([m for bound, m in ORACLE_WIDENING if spread < bound],
                         default=multiple)
@@ -782,22 +856,17 @@ def _oracle_limit(
         made.append((t, wider))
         return wider
 
-    oracle = integrate_oracle(config, dt, horizon, until=settled)
-    if oracle.termination.kind != REACHED_HORIZON:
+    oracle = integrate_oracle(config, dt, horizon, until=hook)
+    kind = oracle.termination.kind
+    if kind == SETTLED:
+        return settle.predict(horizon), tuple(made)
+    if kind != REACHED_HORIZON:
         raise RegimeError(
             f"oracle integration did not reach the horizon (dt={dt}): "
             f"{oracle.termination}"
         )
     end = oracle.final_state()
-    if end.t == horizon:
-        return end.x - end.y, tuple(made)
-    # The run stopped at the settled sample t_s, the last one offered.  With
-    # a = A e^(-2t_s) and b = B e^(-4t_s): d' = -2a - 4b and d'' = 4a + 16b.
-    a = -(d2 + 4.0 * d1) / 4.0
-    b = (d2 + 2.0 * d1) / 8.0
-    gap = horizon - end.t
-    return (window[-1] + a * math.exp(-2.0 * gap) + b * math.exp(-4.0 * gap),
-            tuple(made))
+    return end.x - end.y, tuple(made)
 
 
 def hamiltonian_audit(
@@ -899,7 +968,11 @@ def sweep(
 
     Rows are computed one after another, in the order of the input grid.
     Each row integrates once; the verdict and the limit read that one
-    trajectory.  Rows outside the convergent interval get no limit; a failed
+    trajectory.  With limits on, a row inside the convergent interval ends
+    that run at its first settled sample, as :func:`limit_Cs` does, and its
+    classification reads that run: ``Settled``, complete.  Every other row
+    makes the run of :func:`classify`, bit for bit.  Rows outside the
+    convergent interval get no limit; a failed
     limit is reported in the row's ``error``, next to its classification.
     The caller's settings and events govern each row's run (without
     settings its step cap is RUN_MAX_STEP, as in :func:`classify`); the
@@ -912,15 +985,18 @@ def sweep(
     def row(s: float) -> SweepRow:
         try:
             config = FlowConfig(m=n // 2, sign=sign, s=s)
-            traj = integrate(config, run_settings, events)
+            settle = (_Settle() if with_limits and _convergent(config)
+                      else None)
+            traj = integrate(config, run_settings, events,
+                             until=None if settle is None else settle.settled)
             cls = _classification(config, traj, horizon)
         except Exception as exc:  # per-row diagnostics, never abort the sweep
             return SweepRow(s=s, classification=None, limit=None,
                             error=f"{type(exc).__name__}: {exc}")
         limit = error = None
-        if with_limits and cls.verdict == VERDICT_COMPLETE and _convergent(config):
+        if settle is not None and cls.verdict == VERDICT_COMPLETE:
             try:
-                limit = _limit(config, traj, horizon)
+                limit = _limit(config, traj, horizon, settle)
             except RegimeError as exc:
                 error = f"{type(exc).__name__}: {exc}"
         return SweepRow(s=s, classification=cls, limit=limit, error=error)

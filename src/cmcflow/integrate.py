@@ -47,9 +47,11 @@ locals before it, and the step's start state and first slope are carried
 as scalars.  Each of its stages is still a call of the right-hand side
 that ``products.derivatives`` returns.
 
-Termination is a three-way taxonomy:
+Termination is a four-way taxonomy:
 
 * ``ReachedHorizon``     - integrated to t_max;
+* ``Settled``            - the caller's ``until`` hook accepted a sample
+  before t_max, and the run ended on it;
 * ``BlowUpEvent``        - a blow-up trigger crossed (y below its floor,
   x' + y' below the velocity floor, or the right-hand side overflowed);
 * ``StepSizeCollapse``   - the controller demanded a step below min_step.
@@ -158,6 +160,7 @@ TRIGGER_VELOCITY_FLOOR = "velocity_floor"
 TRIGGER_OVERFLOW = "overflow"
 
 REACHED_HORIZON = "ReachedHorizon"
+SETTLED = "Settled"
 BLOW_UP_EVENT = "BlowUpEvent"
 STEP_SIZE_COLLAPSE = "StepSizeCollapse"
 
@@ -232,7 +235,8 @@ class Termination:
     """How an integration ended.
 
     ``t_event``/``trigger`` are set for blow-up terminations, ``t_last``
-    for step-size collapse.
+    for step-size collapse and for ``Settled``, where it is the time of the
+    sample the ``until`` hook accepted, the run's terminal state.
     """
 
     kind: str
@@ -322,10 +326,21 @@ def _finish(config, samples, t, u, termination, max_fir,
     )
 
 
+def _settles(verdict) -> bool:
+    # DP5 has no step plan, so a step multiple, which the oracle's hook may
+    # return, is refused; a bool is never read as one.
+    if type(verdict) is int:
+        raise ValueError(
+            f"integrate's until takes no step multiple, got {verdict}")
+    return bool(verdict)
+
+
 def integrate(
     config: FlowConfig,
     settings: IntegratorSettings | None = None,
     events: EventSpec | None = None,
+    *,
+    until: Callable[[list[FlowState], float, float], bool] | None = None,
 ) -> Trajectory:
     """Integrate the product system forward from its constrained initial data.
 
@@ -334,6 +349,20 @@ def integrate(
     terminal state: the state at t_max, at the located event, or at the last
     accepted step before an overflow or a step-size collapse.  Blow-up
     triggers are located on the dense output to within 1e-10 in t.
+
+    ``until(samples, xpp, ypp)``, if given, is called each time a sample is
+    recorded before t_max, the initial one included, with the list of
+    samples recorded so far and the accelerations x'' and y'' at the last
+    of them, from the run's own right-hand side: one more call of it per
+    offered sample.  A sample past the overflow floor, where that
+    right-hand side raises, is not offered.  A true value ends the run at
+    that sample, ``Settled`` with the sample's time as ``t_last`` and the
+    sample as the terminal state.  As at a located event, the step that
+    holds the sample is not counted in ``n_accepted``, and the residual at
+    its end is not taken.  An ``int`` raises ValueError: unlike
+    :func:`integrate_oracle`, this stepper has no step plan to widen.  Up
+    to the accepted sample the run is bit for bit the run without the hook,
+    whose samples it keeps; a hook that never accepts gives that run.
     """
     (_C2, _C3, _C4, _C5,
      _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
@@ -361,6 +390,10 @@ def integrate(
     samples = [FlowState(t, u_0, u_1, u_2, u_3)]
     n_accepted = 0
     n_rejected = 0
+    # The initial sample's accelerations are the first stage.
+    if until is not None and _settles(until(samples, k1_2, k1_3)):
+        return _finish(config, samples, t, (u_0, u_1, u_2, u_3),
+                       Termination(SETTLED, t_last=t), max_fir, 0, 0)
 
     abs_tol = settings.abs_tol
     rel_tol = settings.rel_tol
@@ -528,6 +561,7 @@ def integrate(
                             hit_name = name
 
                 t_stop = t + hit_theta * h if hit_theta is not None else t_new
+                settled = None  # the sample the hook accepted
                 while t_grid <= t_stop:
                     theta = (t_grid - t) / h
                     th1 = 1.0 - theta
@@ -542,9 +576,26 @@ def integrate(
                         u_3 + theta * (rc2_3 + th1 * (rc3_3 + theta * (
                             rc4_3 + th1 * rc5_3))),
                     ))
+                    if until is not None and t_grid < t_end:
+                        sample = samples[-1]
+                        try:
+                            _, _, xpp, ypp = f(t_grid, (
+                                sample.x, sample.y, sample.xp, sample.yp))
+                        except BlowUpOverflow:
+                            pass  # past the overflow floor: not offered
+                        else:
+                            if _settles(until(samples, xpp, ypp)):
+                                settled = sample
+                                break
                     next_k += 1
                     t_grid = next_k * output_dt
 
+                if settled is not None:
+                    t = settled.t
+                    u_0, u_1, u_2, u_3 = (settled.x, settled.y, settled.xp,
+                                          settled.yp)
+                    termination = Termination(SETTLED, t_last=t)
+                    break
                 if hit_theta is not None:
                     t = t_stop
                     u_0, u_1, u_2, u_3 = _dense(ext, hit_theta)
@@ -700,9 +751,9 @@ def integrate_oracle(
       a multiple, though ``True == 1``.  At a sample whose step at the
       old size would overflow, the run takes the wider step, and ends on
       the overflow only if that step overflows too;
-    * any other true value, such as ``True``: the run ends at this sample
-      as it ends at t_max, ``ReachedHorizon``, with the sample as the
-      terminal state;
+    * any other true value, such as ``True``: the run ends at this sample,
+      ``Settled`` with the sample's time as ``t_last``, with the sample as
+      the terminal state and the residual there taken, as at t_max;
     * any other false value, such as ``False``: the run goes on.
 
     Up to the first sample where the hook returns more than a false value,
@@ -786,8 +837,7 @@ def integrate_oracle(
     max_fir = 0.0
     k_sample = max(1, int(round(settings.output_dt / dt)))
 
-    # The run reaches t_max, or until accepts a sample, unless it ends
-    # another way.
+    # The run reaches t_max unless it ends another way.
     termination = Termination(REACHED_HORIZON)
     while True:
         u_0, u_1, u_2, u_3 = u
@@ -823,6 +873,7 @@ def integrate_oracle(
                     multiple = verdict
                     step = multiple * dt
                 elif verdict:
+                    termination = Termination(SETTLED, t_last=t)
                     break
         h = step if (units + multiple) * dt <= t_max else t_max - t
         try:

@@ -44,6 +44,7 @@ from cmcflow.experiments import (
 )
 from cmcflow.integrate import (
     REACHED_HORIZON,
+    SETTLED,
     EventSpec,
     IntegratorSettings,
     Termination,
@@ -161,10 +162,13 @@ def _synthetic_oracle(samples, stops=None, rhs=derivatives):
     order, until its hook accepts one; the time of that last sample is
     appended to stops.  Each sample is offered with its accelerations from
     rhs(cfg), as the oracle offers its own, except where rhs raises
-    BlowUpOverflow: the oracle's run would end there, and this one goes on."""
+    BlowUpOverflow: the oracle's run would end there, and this one goes on.
+    A run that the hook ends is Settled, as the oracle's is; one that runs
+    out of samples reached its horizon."""
     def synthetic(cfg, dt, t_max, events=None, *, until):
         f = rhs(cfg)
         recorded = []
+        termination = Termination(REACHED_HORIZON)
         for state in samples:
             recorded.append(state)
             try:
@@ -173,11 +177,12 @@ def _synthetic_oracle(samples, stops=None, rhs=derivatives):
                 continue
             verdict = until(recorded, xpp, ypp)
             if type(verdict) is not int and verdict:
+                termination = Termination(SETTLED, t_last=state.t)
                 break
         if stops is not None:
             stops.append(recorded[-1].t)
         return Trajectory(config=cfg, samples=tuple(recorded),
-                          termination=Termination(REACHED_HORIZON),
+                          termination=termination,
                           max_first_integral_residual=0.0,
                           n_accepted=len(recorded), n_rejected=0)
 
@@ -811,6 +816,84 @@ class TestMirrorSymmetry:
         assert verdicts == [res.verdict_hi, res.verdict_lo]
 
 
+_DECAY_ROWS = [
+    (4, POS, 0.9), (4, POS, 1.3), (4, NEG, 0.9), (4, NEG, 3.0),
+    (6, POS, 0.9), (6, POS, 1.2), (6, NEG, 0.7), (6, NEG, 2.0),
+]
+
+# value, tail_variation, decay_rate, cross_check_delta and
+# oracle_error_estimate, as hex, of T = 50 limits whose DP5 run records no
+# grid sample (output_dt = inf) and so never settles.  Recorded before any
+# limit run could stop at a settled sample.
+_UNSETTLED_LIMITS = {
+    (2, POS, 1.2): ("0x1.b9a03e1c6ba80p-1", "0x1.b9a03e1c6ba80p-1", None,
+                    "0x1.c19f000000000p-37", "0x1.3fefcc4444444p-31"),
+    (3, NEG, 0.7): ("0x1.a7296ac173b00p-3", "0x1.a7296ac173b00p-3", None,
+                    "0x1.94e5800000000p-36", "0x1.aab5348888889p-32"),
+}
+
+
+class TestSettledRows:
+    @pytest.mark.parametrize("n, sign, s", _DECAY_ROWS)
+    def test_settled_value_is_the_raw_value_at_the_horizon(self, n, sign, s):
+        # The DP5 run stops at its first settled sample, and the tail law
+        # read there gives x - y at T within 1e-12 of the run to T.
+        cfg = config(m=n // 2, sign=sign, s=s)
+        settings = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=50.0)
+        end = integrate(cfg, settings).final_state()
+        est = limit_Cs(cfg, 50.0)
+        assert abs(est.value - (end.x - end.y)) <= 1e-12
+        assert est.tail_variation < ORACLE_SETTLE_TOL
+        (row,) = sweep(n, sign, [s], 50.0)
+        assert row.limit == est
+        term = row.classification.termination
+        assert term.kind == SETTLED and term.t_last < 50.0
+        assert row.classification.verdict == VERDICT_COMPLETE
+
+    @pytest.mark.parametrize("m, sign, s", list(_UNSETTLED_LIMITS))
+    def test_unsettled_row_is_the_run_to_the_horizon(self, m, sign, s):
+        cfg = config(m=m, sign=sign, s=s)
+        settings = IntegratorSettings(max_step=RUN_MAX_STEP,
+                                      output_dt=math.inf)
+        est = limit_Cs(cfg, 50.0, settings)
+        assert tuple(None if v is None else v.hex()
+                     for v in astuple(est)) == _UNSETTLED_LIMITS[m, sign, s]
+        (row,) = sweep(2 * m, sign, [s], 50.0, settings=settings)
+        assert row.limit == est
+        assert repr(astuple(row.classification)) == repr(astuple(
+            classify(cfg, 50.0, settings)))
+        assert row.classification.termination == Termination(REACHED_HORIZON)
+
+    @pytest.mark.parametrize("n, sign, grid", [
+        (4, POS, [0.6, 0.7, 1.2, 1.6, 3.0]),
+        (6, POS, [0.6, 0.9, 1.3, 3.0]),
+        (4, NEG, [0.6, 1.3, 3.0]),
+    ])
+    def test_rows_without_a_limit_run_no_hook(self, monkeypatch, n, sign,
+                                              grid):
+        # Recollapse rows, and every row without limits, make the run of
+        # classify, bit for bit, and pass integrate no hook.
+        hooks = []
+        real = experiments.integrate
+
+        def recorded(config, settings, events=None, *, until=None):
+            hooks.append(until)
+            return real(config, settings, events, until=until)
+
+        monkeypatch.setattr(experiments, "integrate", recorded)
+        with_limits = sweep(n, sign, grid, 50.0)
+        without = sweep(n, sign, grid, 50.0, with_limits=False)
+        monkeypatch.undo()
+        limit_rows = [row.limit is not None for row in with_limits]
+        assert [hook is not None for hook in hooks] == (
+            limit_rows + [False] * len(grid))
+        assert sign is POS or all(limit_rows)
+        for row, bare in zip(with_limits + without, grid + grid):
+            if row.limit is None:
+                assert repr(astuple(row.classification)) == repr(astuple(
+                    classify(config(m=n // 2, sign=sign, s=bare), 50.0)))
+
+
 class TestLimit:
     def test_symmetric_coupling_has_zero_limit(self):
         for sign in (POS, NEG):
@@ -861,10 +944,7 @@ class TestLimit:
             limit_Cs(config(sign=NEG, s=1.3), 10.0,
                      settings=IntegratorSettings(min_step=0.029))
 
-    @pytest.mark.parametrize("n, sign, s", [
-        (4, POS, 0.9), (4, POS, 1.3), (4, NEG, 0.9), (4, NEG, 3.0),
-        (6, POS, 0.9), (6, POS, 1.2), (6, NEG, 0.7), (6, NEG, 2.0),
-    ])
+    @pytest.mark.parametrize("n, sign, s", _DECAY_ROWS)
     def test_decay_rate_is_two(self, n, sign, s):
         # For n >= 4 and s != 1, x - y = L + A e^(-2t) + O(e^(-4t)): the
         # curvature forcing decays like e^(-2t), the free mode like e^(-nt).
@@ -1401,10 +1481,15 @@ class TestSweep:
         assert [args[1] for args in calls["integrate_oracle"]] == oracle_dts
 
         monkeypatch.undo()
-        assert row.classification == classify(config(s=s), 20.0)
+        # A limit row's one run ends at its settled sample; a recollapse
+        # row's is classify's.
+        cls = classify(config(s=s), 20.0)
         if oracle_dts:
             assert row.limit == limit_Cs(config(s=s), 20.0)
+            assert row.classification.verdict == cls.verdict
+            assert row.classification.termination.kind == SETTLED
         else:
+            assert row.classification == cls
             assert row.classification.verdict == VERDICT_RECOLLAPSE
             assert row.limit is None
 
@@ -1455,14 +1540,14 @@ _CAP_GRIDS = {
     (6, NEG): [0.6, 1.3, 3.0],
 }
 # sha256 of repr([astuple(row) for row in rows]) for each grid's sweep at
-# max_step 0.03, the IntegratorSettings default.  Recorded with the RK4
-# pair's step plan, which moves only cross_check_delta and
-# oracle_error_estimate.
+# max_step 0.03, the IntegratorSettings default.  Recorded with limit rows
+# that end their DP5 run at the settled sample, which moves every field of
+# those rows but the oracle pair's.
 _CAP_003_SHA256 = {
-    (4, POS): "f9cde7319fd84549a5980051edb86db0111b3bddb67c933477a13915478b8f72",
-    (6, POS): "5698d9779cb8bdc12bbb45296118cf8b9b5ba694af2dd124c8c09936a7161a36",
-    (4, NEG): "fb3f1046dce68e7ea2bcccf23478f44d908ec1838e9d3c48db748a3dc5b42933",
-    (6, NEG): "dcaffd87cb6ee009c6ae9ac69eb8479786521e57831f58043c96b8a74505cd58",
+    (4, POS): "273db479006facc383d954dab7a7a674d8ebd6fdc61afcbe1bf060fc36d18a4c",
+    (6, POS): "d4864fe5aa50ad516d434ac534c40abeebee7cb2015fc9b44b6cf73c56c5d74d",
+    (4, NEG): "85f217c2a946b35f9b242d37a104515aa3d7f87da5b2aee1c9b160453ca267ac",
+    (6, NEG): "f0d67c71eac51cd3ffd2e74d7c90413e581ad97a8623a50bd2868e097249c6bf",
 }
 
 
@@ -1495,9 +1580,9 @@ class TestRunStepCap:
         caps = []
         real = experiments.integrate
 
-        def recorded(config, settings, events=None):
+        def recorded(config, settings, events=None, **hook):
             caps.append(settings.max_step)
-            return real(config, settings, events)
+            return real(config, settings, events, **hook)
 
         monkeypatch.setattr(experiments, "integrate", recorded)
         classify(config(s=1.3), 5.0)

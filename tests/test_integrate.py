@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import math
+import sys
 from dataclasses import astuple, replace
 
 import pytest
@@ -33,6 +34,7 @@ from cmcflow.experiments import (
 from cmcflow.integrate import (
     BLOW_UP_EVENT,
     REACHED_HORIZON,
+    SETTLED,
     STEP_SIZE_COLLAPSE,
     TRIGGER_OVERFLOW,
     TRIGGER_VELOCITY_FLOOR,
@@ -48,6 +50,7 @@ from cmcflow.integrate import (
 )
 from cmcflow.products import (
     OVERFLOW_FLOOR,
+    BlowUpOverflow,
     FlowConfig,
     FlowState,
     constraint_terms,
@@ -722,7 +725,8 @@ class TestOracleUntil:
         stopped = integrate_oracle(config, dt, 50.0, until=until)
         assert seen == list(range(1, stop + 1))
         assert stopped.samples == full.samples[:stop]
-        assert stopped.termination == Termination(REACHED_HORIZON)
+        assert stopped.termination == Termination(
+            SETTLED, t_last=full.samples[stop - 1].t)
         assert stopped.n_rejected == 0
         assert stopped.n_accepted == (stop - 1) * round(0.1 / dt)
         assert stopped.final_state().t == stopped.n_accepted * dt
@@ -788,8 +792,8 @@ class TestOracleUntil:
 
     def test_a_sample_whose_step_overflows_can_end_the_run(self):
         # The step from the third sample, at t = 1, leaves the double range.
-        # A hook that accepts that sample ends the run there, at the horizon
-        # rule's ReachedHorizon, as it would have ended before the step.
+        # A hook that accepts that sample ends the run there, Settled, as
+        # it would have ended before the step.
         config = FlowConfig(m=2, sign=POS, s=5.0)
         events = EventSpec(y_floor=-1e6, velocity_floor=-1e6)
         full = integrate_oracle(config, 0.5, 10.0, events)
@@ -798,7 +802,7 @@ class TestOracleUntil:
         stopped = integrate_oracle(config, 0.5, 10.0, events,
                                    until=lambda samples, xpp, ypp:
                                    len(samples) == 3)
-        assert stopped.termination == Termination(REACHED_HORIZON)
+        assert stopped.termination == Termination(SETTLED, t_last=1.0)
         assert stopped.samples == full.samples
         assert (stopped.max_first_integral_residual.hex()
                 == full.max_first_integral_residual.hex())
@@ -1368,9 +1372,10 @@ class TestSteppingCoreBits:
                 if ins.opname == "LOAD_GLOBAL"}
         assert read == {
             "BLOW_UP_EVENT", "BlowUpOverflow", "EventSpec",
-            "IntegratorSettings", "REACHED_HORIZON", "STEP_SIZE_COLLAPSE",
-            "TRIGGER_OVERFLOW", "Termination", "_DP5_NAMES", "_INITIAL_STEP",
-            "_dense", "_event_functions", "_finish", "derivatives",
+            "IntegratorSettings", "REACHED_HORIZON", "SETTLED",
+            "STEP_SIZE_COLLAPSE", "TRIGGER_OVERFLOW", "Termination",
+            "_DP5_NAMES", "_INITIAL_STEP", "_dense", "_event_functions",
+            "_finish", "_settles", "derivatives",
             "first_integral_residual", "initial_state", "math", "max", "min",
         }
 
@@ -1378,6 +1383,141 @@ class TestSteppingCoreBits:
         # A local that a nested function or comprehension reads becomes a
         # cell, and every read of it in the step loop goes through the cell.
         assert integrate.__code__.co_cellvars == ()
+
+
+# The DP5 runs of GOLDEN and STEPPING_CORE: the horizon at each sign and
+# each step cap, each floor, an overflow, step-size collapses and an
+# infinite output_dt.  backward_integrate takes no hook.
+_DP5_RUNS = sorted(name for name in {**GOLDEN, **STEPPING_CORE}
+                   if not name.startswith(("oracle-", "backward-")))
+
+
+def _run_with_hook(monkeypatch, name, until):
+    """The run of a GOLDEN or STEPPING_CORE case with until passed to its
+    integrate call, and the settings and events of that call."""
+    real = integrate
+    calls = []
+
+    def hooked(config, settings=None, events=None):
+        calls.append((settings or IntegratorSettings(), events))
+        return real(config, settings, events, until=until)
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "integrate", hooked)
+    try:
+        traj = {**GOLDEN, **STEPPING_CORE}[name][0]()
+    finally:
+        monkeypatch.setattr(module, "integrate", real)
+    ((settings, events),) = calls
+    return traj, settings, events
+
+
+def _hex_samples(traj):
+    return [tuple(v.hex() for v in astuple(state)) for state in traj.samples]
+
+
+class TestIntegrateUntil:
+    @pytest.mark.parametrize("name", _DP5_RUNS)
+    def test_a_hook_that_never_accepts_changes_nothing(self, monkeypatch, name):
+        # The hook is offered each grid sample before t_max, in order, with
+        # the samples recorded so far and x'' and y'' from derivatives;
+        # the run is the run without it, bit for bit.
+        plain = {**GOLDEN, **STEPPING_CORE}[name][0]()
+        offered = []
+
+        def until(samples, xpp, ypp):
+            offered.append((len(samples), samples[-1], xpp.hex(), ypp.hex()))
+            return False
+
+        hooked, settings, _ = _run_with_hook(monkeypatch, name, until)
+        t_max = settings.t_max
+        assert hooked == plain
+        assert _hex_samples(hooked) == _hex_samples(plain)
+        samples = plain.samples
+        f = derivatives(plain.config)
+        assert [count for count, *_ in offered] == list(
+            range(1, len(offered) + 1))
+        for _, state, xpp, ypp in offered:
+            assert state.t < t_max
+            assert state.x >= OVERFLOW_FLOOR and state.y >= OVERFLOW_FLOOR
+            _, _, want_xpp, want_ypp = f(
+                state.t, (state.x, state.y, state.xp, state.yp))
+            assert (xpp, ypp) == (want_xpp.hex(), want_ypp.hex())
+        assert [state for _, state, *_ in offered] == list(
+            samples[:len(offered)])
+        # Only the terminal state can be left out: the state at t_max, at a
+        # located event or where the run stopped stepping.
+        term = plain.termination
+        if len(offered) < len(samples):
+            assert len(offered) == len(samples) - 1
+            assert samples[-1].t in (t_max, term.t_event, term.t_last)
+
+    def test_a_sample_where_the_right_hand_side_raises_is_not_offered(
+        self, monkeypatch
+    ):
+        # The hook's call of the right-hand side at a sample past the
+        # overflow floor raises BlowUpOverflow, and that sample is not
+        # offered.  No DP5 run here records such a sample, so the raise is
+        # made at the grid sample t = 0.5; no stage of this run falls
+        # there, so the run without the hook is unchanged.
+        module = importlib.import_module("cmcflow.integrate")
+        real = module.derivatives
+
+        def raising(config):
+            f = real(config)
+
+            def rhs(t, u):
+                if t == 0.5:
+                    raise BlowUpOverflow(t)
+                return f(t, u)
+
+            return rhs
+
+        config = FlowConfig(m=2, sign=POS, s=1.2)
+        settings = IntegratorSettings(max_step=RUN_MAX_STEP, t_max=2.0)
+        plain = integrate(config, settings)
+        monkeypatch.setattr(module, "derivatives", raising)
+        assert integrate(config, settings) == plain
+        offered = []
+        traj = integrate(config, settings, until=lambda samples, xpp, ypp:
+                         offered.append(samples[-1].t))
+        assert traj == plain
+        assert offered == [st.t for st in plain.samples[:-1] if st.t != 0.5]
+        assert len(offered) == 19
+
+    @pytest.mark.parametrize("verdict", [0, 1, 2])
+    def test_an_int_raises(self, verdict):
+        # DP5 has no step plan to widen; a bool is a verdict, not an int.
+        config = FlowConfig(m=2, sign=POS, s=1.2)
+        with pytest.raises(ValueError, match="until takes no step multiple"):
+            integrate(config, until=lambda samples, xpp, ypp: verdict)
+
+    @pytest.mark.parametrize("name, k", [
+        ("dp5-limit-row-sampled", 0), ("dp5-limit-row-sampled", 1),
+        ("dp5-limit-row-sampled", 37), ("dp5-limit-row-sampled", 101),
+        ("dp5-negative-limit-row-sampled", 120),
+        ("integrate-pos-1.3", 64),
+        # the last grid sample before the located velocity floor
+        ("dp5-recollapse-row", 9),
+    ])
+    def test_accepting_sample_k_ends_the_run_there(self, monkeypatch, name, k):
+        plain = {**GOLDEN, **STEPPING_CORE}[name][0]()
+        stopped, settings, events = _run_with_hook(
+            monkeypatch, name, lambda samples, xpp, ypp: len(samples) == k + 1)
+        sample = plain.samples[k]
+        assert stopped.termination == Termination(SETTLED, t_last=sample.t)
+        assert stopped.samples == plain.samples[:k + 1]
+        assert _hex_samples(stopped) == _hex_samples(plain)[:k + 1]
+        assert stopped.final_state() == sample
+        assert stopped.n_rejected <= plain.n_rejected
+        if k == 0:
+            assert stopped.n_accepted == 0
+            return
+        # A run whose horizon is the sample takes the same steps up to the
+        # one that holds it, which it ends on the horizon.
+        ended = integrate(plain.config, replace(settings, t_max=sample.t),
+                          events)
+        assert ended.n_accepted == stopped.n_accepted + 1
 
 
 def _monitor_runs():
